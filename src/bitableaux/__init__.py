@@ -47,7 +47,6 @@ from .insertion import (
     row_insert,
     rsk,
 )
-from .kernels import jit_enabled
 from .kron_tableaux import (
     KroneckerVerdict,
     count_kronecker_tableaux,

@@ -27,6 +27,9 @@ class Bitableau:
     m: int
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("m", self.m)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         check_partition(self.shape)
         if tuple(len(r) for r in self.rows) != self.shape:
             raise ValueError("row lengths do not match shape")
@@ -65,8 +68,9 @@ class Bitableau:
     @classmethod
     def from_json(cls, data: dict) -> "Bitableau":
         rows = tuple(tuple((int(a), int(b)) for a, b in row) for row in data["rows"])
-        n = int(data.get("n") or max((a for row in rows for a, _ in row), default=1))
-        m = int(data.get("m") or max((b for row in rows for _, b in row), default=1))
+        # n and m are inferred from the entries only when the key is absent
+        n = data.get("n", max((a for row in rows for a, _ in row), default=1))
+        m = data.get("m", max((b for row in rows for _, b in row), default=1))
         return cls(tuple(len(r) for r in rows), rows, n, m)
 
     @classmethod

@@ -1,6 +1,8 @@
 """Command-line interface: every module behind one scriptable entry point.
 
-Exit codes: 0 success, 1 usage error, 2 verification mismatch.
+Exit codes: 0 success, 1 usage error, 2 verification mismatch, 3 a --cap
+refused the work, 4 an operator broke the crystal structure, 5 an oracle
+value was not a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from typing import Sequence
 
 from .bitableau import Bitableau, enumerate_bitableaux, weights
 from .completion import highest_weight_census, shape21_candidate_crystal, skeleton
-from .crystal import count_d, full_crystal, monomial_expansion_sweep
+from .crystal import (
+    CapExceededError,
+    CrystalStructureError,
+    count_d,
+    full_crystal,
+    monomial_expansion_sweep,
+)
 from .graphs import export_crystal
 from .insertion import Biword, brsk, jdt_product, rsk
 from .kron_tableaux import kronecker_count_row
@@ -25,6 +33,9 @@ from .words import bitableau_reading_word
 
 USAGE_ERROR = 1
 MISMATCH = 2
+CAP_EXCEEDED = 3
+STRUCTURE_ERROR = 4
+ARITHMETIC_ERROR = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -417,6 +428,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except CapExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CAP_EXCEEDED
+    except CrystalStructureError as exc:
+        print(f"error: crystal structure broken: {exc}", file=sys.stderr)
+        return STRUCTURE_ERROR
+    except ArithmeticError as exc:
+        print(f"error: oracle arithmetic failed: {exc}", file=sys.stderr)
+        return ARITHMETIC_ERROR
     raise AssertionError("unreachable")
 
 

@@ -15,7 +15,7 @@ from .graphs import CrystalGraph, CrystalVertex, export_crystal  # noqa: F401
 from .kernels import tally_yamanouchi_acontent
 from .partitions import Partition, check_partition, pad, trim
 from .symfunc import monomial_coefficient_d  # noqa: F401  (oracle counterpart)
-from .tableaux import SkewSSYT
+from .tableaux import SkewSSYT, count_ssyt
 from .words import (
     bitableau_reading_cells,
     crystal_op_position,
@@ -87,7 +87,7 @@ def count_d(
 def count_d_table(
     lam: Sequence[int], nu: Sequence[int], n: int, conv: str = "w"
 ) -> dict[tuple[int, ...], int]:
-    """Yamanouchi counts for every a-content at once (one enumeration pass)."""
+    """Yamanouchi counts for every a-content at once (one layer-DP pass)."""
     return tally_yamanouchi_acontent(check_partition(lam), n, nu, conv)
 
 
@@ -136,9 +136,10 @@ def full_crystal(
     exports are byte-stable.
     """
     lam = check_partition(lam)
+    size = count_ssyt(lam, n * m)  # |B_lam(n,m)| through the [nm] encoding
+    if size > cap:
+        raise CapExceededError(f"{size} vertices exceed the cap {cap}")
     tableaux = [Bitableau(lam, rows, n, m) for rows in iter_bitableau_rows(lam, n, m)]
-    if len(tableaux) > cap:
-        raise CapExceededError(f"{len(tableaux)} vertices exceed the cap {cap}")
     tableaux.sort(key=lambda t: json.dumps(t.to_json(), sort_keys=True))
     index = {t.rows: i for i, t in enumerate(tableaux)}
     vertices = []

@@ -216,8 +216,9 @@ class SymPoly:
             "terms": [[list(e), c] for e, c in sorted(self.terms.items())],
         }
 
-    def __hash__(self):  # pragma: no cover - dict field, identity is enough
-        return id(self)
+    def __hash__(self) -> int:
+        # equal polynomials have equal terms, so they hash alike
+        return hash((self.variables, frozenset(self.terms.items())))
 
 
 def make_sympoly(variables: Sequence[str], terms: Mapping[Exponents, int]) -> SymPoly:

@@ -184,6 +184,18 @@ def enumerate_ssyt(shape: Sequence[int], n: int) -> list[SSYT]:
     return [SSYT(shape, rows, n) for rows in iter_ssyt_rows(shape, n)]
 
 
+def count_ssyt(shape: Sequence[int], n: int) -> int:
+    """Number of SSYT of the shape over [1, n], s_shape(1^n) by the hook-content formula."""
+    shape = check_partition(shape)
+    num = den = 1
+    for r, length in enumerate(shape):
+        for c in range(length):
+            leg = sum(1 for below in shape[r + 1 :] if below > c)
+            num *= n + c - r
+            den *= length - c + leg
+    return num // den
+
+
 def reading_word(t: SSYT | SkewSSYT) -> tuple[int, ...]:
     """Row reading word: rows left-to-right, bottom row first."""
     word: list[int] = []

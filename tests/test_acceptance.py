@@ -16,7 +16,7 @@ from bitableaux.completion import (
     shape21_candidate_crystal,
     skeleton,
 )
-from bitableaux.crystal import crystal_op_bitableau, monomial_expansion_sweep
+from bitableaux.crystal import count_d_table, crystal_op_bitableau, monomial_expansion_sweep
 from bitableaux.insertion import (
     Biword,
     all_rectifications,
@@ -33,12 +33,13 @@ from bitableaux.kron_tableaux import (
     kronecker_tableaux,
     phi,
 )
-from bitableaux.partitions import enumerate_partitions, trim
+from bitableaux.partitions import enumerate_partitions, pad, trim
 from bitableaux.symfunc import (
     character_table,
     expand_in_schur_schur,
     kron_coproduct_poly,
     kronecker_coefficient,
+    monomial_coefficient_d,
 )
 from bitableaux.tableaux import SSYT, enumerate_ssyt, reading_word
 from bitableaux.words import (
@@ -270,3 +271,22 @@ def test_criterion_7_property_suites():
             reading_word(left) + reading_word(right)
         ).rows
     _report(7, "word, crystal, character, and slide invariants all hold")
+
+
+def test_criterion_8_sweep_k7_k8_both_conventions():
+    # crystal count == character-side count on every triple of k = 7 and 8,
+    # under w and w'; the oracle value of a triple is shared by both
+    checked = 0
+    for k in (7, 8):
+        parts = enumerate_partitions(k)
+        for lam in parts:
+            for nu in parts:
+                tables = {conv: count_d_table(lam, nu, k, conv) for conv in ("w", "w_prime")}
+                for mu in parts:
+                    oracle = monomial_coefficient_d(lam, mu, nu)
+                    for conv, table in tables.items():
+                        crystal = table.get(pad(mu, k), 0)
+                        assert crystal == oracle, (k, conv, lam, mu, nu, crystal, oracle)
+                        checked += 1
+    assert checked == 2 * (15**3 + 22**3)
+    _report(8, f"crystal count equals the character-side count on {checked // 2} triples (k = 7, 8), w and w'")

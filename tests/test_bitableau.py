@@ -114,3 +114,24 @@ def test_json_round_trip():
     data = FIVE_BOX.to_json()
     assert data["shape"] == [2, 2, 1] and data["n"] == 3 and data["m"] == 3
     assert Bitableau.from_json(data) == FIVE_BOX
+
+
+def test_validation_requires_positive_alphabets():
+    for n, m in ((0, 0), (0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            Bitableau((), (), n, m)
+    assert Bitableau((), (), 1, 1).size == 0
+
+
+def test_from_json_infers_only_absent_sizes():
+    data = FIVE_BOX.to_json()
+    with pytest.raises(ValueError):
+        Bitableau.from_json(dict(data, n=0))
+    with pytest.raises(ValueError):
+        Bitableau.from_json(dict(data, m=0))
+    with pytest.raises(ValueError):
+        Bitableau.from_json(dict(data, n=None))
+    wide = Bitableau.from_json(dict(data, n=5, m=4))
+    assert (wide.n, wide.m) == (5, 4)
+    inferred = Bitableau.from_json({"rows": data["rows"]})
+    assert (inferred.n, inferred.m) == (3, 2)

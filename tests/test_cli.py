@@ -189,3 +189,43 @@ def test_mismatch_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "d", "--lam", "1", "--mu", "1", "--nu", "1")
     assert code == 2
     assert "MISMATCH" in err
+
+
+def test_cap_exceeded_exits_three_without_traceback():
+    import os
+    import subprocess
+    import sys
+
+    import bitableaux
+
+    src = os.path.dirname(os.path.dirname(bitableaux.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bitableaux.cli", "crystal", "--shape", "3,2", "--n", "3", "--m", "3", "--cap", "5"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: 2970 vertices exceed the cap 5\n"
+
+
+def test_structure_and_arithmetic_errors_exit_codes(capsys, monkeypatch):
+    import bitableaux.cli as cli
+    from bitableaux.crystal import CrystalStructureError
+
+    def broken(*args):
+        raise CrystalStructureError("f_1 broke semistandardness")
+
+    monkeypatch.setattr(cli, "full_crystal", broken)
+    code, out, err = run(capsys, "crystal", "--shape", "1", "--n", "1", "--m", "2")
+    assert code == 4 and out == ""
+    assert err.startswith("error: crystal structure broken") and "Traceback" not in err
+
+    def non_integer(*args):
+        raise ArithmeticError("non-integer Kronecker coefficient")
+
+    monkeypatch.setattr(cli, "monomial_coefficient_d", non_integer)
+    code, out, err = run(capsys, "d", "--lam", "1", "--mu", "1", "--nu", "1", "--mode", "oracle")
+    assert code == 5 and out == ""
+    assert err.startswith("error: oracle arithmetic failed") and "Traceback" not in err

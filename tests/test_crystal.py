@@ -110,6 +110,19 @@ def test_full_crystal_cap():
         full_crystal((2, 2), 2, 2, cap=3)
 
 
+def test_full_crystal_cap_refuses_before_enumerating(monkeypatch):
+    import bitableaux.crystal as crystal
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(crystal, "iter_bitableau_rows", no_enumeration)
+    with pytest.raises(CapExceededError, match="2970 vertices"):
+        full_crystal((3, 2), 3, 3, cap=5)
+    monkeypatch.undo()
+    assert len(full_crystal((2, 2), 2, 2, cap=20).vertices) == 20
+
+
 def test_full_crystal_components_have_unique_highest_weight():
     from bitableaux.symfunc import kostka
 

@@ -1,15 +1,20 @@
 import itertools
+import os
+import subprocess
+import sys
 
 from conftest import nm_pairs, small_shapes
 from bitableaux.kernels import (
     _tally_python_dict,
     count_yamanouchi,
-    jit_enabled,
     tally_yamanouchi_acontent,
 )
+from bitableaux.partitions import enumerate_partitions
 
 
 def test_kernel_matches_reference_tally():
+    # every shape with |lam| <= 5, n, m <= 3, every b-content composition
+    cases = 0
     for shape in small_shapes(5):
         k = sum(shape)
         for n, m in nm_pairs(3):
@@ -20,6 +25,8 @@ def test_kernel_matches_reference_tally():
                     fast = tally_yamanouchi_acontent(shape, n, bcontent, conv)
                     slow = _tally_python_dict(shape, n, bcontent, conv)
                     assert fast == slow, (shape, n, bcontent, conv)
+                    cases += 1
+    assert cases == 2250
 
 
 def test_empty_shape():
@@ -33,8 +40,8 @@ def test_count_yamanouchi_examples():
 
 
 def test_wide_alphabet_falls_back_to_dict():
-    # (k+1)^n too large for the flat tally: the dict path takes over and must
-    # agree with the kernel run on a narrower top alphabet
+    # a top alphabet wider than the shape has rows: the table restricted to
+    # a-contents supported on the first three letters is the narrow table
     shape = (5, 2, 1)
     wide = tally_yamanouchi_acontent(shape, 8, (8,), "w")
     narrow = tally_yamanouchi_acontent(shape, 3, (8,), "w")
@@ -46,5 +53,27 @@ def test_wide_alphabet_falls_back_to_dict():
     assert projected == narrow
 
 
-def test_jit_flag_is_boolean():
-    assert isinstance(jit_enabled(), bool)
+def test_tables_are_symmetric_in_the_acontent():
+    # d(lam, mu, nu) depends on mu only up to order, so permuting an
+    # a-content never changes its count
+    for shape in small_shapes(6):
+        k = sum(shape)
+        for n in (2, 3, 4):
+            for nu in enumerate_partitions(k, 3):
+                for conv in ("w", "w_prime"):
+                    table = tally_yamanouchi_acontent(shape, n, nu, conv)
+                    for key, count in table.items():
+                        for perm in set(itertools.permutations(key)):
+                            assert table.get(perm) == count, (shape, n, nu, conv, key, perm)
+
+
+def test_import_does_not_load_numpy():
+    import bitableaux
+
+    src = os.path.dirname(os.path.dirname(bitableaux.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, bitableaux; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -135,3 +135,11 @@ def test_monomial_coefficient_dominates_kronecker():
             assert monomial_coefficient_d(lam, mu, nu) >= kronecker_coefficient(
                 lam, mu, nu
             )
+
+
+def test_equal_polynomials_hash_alike():
+    a = schur_poly((2, 1), ("x1", "x2"))
+    b = schur_poly((2, 1), ("x1", "x2"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({a, schur_poly((2, 1), ("y1", "y2"))}) == 2

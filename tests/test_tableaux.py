@@ -6,6 +6,7 @@ from bitableaux.partitions import enumerate_partitions
 from bitableaux.tableaux import (
     SSYT,
     SkewSSYT,
+    count_ssyt,
     enumerate_ssyt,
     reading_word,
     ssyt_from_reading_word,
@@ -46,7 +47,9 @@ def test_enumerate_ssyt_empty_when_too_tall():
 def test_enumerate_ssyt_against_brute_force(n):
     for size in range(6):
         for shape in enumerate_partitions(size):
-            assert len(enumerate_ssyt(shape, n)) == brute_force_ssyt_count(shape, n)
+            expected = brute_force_ssyt_count(shape, n)
+            assert len(enumerate_ssyt(shape, n)) == expected
+            assert count_ssyt(shape, n) == expected
 
 
 def test_enumerate_ssyt_row_major_lex_order_and_determinism():
