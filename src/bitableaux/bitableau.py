@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .partitions import Partition, check_partition
-from .tableaux import SSYT
+from .tableaux import SSYT, grid_rows, is_int, iter_ssyt_rows
 
 Pair = tuple[int, int]
 PairRows = tuple[tuple[Pair, ...], ...]
@@ -67,7 +67,7 @@ class Bitableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "Bitableau":
-        rows = tuple(tuple((int(a), int(b)) for a, b in row) for row in data["rows"])
+        rows = _pair_rows(data.get("rows"))
         # n and m are inferred from the entries only when the key is absent
         n = data.get("n", max((a for row in rows for a, _ in row), default=1))
         m = data.get("m", max((b for row in rows for _, b in row), default=1))
@@ -77,12 +77,21 @@ class Bitableau:
     def from_rows(
         cls, rows: Sequence[Sequence[Sequence[int]]], n: int | None = None, m: int | None = None
     ) -> "Bitableau":
-        grid = tuple(tuple((int(a), int(b)) for a, b in row) for row in rows)
+        grid = _pair_rows(rows)
         if n is None:
             n = max((a for row in grid for a, _ in row), default=1)
         if m is None:
             m = max((b for row in grid for _, b in row), default=1)
         return cls(tuple(len(r) for r in grid), grid, n, m)
+
+
+def _is_pair(x: object) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(is_int(v) for v in x)
+
+
+def _pair_rows(rows: object) -> PairRows:
+    grid = grid_rows(rows, _is_pair, "an integer pair")
+    return tuple(tuple(tuple(pair) for pair in row) for row in grid)
 
 
 def pair_to_int(pair: Pair, m: int) -> int:
@@ -101,83 +110,26 @@ def int_to_pair(value: int, m: int) -> Pair:
     return ((value - 1) // m + 1, (value - 1) % m + 1)
 
 
-def iter_bitableau_rows(shape: Sequence[int], n: int, m: int) -> Iterator[PairRows]:
-    """Yield raw pair-row tuples of every bitableau, row-major lex order."""
-    shape = tuple(shape)
-    if not shape:
-        yield ()
-        return
-    if len(shape) > n * m:
-        return
-    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-    k = len(cells)
-    grid = [[(0, 0)] * length for length in shape]
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)]
-
-    def rec(pos: int) -> Iterator[PairRows]:
-        if pos == k:
-            yield tuple(tuple(row) for row in grid)
-            return
-        r, c = cells[pos]
-        for pair in pairs:
-            if c and pair < grid[r][c - 1]:
-                continue
-            if r and pair <= grid[r - 1][c]:
-                continue
-            grid[r][c] = pair
-            yield from rec(pos + 1)
-        grid[r][c] = (0, 0)
-
-    yield from rec(0)
-
-
-def iter_bitableau_rows_content(
+def iter_bitableau_rows(
     shape: Sequence[int],
     n: int,
-    bcontent: Sequence[int],
+    m: int,
+    bcontent: Sequence[int] | None = None,
     acontent: Sequence[int] | None = None,
 ) -> Iterator[PairRows]:
-    """Bitableau rows with the exact b-content (and a-content when given)."""
-    shape = tuple(shape)
-    m = len(bcontent)
-    if sum(shape) != sum(bcontent):
-        return
-    if acontent is not None and (len(acontent) != n or sum(acontent) != sum(shape)):
-        return
-    if not shape:
-        yield ()
-        return
-    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-    k = len(cells)
-    grid = [[(0, 0)] * length for length in shape]
-    brem = list(bcontent)
-    arem = list(acontent) if acontent is not None else None
+    """Yield raw pair-row tuples of bitableaux, row-major lex order.
+
+    A bitableau is a semistandard filling over the pair alphabet [n]x[m] in
+    lexicographic order.  bcontent and acontent, when given, keep only the
+    fillings with exactly that b- and a-content.
+    """
     pairs = [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)]
-
-    def rec(pos: int) -> Iterator[PairRows]:
-        if pos == k:
-            yield tuple(tuple(row) for row in grid)
-            return
-        r, c = cells[pos]
-        for pair in pairs:
-            a, b = pair
-            if brem[b - 1] == 0 or (arem is not None and arem[a - 1] == 0):
-                continue
-            if c and pair < grid[r][c - 1]:
-                continue
-            if r and pair <= grid[r - 1][c]:
-                continue
-            brem[b - 1] -= 1
-            if arem is not None:
-                arem[a - 1] -= 1
-            grid[r][c] = pair
-            yield from rec(pos + 1)
-            brem[b - 1] += 1
-            if arem is not None:
-                arem[a - 1] += 1
-        grid[r][c] = (0, 0)
-
-    yield from rec(0)
+    budgets = []
+    if bcontent is not None:
+        budgets.append(([b - 1 for _, b in pairs], bcontent))
+    if acontent is not None:
+        budgets.append(([a - 1 for a, _ in pairs], acontent))
+    return iter_ssyt_rows(shape, pairs, budgets)
 
 
 def enumerate_bitableaux(shape: Sequence[int], n: int, m: int) -> list[Bitableau]:

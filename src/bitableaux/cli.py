@@ -10,12 +10,18 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from typing import Sequence
 
 from .bitableau import Bitableau, enumerate_bitableaux, weights
-from .completion import highest_weight_census, shape21_candidate_crystal, skeleton
+from .completion import (
+    enumerate_completions,
+    highest_weight_census,
+    shape21_candidate_crystal,
+    skeleton,
+)
 from .crystal import (
     CapExceededError,
     CrystalStructureError,
@@ -28,7 +34,7 @@ from .insertion import Biword, brsk, jdt_product, rsk
 from .kron_tableaux import kronecker_count_row
 from .partitions import check_partition, enumerate_partitions
 from .symfunc import kronecker_coefficient, monomial_coefficient_d
-from .tableaux import SSYT, reading_word
+from .tableaux import SSYT, enumerate_ssyt, reading_word
 from .words import bitableau_reading_word
 
 USAGE_ERROR = 1
@@ -66,13 +72,22 @@ def _load_json(text: str | None, path: str | None):
     return json.loads(text)
 
 
-def _bitableau_arg(args) -> Bitableau:
-    data = _load_json(getattr(args, "tableau", None), getattr(args, "infile", None))
+def _tableau_data(args):
+    data = _load_json(args.tableau, args.infile)
     if data is None:
         raise ValueError("need --tableau or --in")
+    return data
+
+
+def _bitableau_arg(args) -> Bitableau:
+    data = _tableau_data(args)
     if isinstance(data, dict):
         return Bitableau.from_json(data)
-    return Bitableau.from_rows(data, getattr(args, "n", None), getattr(args, "m", None))
+    return Bitableau.from_rows(data, args.n, args.m)
+
+
+def _ssyt(data) -> SSYT:
+    return SSYT.from_json(data) if isinstance(data, dict) else SSYT.from_rows(data)
 
 
 def _dump(obj) -> str:
@@ -203,8 +218,6 @@ def _cmd_enumerate(args) -> int:
         print("error: need --k, or --shape with --n (and --m for bitableaux)", file=sys.stderr)
         return USAGE_ERROR
     if args.m is None:
-        from .tableaux import enumerate_ssyt
-
         items = [t.to_json() for t in enumerate_ssyt(args.shape, args.n)]
     else:
         items = [t.to_json() for t in enumerate_bitableaux(args.shape, args.n, args.m)]
@@ -217,22 +230,27 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_word(args) -> int:
     if args.method == "row":
-        data = _load_json(args.tableau, args.infile)
-        if data is None:
-            print("error: need --tableau or --in", file=sys.stderr)
-            return USAGE_ERROR
-        t = SSYT.from_json(data) if isinstance(data, dict) else SSYT.from_rows(data)
-        if args.shape and t.shape != args.shape:
-            print("error: --shape does not match the rows", file=sys.stderr)
-            return USAGE_ERROR
-        _print_word(reading_word(t))
-        return 0
-    t = _bitableau_arg(args)
+        t = _ssyt(_tableau_data(args))
+        word = reading_word(t)
+    else:
+        t = _bitableau_arg(args)
+        word = bitableau_reading_word(t, args.method)
     if args.shape and t.shape != args.shape:
         print("error: --shape does not match the rows", file=sys.stderr)
         return USAGE_ERROR
-    _print_word(bitableau_reading_word(t, args.method))
+    _print_word(word)
     return 0
+
+
+def _report_mismatch(lam, mu, nu, conv: str, crystal: int, oracle: int) -> None:
+    """One stderr line: the triple, both counts and the command that replays it."""
+    k = sum(lam)
+    lam, mu, nu = (_fmt_partition(p) for p in (lam, mu, nu))
+    print(
+        f"MISMATCH k={k} lam={lam} mu={mu} nu={nu} conv={conv} crystal={crystal} "
+        f"oracle={oracle} replay: bitableaux d --lam {lam} --mu {mu} --nu {nu} --conv {conv}",
+        file=sys.stderr,
+    )
 
 
 def _cmd_d(args) -> int:
@@ -248,10 +266,7 @@ def _cmd_d(args) -> int:
     else:
         print(crystal)
         if crystal != oracle:
-            print(
-                f"MISMATCH lam={_fmt_partition(args.lam)} crystal={crystal} oracle={oracle}",
-                file=sys.stderr,
-            )
+            _report_mismatch(args.lam, args.mu, args.nu, args.conv, crystal, oracle)
             return MISMATCH
     return 0
 
@@ -269,10 +284,7 @@ def _cmd_verify_thm2(args) -> int:
         )
     if mismatches:
         lam, mu, nu, c, o = mismatches[0]
-        print(
-            f"MISMATCH k={args.k} lam={_fmt_partition(lam)} mu={_fmt_partition(mu)} "
-            f"nu={_fmt_partition(nu)} crystal={c} oracle={o}"
-        )
+        _report_mismatch(lam, mu, nu, args.conv, c, o)
         return MISMATCH
     print(f"OK k={args.k} triples={len(rows)}")
     return 0
@@ -315,116 +327,128 @@ def _cmd_skeleton(args) -> int:
     return 0
 
 
+def _cmd_weights(args) -> int:
+    a, b = weights(_bitableau_arg(args))
+    print(_dump({"a": list(a), "b": list(b)}))
+    return 0
+
+
+def _cmd_rsk(args) -> int:
+    tops = tuple(int(x) for x in args.tops.split(","))
+    bottoms = tuple(int(x) for x in args.bottoms.split(","))
+    print(_dump(rsk(Biword(tops, bottoms, args.flavor)).to_json()))
+    return 0
+
+
+def _cmd_brsk(args) -> int:
+    print(_dump(brsk(_bitableau_arg(args)).to_json()))
+    return 0
+
+
+def _cmd_jdt(args) -> int:
+    left = _ssyt(_load_json(args.left, None))
+    right = _ssyt(_load_json(args.right, None))
+    print(_dump(jdt_product(left, right).to_json()))
+    return 0
+
+
+def _cmd_crystal(args) -> int:
+    if args.candidate_21:
+        g = shape21_candidate_crystal(args.candidate_21)
+    else:
+        if args.shape is None or args.n is None or args.m is None:
+            print("error: crystal needs --shape, --n and --m", file=sys.stderr)
+            return USAGE_ERROR
+        g = full_crystal(args.shape, args.n, args.m, args.conv, args.cap)
+    sys.stdout.write(export_crystal(g, args.format))
+    if args.format == "json":
+        sys.stdout.write("\n")
+    return 0
+
+
+def _cmd_g(args) -> int:
+    if args.sweep_k is not None:
+        parts = enumerate_partitions(args.sweep_k)
+        _csv_out(
+            ["lam", "mu", "nu", "g"],
+            [
+                [
+                    _fmt_partition(lam),
+                    _fmt_partition(mu),
+                    _fmt_partition(nu),
+                    kronecker_coefficient(lam, mu, nu),
+                ]
+                for lam, mu, nu in itertools.product(parts, repeat=3)
+            ],
+        )
+        return 0
+    if args.lam is None or args.mu is None or args.nu is None:
+        print("error: need --lam, --mu and --nu (or --sweep-k)", file=sys.stderr)
+        return USAGE_ERROR
+    print(kronecker_coefficient(args.lam, args.mu, args.nu))
+    return 0
+
+
+def _cmd_kron_tableaux(args) -> int:
+    lam, p, nu, count, g, regime = kronecker_count_row(args.lam, args.p, args.nu)
+    if args.format == "json":
+        print(
+            _dump(
+                {"lam": list(lam), "p": p, "nu": list(nu), "count": count, "g": g, "regime": regime}
+            )
+        )
+    else:
+        _csv_out(
+            ["lam", "p", "nu", "count", "g", "regime_flag"],
+            [[_fmt_partition(lam), p, _fmt_partition(nu), count, g, int(regime)]],
+        )
+    return 0
+
+
+def _cmd_completions(args) -> int:
+    _, ops = enumerate_completions(args.shape, conv=args.conv, cap=args.cap)
+    print(_dump([sorted([s, d] for s, d in op.images.items()) for op in ops]))
+    return 0
+
+
+def _cmd_census(args) -> int:
+    g, ops = enumerate_completions(args.shape, conv=args.conv, cap=args.cap)
+    if not 0 <= args.completion < len(ops):
+        print(f"error: completion index outside [0, {len(ops) - 1}]", file=sys.stderr)
+        return USAGE_ERROR
+    census = highest_weight_census(ops[args.completion], g)
+    _csv_out(
+        ["mu", "nu", "count"],
+        [
+            [_fmt_partition(mu), _fmt_partition(nu), count]
+            for (mu, nu), count in sorted(census.items())
+        ],
+    )
+    return 0
+
+
+_COMMANDS = {
+    "enumerate": _cmd_enumerate,
+    "weights": _cmd_weights,
+    "word": _cmd_word,
+    "rsk": _cmd_rsk,
+    "brsk": _cmd_brsk,
+    "jdt": _cmd_jdt,
+    "crystal": _cmd_crystal,
+    "g": _cmd_g,
+    "d": _cmd_d,
+    "verify-thm2": _cmd_verify_thm2,
+    "kron-tableaux": _cmd_kron_tableaux,
+    "skeleton": _cmd_skeleton,
+    "completions": _cmd_completions,
+    "census": _cmd_census,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "weights":
-            a, b = weights(_bitableau_arg(args))
-            print(_dump({"a": list(a), "b": list(b)}))
-            return 0
-        if args.command == "word":
-            return _cmd_word(args)
-        if args.command == "rsk":
-            tops = tuple(int(x) for x in args.tops.split(","))
-            bottoms = tuple(int(x) for x in args.bottoms.split(","))
-            print(_dump(rsk(Biword(tops, bottoms, args.flavor)).to_json()))
-            return 0
-        if args.command == "brsk":
-            print(_dump(brsk(_bitableau_arg(args)).to_json()))
-            return 0
-        if args.command == "jdt":
-            left_data = _load_json(args.left, None)
-            right_data = _load_json(args.right, None)
-            left = SSYT.from_json(left_data) if isinstance(left_data, dict) else SSYT.from_rows(left_data)
-            right = SSYT.from_json(right_data) if isinstance(right_data, dict) else SSYT.from_rows(right_data)
-            print(_dump(jdt_product(left, right).to_json()))
-            return 0
-        if args.command == "crystal":
-            if args.candidate_21:
-                g = shape21_candidate_crystal(args.candidate_21)
-            else:
-                if args.shape is None or args.n is None or args.m is None:
-                    print("error: crystal needs --shape, --n and --m", file=sys.stderr)
-                    return USAGE_ERROR
-                g = full_crystal(args.shape, args.n, args.m, args.conv, args.cap)
-            sys.stdout.write(export_crystal(g, args.format))
-            if args.format == "json":
-                sys.stdout.write("\n")
-            return 0
-        if args.command == "g":
-            if args.sweep_k is not None:
-                import itertools
-
-                parts = enumerate_partitions(args.sweep_k)
-                _csv_out(
-                    ["lam", "mu", "nu", "g"],
-                    [
-                        [
-                            _fmt_partition(lam),
-                            _fmt_partition(mu),
-                            _fmt_partition(nu),
-                            kronecker_coefficient(lam, mu, nu),
-                        ]
-                        for lam, mu, nu in itertools.product(parts, repeat=3)
-                    ],
-                )
-                return 0
-            if args.lam is None or args.mu is None or args.nu is None:
-                print("error: need --lam, --mu and --nu (or --sweep-k)", file=sys.stderr)
-                return USAGE_ERROR
-            print(kronecker_coefficient(args.lam, args.mu, args.nu))
-            return 0
-        if args.command == "d":
-            return _cmd_d(args)
-        if args.command == "verify-thm2":
-            return _cmd_verify_thm2(args)
-        if args.command == "kron-tableaux":
-            lam, p, nu, count, g, regime = kronecker_count_row(args.lam, args.p, args.nu)
-            if args.format == "json":
-                print(
-                    _dump(
-                        {
-                            "lam": list(lam),
-                            "p": p,
-                            "nu": list(nu),
-                            "count": count,
-                            "g": g,
-                            "regime": regime,
-                        }
-                    )
-                )
-            else:
-                _csv_out(
-                    ["lam", "p", "nu", "count", "g", "regime_flag"],
-                    [[_fmt_partition(lam), p, _fmt_partition(nu), count, g, int(regime)]],
-                )
-            return 0
-        if args.command == "skeleton":
-            return _cmd_skeleton(args)
-        if args.command == "completions":
-            from .completion import enumerate_completions
-
-            _, ops = enumerate_completions(args.shape, conv=args.conv, cap=args.cap)
-            print(_dump([sorted([s, d] for s, d in op.images.items()) for op in ops]))
-            return 0
-        if args.command == "census":
-            from .completion import enumerate_completions
-
-            g, ops = enumerate_completions(args.shape, conv=args.conv, cap=args.cap)
-            if not 0 <= args.completion < len(ops):
-                print(f"error: completion index outside [0, {len(ops) - 1}]", file=sys.stderr)
-                return USAGE_ERROR
-            census = highest_weight_census(ops[args.completion], g)
-            _csv_out(
-                ["mu", "nu", "count"],
-                [
-                    [_fmt_partition(mu), _fmt_partition(nu), count]
-                    for (mu, nu), count in sorted(census.items())
-                ],
-            )
-            return 0
+        return _COMMANDS[args.command](args)
     except (ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -437,7 +461,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: oracle arithmetic failed: {exc}", file=sys.stderr)
         return ARITHMETIC_ERROR
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

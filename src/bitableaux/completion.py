@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .bitableau import Bitableau, iter_bitableau_rows, weights
@@ -34,22 +35,29 @@ from .words import (
 Weight = tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartialOperator:
-    """A partial injection of vertex ids acting on the first-coordinate weights."""
+    """A partial injection of vertex ids acting on the first-coordinate weights.
 
-    images: dict[int, int]
-    index: int = 1
-    role: str = "top"
+    images is a read-only copy of the mapping passed in.
+    """
+
+    images: Mapping[int, int]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "images", MappingProxyType(dict(self.images)))
+
+    def __hash__(self) -> int:
+        return hash(self.edge_set())
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.images.items())
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeminormalReport:
     valid: bool
-    violations: list[tuple[int, str]] = field(default_factory=list)
+    violations: tuple[tuple[int, str], ...] = ()
 
 
 def is_valid_gl2_structure(
@@ -72,7 +80,7 @@ def is_valid_gl2_structure(
         if (a[0] - 1, a[1] + 1) != tuple(b):
             violations.append((src, f"edge breaks the weight shift: {a} -> {b}"))
     if violations:
-        return SeminormalReport(False, violations)
+        return SeminormalReport(False, tuple(violations))
     starts = [v for v in weight_a if v not in preimage]
     seen: set[int] = set()
     for start in starts:
@@ -83,7 +91,7 @@ def is_valid_gl2_structure(
             cur = images[cur]
             if cur in seen:
                 violations.append((cur, "cycle reached from a path start"))
-                return SeminormalReport(False, violations)
+                return SeminormalReport(False, tuple(violations))
             seen.add(cur)
             path.append(cur)
         length = len(path)
@@ -96,7 +104,7 @@ def is_valid_gl2_structure(
     for v in weight_a:
         if v not in seen:
             violations.append((v, "vertex lies on a cycle"))
-    return SeminormalReport(not violations, violations)
+    return SeminormalReport(not violations, tuple(violations))
 
 
 def commutes_with_bottom(
@@ -407,10 +415,9 @@ def shape21_candidate_crystal(corner_first: str = "south") -> CrystalGraph:
         raise ValueError("corner_first must be 'south' or 'east'")
     lam = (2, 1)
     keep: list[Bitableau] = []
-    for rows in iter_bitableau_rows(lam, 3, 2):
+    for rows in iter_bitableau_rows(lam, 3, 2, bcontent=(2, 1)):
         t = Bitableau(lam, rows, 3, 2)
-        _, b = weights(t)
-        if b == (2, 1) and is_yamanouchi(bitableau_reading_word(t, "w")):
+        if is_yamanouchi(bitableau_reading_word(t, "w")):
             keep.append(t)
     keep.sort(key=lambda t: json.dumps(t.to_json(), sort_keys=True))
 

@@ -11,10 +11,10 @@ import json
 from typing import Sequence
 
 from .bitableau import Bitableau, iter_bitableau_rows, weights
-from .graphs import CrystalGraph, CrystalVertex, export_crystal  # noqa: F401
+from .graphs import CrystalGraph, CrystalVertex
 from .kernels import tally_yamanouchi_acontent
-from .partitions import Partition, check_partition, pad, trim
-from .symfunc import monomial_coefficient_d  # noqa: F401  (oracle counterpart)
+from .partitions import Partition, check_partition, enumerate_partitions, pad, trim
+from .symfunc import monomial_coefficient_d
 from .tableaux import SkewSSYT, count_ssyt
 from .words import (
     bitableau_reading_cells,
@@ -31,41 +31,31 @@ class CapExceededError(RuntimeError):
     """A vertex budget was exceeded."""
 
 
-def apply_reading_op(
-    t: Bitableau, i: int, direction: str, method: str, change: str
-) -> Bitableau | None:
-    """Word-level operator applied at the letter's source box.
-
-    change selects which coordinate of the box moves: "bottom" for the
-    w/w_prime words (a gl_m operator), "top" for u/u_prime (gl_n).  None
-    mirrors the word-level null; an invalid resulting filling raises
-    CrystalStructureError.
-    """
-    word, cells = bitableau_reading_cells(t, method)
-    pos = crystal_op_position(word, i, direction)
-    if pos is None:
-        return None
-    delta = 1 if direction == "lower" else -1
-    r, c = cells[pos]
-    a, b = t.rows[r][c]
-    pair = (a, b + delta) if change == "bottom" else (a + delta, b)
-    try:
-        return t.with_entry(r, c, pair)
-    except ValueError as exc:
-        raise CrystalStructureError(
-            f"{method} operator {direction} f_{i} broke semistandardness at {(r, c)}"
-        ) from exc
-
-
 def crystal_op_bitableau(
     t: Bitableau, i: int, direction: str, conv: str = "w"
 ) -> Bitableau | None:
-    """gl_m operator on the bottom entries; conv picks the w or w' word."""
+    """gl_m operator on the bottom entries; conv picks the w or w' word.
+
+    The word-level operator is applied at the changed letter's source box.
+    None mirrors the word-level null; an invalid resulting filling raises
+    CrystalStructureError.
+    """
     if conv not in ("w", "w_prime"):
         raise ValueError(f"unknown convention {conv!r}")
     if not 1 <= i < t.m:
         raise ValueError(f"operator index {i} outside [1, {t.m - 1}]")
-    return apply_reading_op(t, i, direction, conv, "bottom")
+    word, cells = bitableau_reading_cells(t, conv)
+    pos = crystal_op_position(word, i, direction)
+    if pos is None:
+        return None
+    r, c = cells[pos]
+    a, b = t.rows[r][c]
+    try:
+        return t.with_entry(r, c, (a, b + (1 if direction == "lower" else -1)))
+    except ValueError as exc:
+        raise CrystalStructureError(
+            f"{conv} operator {direction} f_{i} broke semistandardness at {(r, c)}"
+        ) from exc
 
 
 def is_highest_weight(t: Bitableau, conv: str = "w") -> bool:
@@ -93,8 +83,6 @@ def count_d_table(
 
 def monomial_expansion_sweep(k: int, conv: str = "w") -> list[tuple[Partition, Partition, Partition, int, int]]:
     """Crystal count versus character-side d for every triple of partitions of k."""
-    from .partitions import enumerate_partitions
-
     rows = []
     for lam in enumerate_partitions(k):
         for nu in enumerate_partitions(k):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 Weight = tuple[int, ...]
 
@@ -17,26 +18,29 @@ class CrystalVertex:
     weight_b: Weight
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrystalGraph:
     """Finite crystal: f-edges stored as (vertex id, operator index) -> id.
 
-    e-edges are the inverses of the f-edges.  Immutable by convention after
-    construction; all lookups are read-only.
+    e-edges are the inverses of the f-edges.  Immutable: the edges are a
+    read-only copy of the mapping passed in, so e() never goes stale.
     """
 
     vertices: tuple[CrystalVertex, ...]
-    edges: dict[tuple[int, int], int]
-    _reverse: dict[tuple[int, int], int] = field(init=False, repr=False)
+    edges: Mapping[tuple[int, int], int]
+    _reverse: Mapping[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        edges = dict(self.edges)
         rev: dict[tuple[int, int], int] = {}
-        for (src, i), dst in self.edges.items():
+        for (src, i), dst in edges.items():
             key = (dst, i)
             if key in rev:
                 raise ValueError(f"f_{i} is not injective at vertex {dst}")
             rev[key] = src
-        self._reverse = rev
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", MappingProxyType(edges))
+        object.__setattr__(self, "_reverse", MappingProxyType(rev))
 
     def f(self, vertex_id: int, i: int) -> int | None:
         return self.edges.get((vertex_id, i))
@@ -90,24 +94,6 @@ class CrystalGraph:
                 for (src, i), dst in sorted(self.edges.items())
             ],
         }
-
-
-def build_graph(
-    payloads: Sequence[object],
-    weights_a: Sequence[Weight | None],
-    weights_b: Sequence[Weight],
-    f_edges: Callable[[int], Iterable[tuple[int, int]]],
-) -> CrystalGraph:
-    """Assemble a graph; ids are ordinals of the already-sorted payload list."""
-    vertices = tuple(
-        CrystalVertex(i, payloads[i], weights_a[i], weights_b[i])
-        for i in range(len(payloads))
-    )
-    edges: dict[tuple[int, int], int] = {}
-    for idx in range(len(payloads)):
-        for i, dst in f_edges(idx):
-            edges[(idx, i)] = dst
-    return CrystalGraph(vertices, edges)
 
 
 def _vertex_label(v: CrystalVertex) -> str:

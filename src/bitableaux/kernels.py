@@ -191,12 +191,12 @@ def _tally_python_dict(
     shape: Sequence[int], n: int, bcontent: Sequence[int], conv: str
 ) -> dict[tuple[int, ...], int]:
     """Naive reference: enumerate every filling and test its reading word."""
-    from .bitableau import iter_bitableau_rows_content
+    from .bitableau import iter_bitableau_rows
     from .words import is_yamanouchi
 
     result: dict[tuple[int, ...], int] = {}
     groups = range(1, n + 1) if conv == "w" else range(n, 0, -1)
-    for rows in iter_bitableau_rows_content(shape, n, bcontent):
+    for rows in iter_bitableau_rows(shape, n, len(bcontent), bcontent):
         word = [
             b
             for a in groups

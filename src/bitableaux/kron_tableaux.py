@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .bitableau import Bitableau, iter_bitableau_rows_content
+from .bitableau import Bitableau, iter_bitableau_rows
 from .partitions import Partition, check_partition, trim
 from .symfunc import kronecker_coefficient
 from .words import bitableau_reading_word, is_yamanouchi
@@ -91,7 +91,7 @@ def iter_b_prime_content(
     lam = check_partition(lam)
     k = sum(lam)
     nu = tuple(nu)
-    for rows in iter_bitableau_rows_content(lam, 2, nu, (p, k - p)):
+    for rows in iter_bitableau_rows(lam, 2, len(nu), nu, (p, k - p)):
         t = Bitableau(lam, rows, 2, len(nu))
         if is_yamanouchi(bitableau_reading_word(t, "w_prime")):
             yield t

@@ -22,12 +22,6 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
-def is_partition(parts: Sequence[int]) -> bool:
-    return all(x >= 1 for x in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
-
-
 def trim(vec: Sequence[int]) -> Partition:
     """Drop trailing zeros, e.g. to compare a weight vector with a partition."""
     end = len(vec)

@@ -1,9 +1,15 @@
 """Independent symmetric-function ground truth.
 
-Characters come from the Murnaghan-Nakayama recursion over exact integers;
-Kronecker coefficients from the character triple sum; Kostka numbers from
-horizontal-strip counting.  None of this shares code with the crystal side,
-so it can serve as the oracle the crystal counts are checked against.
+The oracle is characters (the Murnaghan-Nakayama recursion over exact
+integers), Kronecker coefficients g (the character triple sum), Kostka
+numbers (horizontal-strip counting) and d = sum_tau g K; none of these
+shares code with the crystal side, so they can serve as the oracle the
+crystal counts are checked against.
+
+The polynomial helpers schur_poly, kron_coproduct_poly and
+expand_in_schur_schur enumerate tableaux with tableaux.iter_ssyt_rows, the
+same filler the crystal side enumerates bitableaux with; they are checked
+against g, not used to compute it.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .bitableau import iter_bitableau_rows
 from .partitions import Partition, check_partition, enumerate_partitions, trim
 from .tableaux import iter_ssyt_rows
 
@@ -267,9 +272,10 @@ def substitute_kron(p: SymPoly, n: int, m: int) -> SymPoly:
 def kron_coproduct_poly(lam: Sequence[int], n: int, m: int, route: str = "checked") -> SymPoly:
     """s_lam[xy] in x_1..x_n, y_1..y_m.
 
-    route "bitableau" sums x^a(T) y^b(T) over all bitableaux; "substitution"
-    substitutes z_(i,j) = x_i y_j into the Schur polynomial in nm variables;
-    "checked" (default) computes both and insists they agree term by term.
+    route "bitableau" sums x^a(T) y^b(T) over the semistandard fillings T
+    over the pair alphabet [n]x[m] (the bitableaux); "substitution" fills
+    over 1..nm, sums z^content and substitutes z_(i,j) = x_i y_j; "checked"
+    (default) computes both and insists they agree term by term.
     """
     lam = check_partition(lam)
     if route == "substitution":
@@ -277,7 +283,8 @@ def kron_coproduct_poly(lam: Sequence[int], n: int, m: int, route: str = "checke
         return substitute_kron(schur_poly(lam, zvars), n, m)
     if route == "bitableau":
         terms: dict[Exponents, int] = {}
-        for rows in iter_bitableau_rows(lam, n, m):
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)]
+        for rows in iter_ssyt_rows(lam, pairs):
             xexp = [0] * n
             yexp = [0] * m
             for row in rows:

@@ -1,4 +1,4 @@
-"""Semistandard Young tableaux, straight and skew, with deterministic enumeration."""
+"""Semistandard Young tableaux, straight and skew, and the one semistandard filler."""
 
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ class SSYT:
     max_entry: int
 
     def __post_init__(self) -> None:
+        if not is_int(self.max_entry) or self.max_entry < 1:
+            raise ValueError(f"max_entry must be an integer >= 1, got {self.max_entry!r}")
         check_partition(self.shape)
         if tuple(len(r) for r in self.rows) != self.shape:
             raise ValueError("row lengths do not match shape")
@@ -45,13 +47,14 @@ class SSYT:
 
     @classmethod
     def from_json(cls, data: dict) -> "SSYT":
-        rows = tuple(tuple(int(x) for x in r) for r in data["rows"])
-        max_entry = int(data.get("max_entry") or max((x for r in rows for x in r), default=1))
+        rows = grid_rows(data.get("rows"), is_int, "an integer")
+        # max_entry is inferred from the entries only when the key is absent
+        max_entry = data.get("max_entry", max((x for r in rows for x in r), default=1))
         return cls(tuple(len(r) for r in rows), rows, max_entry)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], max_entry: int | None = None) -> "SSYT":
-        grid = tuple(tuple(int(x) for x in r) for r in rows)
+        grid = grid_rows(rows, is_int, "an integer")
         if max_entry is None:
             max_entry = max((x for r in grid for x in r), default=1)
         return cls(tuple(len(r) for r in grid), grid, max_entry)
@@ -98,6 +101,23 @@ class SkewSSYT:
         return sum(len(r) for r in self.rows)
 
 
+def is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def grid_rows(rows: object, is_cell, cell_form: str) -> tuple[tuple, ...]:
+    """rows as a tuple of row tuples; ValueError unless every cell passes is_cell."""
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"rows must be a list of rows, got {rows!r}")
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"each row must be a list of cells, got {row!r}")
+        for x in row:
+            if not is_cell(x):
+                raise ValueError(f"cell {x!r} is not {cell_form}")
+    return tuple(tuple(row) for row in rows)
+
+
 def check_semistandard(rows: Sequence[Sequence[int]], max_entry: int) -> None:
     for r, row in enumerate(rows):
         for c, x in enumerate(row):
@@ -109,69 +129,69 @@ def check_semistandard(rows: Sequence[Sequence[int]], max_entry: int) -> None:
                 raise ValueError("columns must strictly increase")
 
 
-def iter_ssyt_rows(shape: Sequence[int], n: int) -> Iterator[Rows]:
-    """Yield raw row tuples of every SSYT of the shape with entries <= n.
+def iter_ssyt_rows(
+    shape: Sequence[int],
+    letters: int | Sequence,
+    budgets: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
+) -> Iterator[tuple[tuple, ...]]:
+    """Yield the row tuples of every semistandard filling of the shape.
 
-    Row-major lexicographic order: cells are filled left-to-right, top-to-
-    bottom, smallest feasible entry first.
+    letters is the alphabet in increasing order; an int n means 1..n.  Each
+    budget (classes, content) keeps only the fillings that hold exactly
+    content[j] letters of class j, where classes[i] is the class of
+    letters[i].  Row-major lexicographic order: cells are filled left to
+    right, top to bottom, smallest feasible letter first.  This is the one
+    backtracking filler; bitableaux are its fillings over the pair alphabet.
     """
+    if isinstance(letters, int):
+        letters = range(1, letters + 1)
+    letters = tuple(letters)
     shape = tuple(shape)
+    size = len(letters)
+    # all budgets share one counter list; slots[v] lists letter v's counters
+    left: list[int] = []
+    slots: list[tuple[int, ...]] = [()] * size
+    for classes, content in budgets:
+        if len(classes) != size or not set(classes) <= set(range(len(content))):
+            raise ValueError("a budget needs one class in range(len(content)) per letter")
+        if sum(content) != sum(shape):
+            return
+        slots = [slot + (len(left) + cls,) for slot, cls in zip(slots, classes)]
+        left.extend(content)
     if not shape:
         yield ()
         return
-    if len(shape) > n:
+    if len(shape) > size:
         return
     cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-    k = len(cells)
-    grid = [[0] * length for length in shape]
+    last = len(cells) - 1
+    # letter indices drive the row/column and budget checks; the letters
+    # themselves go straight into the output grid
+    index = [[0] * length for length in shape]
+    grid: list[list] = [[None] * length for length in shape]
 
-    def rec(pos: int) -> Iterator[Rows]:
-        if pos == k:
-            yield tuple(tuple(row) for row in grid)
-            return
+    def rec(pos: int) -> Iterator[tuple[tuple, ...]]:
         r, c = cells[pos]
-        lo = grid[r][c - 1] if c else 1
+        index_row, grid_row = index[r], grid[r]
+        lo = index_row[c - 1] if c else 0
         if r:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for val in range(lo, n + 1):
-            grid[r][c] = val
-            yield from rec(pos + 1)
-        grid[r][c] = 0
-
-    yield from rec(0)
-
-
-def iter_ssyt_rows_content(shape: Sequence[int], content: Sequence[int]) -> Iterator[Rows]:
-    """Yield SSYT row tuples with the exact content vector, row-major lex order."""
-    shape = tuple(shape)
-    content = tuple(content)
-    n = len(content)
-    if sum(shape) != sum(content):
-        return
-    if not shape:
-        yield ()
-        return
-    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-    k = len(cells)
-    grid = [[0] * length for length in shape]
-    remaining = list(content)
-
-    def rec(pos: int) -> Iterator[Rows]:
-        if pos == k:
-            yield tuple(tuple(row) for row in grid)
-            return
-        r, c = cells[pos]
-        lo = grid[r][c - 1] if c else 1
-        if r:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for val in range(lo, n + 1):
-            if remaining[val - 1] == 0:
-                continue
-            remaining[val - 1] -= 1
-            grid[r][c] = val
-            yield from rec(pos + 1)
-            remaining[val - 1] += 1
-        grid[r][c] = 0
+            lo = max(lo, index[r - 1][c] + 1)
+        for v in range(lo, size):
+            slot = slots[v]
+            for j in slot:
+                if not left[j]:
+                    break
+            else:
+                for j in slot:
+                    left[j] -= 1
+                index_row[c] = v
+                grid_row[c] = letters[v]
+                if pos == last:
+                    yield tuple(tuple(row) for row in grid)
+                else:
+                    yield from rec(pos + 1)
+                for j in slot:
+                    left[j] += 1
 
     yield from rec(0)
 

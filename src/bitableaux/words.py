@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .bitableau import Bitableau
+from .graphs import CrystalGraph, CrystalVertex
 
 Word = tuple[int, ...]
 
@@ -119,10 +120,8 @@ def word_weight(word: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def word_crystal_component(word: Sequence[int], n: int):
+def word_crystal_component(word: Sequence[int], n: int) -> CrystalGraph:
     """Connected component of the word under all e_i / f_i with i < n."""
-    from .graphs import CrystalGraph, build_graph
-
     start = tuple(word)
     word_weight(start, n)  # validates the alphabet bound
     seen = {start}
@@ -138,13 +137,16 @@ def word_crystal_component(word: Sequence[int], n: int):
                         nxt.append(img)
         frontier = nxt
     vertices = sorted(seen)
-    return build_graph(
-        payloads=[list(w) for w in vertices],
-        weights_a=[None] * len(vertices),
-        weights_b=[word_weight(w, n) for w in vertices],
-        f_edges=lambda idx: [
-            (i, vertices.index(img))
-            for i in range(1, n)
-            if (img := crystal_op_word(vertices[idx], i, "lower")) is not None
-        ],
+    index = {w: vid for vid, w in enumerate(vertices)}
+    edges = {
+        (vid, i): index[img]
+        for vid, w in enumerate(vertices)
+        for i in range(1, n)
+        if (img := crystal_op_word(w, i, "lower")) is not None
+    }
+    return CrystalGraph(
+        tuple(
+            CrystalVertex(vid, list(w), None, word_weight(w, n)) for vid, w in enumerate(vertices)
+        ),
+        edges,
     )

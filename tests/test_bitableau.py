@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import EIGHTEEN_BOX, FIVE_BOX, SEVEN_BOX_COLUMN, nm_pairs, small_shapes
@@ -6,6 +8,7 @@ from bitableaux.bitableau import (
     bitableau_to_ssyt,
     enumerate_bitableaux,
     int_to_pair,
+    iter_bitableau_rows,
     pair_to_int,
     ssyt_to_bitableau,
     weights,
@@ -33,12 +36,40 @@ def test_enumerate_examples():
     assert enumerate_bitableaux((1, 1, 1), 1, 2) == []
 
 
+def compositions(k, length):
+    return [c for c in itertools.product(range(k + 1), repeat=length) if sum(c) == k]
+
+
 def test_cardinality_matches_ssyt_over_nm():
+    # the pair filler against the integer filler through (i,j) -> (i-1)m + j,
+    # in order; both against the hook-content formula
     for shape in small_shapes(6):
         for n, m in nm_pairs(3):
-            assert len(enumerate_bitableaux(shape, n, m)) == len(
-                enumerate_ssyt(shape, n * m)
-            )
+            pair_rows = list(iter_bitableau_rows(shape, n, m))
+            encoded = [
+                tuple(tuple(pair_to_int(p, m) for p in row) for row in rows) for rows in pair_rows
+            ]
+            assert encoded == [t.rows for t in enumerate_ssyt(shape, n * m)], (shape, n, m)
+            assert len(pair_rows) == hook_content_count(shape, n * m)
+    # the budgets against filtering the unbudgeted enumeration by weights
+    cases = 0
+    for shape in small_shapes(4):
+        k = sum(shape)
+        for n, m in nm_pairs(3):
+            everything = enumerate_bitableaux(shape, n, m)
+            for b in compositions(k, m):
+                for a in (None, *compositions(k, n)):
+                    expected = [
+                        t.rows
+                        for t in everything
+                        if weights(t)[1] == b and a in (None, weights(t)[0])
+                    ]
+                    assert list(iter_bitableau_rows(shape, n, m, b, a)) == expected, (shape, b, a)
+                    cases += 1
+            for a in compositions(k, n):
+                expected = [t.rows for t in everything if weights(t)[0] == a]
+                assert list(iter_bitableau_rows(shape, n, m, acontent=a)) == expected
+    assert cases == 3662
 
 
 def test_enumeration_deterministic():
@@ -135,3 +166,19 @@ def test_from_json_infers_only_absent_sizes():
     assert (wide.n, wide.m) == (5, 4)
     inferred = Bitableau.from_json({"rows": data["rows"]})
     assert (inferred.n, inferred.m) == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [5, None, "ab", [5], ["12"], [[1, 2]], [[[1]]], [[[1, 2, 3]]], [[["1", 2]]], [[[True, 1]]]],
+)
+def test_malformed_rows_are_value_errors(rows):
+    with pytest.raises(ValueError):
+        Bitableau.from_rows(rows)
+    with pytest.raises(ValueError):
+        Bitableau.from_json({"rows": rows})
+
+
+def test_from_json_needs_rows():
+    with pytest.raises(ValueError):
+        Bitableau.from_json({"n": 2, "m": 2})

@@ -186,9 +186,51 @@ def test_mismatch_exit_code(capsys, monkeypatch):
     import bitableaux.cli as cli
 
     monkeypatch.setattr(cli, "count_d", lambda *a, **k: 99)
-    code, out, err = run(capsys, "d", "--lam", "1", "--mu", "1", "--nu", "1")
+    argv = ["d", "--lam", "2,1", "--mu", "1,1,1", "--nu", "3", "--conv", "w_prime"]
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "MISMATCH" in err
+    assert out == "99\n"
+    assert err == (
+        "MISMATCH k=3 lam=2,1 mu=1,1,1 nu=3 conv=w_prime crystal=99 oracle=2 "
+        "replay: bitableaux d --lam 2,1 --mu 1,1,1 --nu 3 --conv w_prime\n"
+    )
+
+
+def test_verify_thm2_mismatch_goes_to_stderr(capsys, monkeypatch):
+    import bitableaux.cli as cli
+
+    rows = [((1,), (1,), (1,), 1, 1), ((2,), (1, 1), (2,), 5, 1), ((2,), (2,), (2,), 0, 1)]
+    monkeypatch.setattr(cli, "monomial_expansion_sweep", lambda k, conv: rows)
+    code, out, err = run(capsys, "verify-thm2", "--k", "2", "--quiet")
+    assert code == 2 and out == ""
+    assert err == (
+        "MISMATCH k=2 lam=2 mu=1,1 nu=2 conv=w crystal=5 oracle=1 "
+        "replay: bitableaux d --lam 2 --mu 1,1 --nu 2 --conv w\n"
+    )
+    code, out, err = run(capsys, "verify-thm2", "--k", "2")
+    assert code == 2
+    assert out.splitlines()[0] == "lam,mu,nu,crystal,oracle" and "MISMATCH" not in out
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "--tableau", '{"rows": 5}'],
+        ["weights", "--tableau", "[[1,2]]"],
+        ["weights", "--tableau", "{}"],
+        ["word", "--method", "w", "--tableau", '[["12"]]'],
+        ["word", "--method", "row", "--tableau", '{"rows": [[1, 2]], "max_entry": null}'],
+        ["word", "--method", "row", "--tableau", "[[[1, 2]]]"],
+        ["brsk", "--tableau", '{"rows": [[[1, 2, 3]]]}'],
+        ["jdt", "--left", '{"rows": 3}', "--right", "[[1]]"],
+        ["jdt", "--left", "[[1]]", "--right", "7"],
+    ],
+)
+def test_malformed_tableau_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_cap_exceeded_exits_three_without_traceback():

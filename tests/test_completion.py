@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import json
+
+import pytest
 
 from bitableaux.bitableau import Bitableau, enumerate_bitableaux
 from bitableaux.completion import (
@@ -323,3 +326,19 @@ def test_candidate_crystal_single_operators_are_valid_strings():
 def test_partial_operator_edge_set():
     op = PartialOperator({1: 2, 3: 4})
     assert op.edge_set() == frozenset({(1, 2), (3, 4)})
+
+
+def test_partial_operator_and_report_are_frozen():
+    source = {1: 2, 3: 4}
+    op = PartialOperator(source)
+    source[5] = 6
+    assert dict(op.images) == {1: 2, 3: 4}
+    with pytest.raises(TypeError):
+        op.images[5] = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.images = {}
+    assert op == PartialOperator({3: 4, 1: 2}) and hash(op) == hash(PartialOperator({3: 4, 1: 2}))
+    report = is_valid_gl2_structure({0: 1, 1: 0}, {0: (1, 0), 1: (0, 1)})
+    assert not report.valid and isinstance(report.violations, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.valid = True

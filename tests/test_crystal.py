@@ -208,3 +208,27 @@ def test_export_empty_and_chain():
     parsed = json.loads(payload)
     assert len(parsed["vertices"]) == 2 and len(parsed["edges"]) == 1
     assert parsed["edges"][0]["dir"] == "f"
+
+
+def test_crystal_graph_is_frozen():
+    import dataclasses
+
+    from bitableaux.graphs import CrystalGraph
+
+    g = full_crystal((2, 1), 2, 2)
+    edges = dict(g.edges)
+    with pytest.raises(TypeError):
+        g.edges[(0, 1)] = 5
+    with pytest.raises(TypeError):
+        del g.edges[next(iter(edges))]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges = {}
+    assert g.edges == edges
+    for (src, i), dst in edges.items():
+        assert g.f(src, i) == dst and g.e(dst, i) == src
+    # the graph keeps its own copy of the mapping it was built from
+    source = {(0, 1): 1}
+    chain = CrystalGraph(g.vertices[:2], source)
+    source[(1, 1)] = 0
+    assert dict(chain.edges) == {(0, 1): 1} and chain.e(0, 1) is None
+    assert chain == CrystalGraph(g.vertices[:2], {(0, 1): 1})

@@ -63,12 +63,13 @@ def test_kostka_examples():
 
 
 def test_kostka_matches_enumeration():
-    from bitableaux.tableaux import iter_ssyt_rows_content
+    from bitableaux.tableaux import iter_ssyt_rows
 
     for k in range(1, 7):
         for lam in enumerate_partitions(k):
             for mu in enumerate_partitions(k):
-                direct = sum(1 for _ in iter_ssyt_rows_content(lam, mu))
+                n = len(mu)
+                direct = sum(1 for _ in iter_ssyt_rows(lam, n, [(range(n), mu)]))
                 assert kostka(lam, mu) == direct
 
 

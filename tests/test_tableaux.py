@@ -8,6 +8,7 @@ from bitableaux.tableaux import (
     SkewSSYT,
     count_ssyt,
     enumerate_ssyt,
+    iter_ssyt_rows,
     reading_word,
     ssyt_from_reading_word,
 )
@@ -99,3 +100,39 @@ def test_ssyt_validation():
         SSYT.from_rows([[1, 1], [1, 2]])
     with pytest.raises(ValueError):
         SSYT((2,), ((1, 2),), 1)
+
+
+@pytest.mark.parametrize("rows", [5, None, "ab", [5], ["12"], [[[1]]], [["1"]], [[1.0]], [[True]]])
+def test_malformed_rows_are_value_errors(rows):
+    with pytest.raises(ValueError):
+        SSYT.from_rows(rows)
+    with pytest.raises(ValueError):
+        SSYT.from_json({"rows": rows})
+
+
+def test_from_json_infers_max_entry_only_when_absent():
+    data = SSYT.from_rows([[1, 2], [3]]).to_json()
+    assert SSYT.from_json({"rows": data["rows"]}).max_entry == 3
+    assert SSYT.from_json(dict(data, max_entry=7)).max_entry == 7
+    for bad in (0, None, "3", 2):
+        with pytest.raises(ValueError):
+            SSYT.from_json(dict(data, max_entry=bad))
+    with pytest.raises(ValueError):
+        SSYT((), (), 0)
+
+
+def test_filler_budgets():
+    # the filler over an arbitrary ordered alphabet, with one budget on the
+    # letter classes (vowel, consonant)
+    rows = list(iter_ssyt_rows((2, 1), "abe", [((0, 1, 0), (2, 1))]))
+    assert rows == [
+        (("a", "a"), ("b",)),
+        (("a", "b"), ("e",)),
+        (("a", "e"), ("b",)),
+        (("b", "e"), ("e",)),
+    ]
+    assert list(iter_ssyt_rows((2, 1), "abe", [((0, 1, 0), (3, 1))])) == []
+    with pytest.raises(ValueError):
+        list(iter_ssyt_rows((1,), 3, [((0, 1), (1, 0))]))
+    with pytest.raises(ValueError):
+        list(iter_ssyt_rows((1,), 2, [((0, 2), (1, 0))]))
