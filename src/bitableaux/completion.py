@@ -251,14 +251,20 @@ def enumerate_completions(
     return g, unique
 
 
-@dataclass
+@dataclass(frozen=True)
 class SkeletonResult:
+    """What skeleton() found; free_slots and free_segments are read-only copies."""
+
     graph: CrystalGraph
     forced: PartialOperator
     free_vertices: tuple[int, ...]
-    free_slots: dict[tuple[Weight, Weight], tuple[int, ...]]
-    free_segments: dict[Weight, tuple[tuple[int, ...], ...]]
+    free_slots: Mapping[tuple[Weight, Weight], tuple[int, ...]]
+    free_segments: Mapping[Weight, tuple[tuple[int, ...], ...]]
     completion_count: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "free_slots", MappingProxyType(dict(self.free_slots)))
+        object.__setattr__(self, "free_segments", MappingProxyType(dict(self.free_segments)))
 
     @property
     def forced_vertex_count(self) -> int:

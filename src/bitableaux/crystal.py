@@ -13,7 +13,7 @@ from typing import Sequence
 from .bitableau import Bitableau, iter_bitableau_rows, weights
 from .graphs import CrystalGraph, CrystalVertex
 from .kernels import tally_yamanouchi_acontent
-from .partitions import Partition, check_partition, enumerate_partitions, pad, trim
+from .partitions import Partition, check_partition, check_triple, enumerate_partitions, pad, trim
 from .symfunc import monomial_coefficient_d
 from .tableaux import SkewSSYT, count_ssyt
 from .words import (
@@ -67,9 +67,7 @@ def count_d(
     lam: Sequence[int], mu: Sequence[int], nu: Sequence[int], conv: str = "w"
 ) -> int:
     """Bitableaux of shape lam with a(T)=mu, b(T)=nu and Yamanouchi word."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    if sum(mu) != sum(lam) or sum(nu) != sum(lam):
-        raise ValueError("all three partitions must have the same size")
+    lam, mu, nu = check_triple(lam, mu, nu)
     tally = tally_yamanouchi_acontent(lam, len(mu), nu, conv)
     return tally.get(mu, 0)
 
@@ -124,6 +122,8 @@ def full_crystal(
     exports are byte-stable.
     """
     lam = check_partition(lam)
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be at least 1")
     size = count_ssyt(lam, n * m)  # |B_lam(n,m)| through the [nm] encoding
     if size > cap:
         raise CapExceededError(f"{size} vertices exceed the cap {cap}")

@@ -213,13 +213,3 @@ def _tally_python_dict(
             result[key] = result.get(key, 0) + 1
     return result
 
-
-def count_yamanouchi(
-    shape: Sequence[int],
-    acontent: Sequence[int],
-    bcontent: Sequence[int],
-    conv: str = "w",
-) -> int:
-    """Bitableaux of the shape with exact weights and Yamanouchi reading word."""
-    tally = tally_yamanouchi_acontent(shape, len(acontent), bcontent, conv)
-    return tally.get(tuple(acontent), 0)

@@ -22,6 +22,14 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
+def check_triple(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> tuple[Partition, ...]:
+    """Three partitions of one size, normalized, or ValueError."""
+    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    if not sum(lam) == sum(mu) == sum(nu):
+        raise ValueError("all three partitions must have the same size")
+    return lam, mu, nu
+
+
 def trim(vec: Sequence[int]) -> Partition:
     """Drop trailing zeros, e.g. to compare a weight vector with a partition."""
     end = len(vec)

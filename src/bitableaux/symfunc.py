@@ -6,6 +6,9 @@ numbers (horizontal-strip counting) and d = sum_tau g K; none of these
 shares code with the crystal side, so they can serve as the oracle the
 crystal counts are checked against.
 
+character_table(k) stores each character chi^lam as a row of values over
+the classes of S_k, next to the class sizes; g and d read these rows only.
+
 The polynomial helpers schur_poly, kron_coproduct_poly and
 expand_in_schur_schur enumerate tableaux with tableaux.iter_ssyt_rows, the
 same filler the crystal side enumerates bitableaux with; they are checked
@@ -17,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .partitions import Partition, check_partition, enumerate_partitions, trim
+from .partitions import Partition, check_partition, check_triple, enumerate_partitions, trim
 from .tableaux import iter_ssyt_rows
 
 Exponents = tuple[int, ...]
@@ -81,61 +85,55 @@ def centralizer_order(rho: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Character values and centralizer orders for one symmetric group."""
+    """The character table of S_k as class functions.
+
+    classes lists the partitions of k (reverse-lexicographic), the cycle types
+    rho_j; sizes[j] = |C_rho_j| = k!/z_rho_j; chi[lam] is the row of values
+    chi^lam(rho_j) in that order.  chi is a read-only copy of the mapping.
+    """
 
     k: int
     classes: tuple[Partition, ...]
-    values: Mapping[tuple[Partition, Partition], int]
-    z: Mapping[Partition, int]
+    sizes: tuple[int, ...]
+    chi: Mapping[Partition, tuple[int, ...]]
 
-    def chi(self, lam: Partition, rho: Partition) -> int:
-        return self.values[(lam, rho)]
-
-    def class_size(self, rho: Partition) -> int:
-        return math.factorial(self.k) // self.z[rho]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "chi", MappingProxyType(dict(self.chi)))
 
     def check_orthogonality(self) -> bool:
         """Row orthogonality, exactly: sum_rho |C_rho| chi chi = delta * k!."""
         kfact = math.factorial(self.k)
-        for lam in self.classes:
-            for mu in self.classes:
-                total = sum(
-                    self.class_size(rho) * self.chi(lam, rho) * self.chi(mu, rho)
-                    for rho in self.classes
-                )
-                if total != (kfact if lam == mu else 0):
-                    return False
-        return True
+        return all(
+            sum(s * x * y for s, x, y in zip(self.sizes, self.chi[lam], self.chi[mu]))
+            == (kfact if lam == mu else 0)
+            for lam in self.classes
+            for mu in self.classes
+        )
 
 
 @lru_cache(maxsize=None)
 def character_table(k: int) -> CharacterTable:
     classes = tuple(enumerate_partitions(k))
-    values = {
-        (lam, rho): _mn(lam, rho) for lam in classes for rho in classes
-    }
-    z = {rho: centralizer_order(rho) for rho in classes}
-    return CharacterTable(k, classes, values, z)
+    sizes = tuple(math.factorial(k) // centralizer_order(rho) for rho in classes)
+    chi = {lam: tuple(_mn(lam, rho) for rho in classes) for lam in classes}
+    return CharacterTable(k, classes, sizes, chi)
+
+
+def _g(table: CharacterTable, lam: Partition, mu: Partition, nu: Partition) -> int:
+    """g(lam,mu,nu) from the rows of a validated triple; checked to be a natural number."""
+    rows = zip(table.sizes, table.chi[lam], table.chi[mu], table.chi[nu])
+    g, rest = divmod(sum(s * a * b * c for s, a, b, c in rows), math.factorial(table.k))
+    if rest:
+        raise ArithmeticError(f"non-integer Kronecker coefficient for {lam},{mu},{nu}")
+    if g < 0:
+        raise ArithmeticError(f"negative Kronecker coefficient for {lam},{mu},{nu}")
+    return g
 
 
 def kronecker_coefficient(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     """g(lam,mu,nu) = sum_rho chi chi chi / z_rho; a nonnegative integer."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    k = sum(lam)
-    if sum(mu) != k or sum(nu) != k:
-        raise ValueError("all three partitions must have the same size")
-    table = character_table(k)
-    total = sum(
-        table.class_size(rho) * table.chi(lam, rho) * table.chi(mu, rho) * table.chi(nu, rho)
-        for rho in table.classes
-    )
-    kfact = math.factorial(k)
-    if total % kfact:
-        raise ArithmeticError(f"non-integer Kronecker coefficient for {lam},{mu},{nu}")
-    g = total // kfact
-    if g < 0:
-        raise ArithmeticError(f"negative Kronecker coefficient for {lam},{mu},{nu}")
-    return g
+    lam, mu, nu = check_triple(lam, mu, nu)
+    return _g(character_table(sum(lam)), lam, mu, nu)
 
 
 # --- Kostka numbers ---------------------------------------------------------
@@ -196,13 +194,14 @@ class SymPoly:
     """Multivariate polynomial with integer coefficients, exact.
 
     terms maps exponent tuples (length = number of variables) to nonzero
-    coefficients.
+    coefficients; it is a read-only copy of the mapping passed in.
     """
 
     variables: tuple[str, ...]
-    terms: dict
+    terms: Mapping[Exponents, int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         for exps, coeff in self.terms.items():
             if len(exps) != len(self.variables):
                 raise ValueError("exponent vector length must match variable count")
@@ -269,40 +268,33 @@ def substitute_kron(p: SymPoly, n: int, m: int) -> SymPoly:
     return make_sympoly(default_variables(n, m), terms)
 
 
-def kron_coproduct_poly(lam: Sequence[int], n: int, m: int, route: str = "checked") -> SymPoly:
-    """s_lam[xy] in x_1..x_n, y_1..y_m.
+def kron_coproduct_poly(lam: Sequence[int], n: int, m: int) -> SymPoly:
+    """s_lam[xy] in x_1..x_n, y_1..y_m, computed two ways that must agree.
 
-    route "bitableau" sums x^a(T) y^b(T) over the semistandard fillings T
-    over the pair alphabet [n]x[m] (the bitableaux); "substitution" fills
-    over 1..nm, sums z^content and substitutes z_(i,j) = x_i y_j; "checked"
-    (default) computes both and insists they agree term by term.
+    It sums x^a(T) y^b(T) over the semistandard fillings T over the pair
+    alphabet [n]x[m] (the bitableaux), then checks the sum term by term
+    against the reference: fill over 1..nm, sum z^content and substitute
+    z_(i,j) = x_i y_j.  A disagreement raises ArithmeticError.
     """
     lam = check_partition(lam)
-    if route == "substitution":
-        zvars = tuple(f"z{v}" for v in range(1, n * m + 1))
-        return substitute_kron(schur_poly(lam, zvars), n, m)
-    if route == "bitableau":
-        terms: dict[Exponents, int] = {}
-        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)]
-        for rows in iter_ssyt_rows(lam, pairs):
-            xexp = [0] * n
-            yexp = [0] * m
-            for row in rows:
-                for a, b in row:
-                    xexp[a - 1] += 1
-                    yexp[b - 1] += 1
-            key = tuple(xexp) + tuple(yexp)
-            terms[key] = terms.get(key, 0) + 1
-        return make_sympoly(default_variables(n, m), terms)
-    if route == "checked":
-        direct = kron_coproduct_poly(lam, n, m, "bitableau")
-        subst = kron_coproduct_poly(lam, n, m, "substitution")
-        if direct.terms != subst.terms:
-            raise ArithmeticError(
-                f"bitableau and substitution routes disagree for lam={lam}, n={n}, m={m}"
-            )
-        return direct
-    raise ValueError(f"unknown route {route!r}")
+    terms: dict[Exponents, int] = {}
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)]
+    for rows in iter_ssyt_rows(lam, pairs):
+        xexp = [0] * n
+        yexp = [0] * m
+        for row in rows:
+            for a, b in row:
+                xexp[a - 1] += 1
+                yexp[b - 1] += 1
+        key = tuple(xexp) + tuple(yexp)
+        terms[key] = terms.get(key, 0) + 1
+    direct = make_sympoly(default_variables(n, m), terms)
+    zvars = tuple(f"z{v}" for v in range(1, n * m + 1))
+    if direct.terms != substitute_kron(schur_poly(lam, zvars), n, m).terms:
+        raise ArithmeticError(
+            f"bitableau and substitution fillings disagree for lam={lam}, n={n}, m={m}"
+        )
+    return direct
 
 
 def _product_terms(
@@ -367,13 +359,6 @@ def expand_in_schur_schur(p: SymPoly, k: int) -> dict[tuple[Partition, Partition
 
 def monomial_coefficient_d(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
     """d(lam,mu,nu) = sum_tau g(lam,tau,nu) K_{tau,mu}, from characters only."""
-    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    k = sum(lam)
-    if sum(mu) != k or sum(nu) != k:
-        raise ValueError("all three partitions must have the same size")
-    total = 0
-    for tau in enumerate_partitions(k):
-        g = kronecker_coefficient(lam, tau, nu)
-        if g:
-            total += g * kostka(tau, mu)
-    return total
+    lam, mu, nu = check_triple(lam, mu, nu)
+    table = character_table(sum(lam))
+    return sum(_g(table, lam, tau, nu) * _kostka(tau, mu) for tau in table.classes)

@@ -67,7 +67,7 @@ def test_criterion_2_coproduct_identity():
     triples = 0
     for k in range(1, 6):
         for lam in enumerate_partitions(k):
-            poly = kron_coproduct_poly(lam, k, k, route="checked")
+            poly = kron_coproduct_poly(lam, k, k)
             expansion = expand_in_schur_schur(poly, k)
             for mu in enumerate_partitions(k):
                 for nu in enumerate_partitions(k):
@@ -75,7 +75,7 @@ def test_criterion_2_coproduct_identity():
                         lam, mu, nu
                     ), (lam, mu, nu)
                     triples += 1
-    _report(2, f"both coproduct routes and the Schur expansion agree on {triples} coefficients")
+    _report(2, f"both coproduct fillings and the Schur expansion agree on {triples} coefficients")
 
 
 def test_criterion_3_point_values():

@@ -233,6 +233,13 @@ def test_malformed_tableau_is_a_usage_error(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_crystal_on_an_empty_alphabet_is_a_usage_error(capsys, n):
+    code, out, err = run(capsys, "crystal", "--shape", "2", "--n", n, "--m", "2")
+    assert code == 1 and out == ""
+    assert err == "error: n and m must be at least 1\n"
+
+
 def test_cap_exceeded_exits_three_without_traceback():
     import os
     import subprocess

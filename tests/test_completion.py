@@ -342,3 +342,14 @@ def test_partial_operator_and_report_are_frozen():
     assert not report.valid and isinstance(report.violations, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.valid = True
+
+
+def test_skeleton_result_is_frozen():
+    result = skeleton((2, 2))
+    with pytest.raises(TypeError):
+        result.free_slots[((1, 1), (1, 1))] = (0,)
+    with pytest.raises(TypeError):
+        result.free_segments[(2, 2)] = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.completion_count = 0
+    assert list(result.free_slots) == [((2, 2), (2, 2))]

@@ -39,6 +39,12 @@ def test_operator_index_validation():
         crystal_op_bitableau(FIVE_BOX, 1, "lower", conv="u")
 
 
+def test_full_crystal_needs_nonempty_alphabets():
+    for n, m in [(0, 2), (2, 0), (-1, 2), (2, -1), (0, 0)]:
+        with pytest.raises(ValueError):
+            full_crystal((2,), n, m)
+
+
 def test_is_highest_weight_examples():
     assert is_highest_weight(EIGHTEEN_BOX, "w")
     assert not is_highest_weight(FIVE_BOX, "w")

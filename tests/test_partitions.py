@@ -4,6 +4,7 @@ import pytest
 
 from bitableaux.partitions import (
     check_partition,
+    check_triple,
     conjugate,
     contains,
     enumerate_partitions,
@@ -66,6 +67,20 @@ def test_check_partition_rejects_bad_input():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((2, 0))
+
+
+def test_check_triple_is_the_one_size_check():
+    from bitableaux.crystal import count_d
+    from bitableaux.symfunc import kronecker_coefficient, monomial_coefficient_d
+
+    assert check_triple([2, 1], (1, 1, 1), (3,)) == ((2, 1), (1, 1, 1), (3,))
+    assert check_triple((), (), ()) == ((), (), ())
+    for bad in [((2, 1), (2,), (3,)), ((2, 1), (3,), (1, 1)), ((1, 2), (3,), (3,))]:
+        with pytest.raises(ValueError):
+            check_triple(*bad)
+        for f in (kronecker_coefficient, monomial_coefficient_d, count_d):
+            with pytest.raises(ValueError):
+                f(*bad)
 
 
 def test_trim_and_pad():

@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
+import math
 
 import pytest
 
 from bitableaux.partitions import enumerate_partitions
 from bitableaux.symfunc import (
     character_table,
+    default_variables,
     expand_in_schur_schur,
     kostka,
     kron_coproduct_poly,
@@ -13,6 +16,7 @@ from bitableaux.symfunc import (
     mn_character,
     monomial_coefficient_d,
     schur_poly,
+    substitute_kron,
 )
 
 
@@ -28,6 +32,30 @@ def test_character_examples():
 def test_character_orthogonality_up_to_seven():
     for k in range(1, 8):
         assert character_table(k).check_orthogonality()
+
+
+def test_character_table_rows_and_columns_up_to_eight():
+    for k in range(1, 9):
+        table = character_table(k)
+        kfact = math.factorial(k)
+        assert sum(table.sizes) == kfact
+        assert len(table.sizes) == len(table.classes)
+        assert list(table.chi) == list(table.classes)
+        rows = [table.chi[lam] for lam in table.classes]
+        assert all(len(row) == len(table.classes) for row in rows)
+        # column orthogonality: sum_lam chi^lam(rho_i) chi^lam(rho_j) = delta_ij z_rho_i
+        for i, j in itertools.product(range(len(table.classes)), repeat=2):
+            total = sum(row[i] * row[j] for row in rows)
+            assert total == (kfact // table.sizes[i] if i == j else 0), (k, i, j)
+
+
+def test_character_table_is_read_only():
+    table = character_table(3)
+    with pytest.raises(TypeError):
+        table.chi[(3,)] = (0, 0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.sizes = ()
+    assert table.chi[(3,)] == (1, 1, 1)
 
 
 def test_kronecker_examples():
@@ -84,7 +112,25 @@ def test_kron_coproduct_examples():
     assert kron_coproduct_poly((1, 1, 1), 1, 2).is_zero()
     p = kron_coproduct_poly((2,), 2, 2)
     assert sum(p.terms.values()) == 10
-    assert p.terms == kron_coproduct_poly((2,), 2, 2, route="substitution").terms
+    zvars = ("z1", "z2", "z3", "z4")
+    assert p.terms == substitute_kron(schur_poly((2,), zvars), 2, 2).terms
+
+
+def test_kron_coproduct_fillings_must_agree(monkeypatch):
+    # the substitution filling is the reference every call checks against
+    import bitableaux.symfunc as symfunc
+
+    real = symfunc.substitute_kron
+
+    def perturbed(p, n, m):
+        terms = dict(real(p, n, m).terms)
+        key = min(terms)
+        terms[key] += 1
+        return make_sympoly(default_variables(n, m), terms)
+
+    monkeypatch.setattr(symfunc, "substitute_kron", perturbed)
+    with pytest.raises(ArithmeticError):
+        kron_coproduct_poly((2,), 2, 2)
 
 
 def test_expand_examples():
@@ -112,10 +158,10 @@ def test_expand_rejects_junk():
 
 
 def test_coproduct_identity_small():
-    # both routes agree and the expansion returns the Kronecker coefficients
+    # both fillings agree and the expansion returns the Kronecker coefficients
     for k in range(1, 4):
         for lam in enumerate_partitions(k):
-            p = kron_coproduct_poly(lam, k, k, route="checked")
+            p = kron_coproduct_poly(lam, k, k)
             expansion = expand_in_schur_schur(p, k)
             for mu in enumerate_partitions(k):
                 for nu in enumerate_partitions(k):
@@ -144,3 +190,17 @@ def test_equal_polynomials_hash_alike():
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     assert len({a, schur_poly((2, 1), ("y1", "y2"))}) == 2
+
+
+def test_polynomial_terms_are_read_only():
+    source = {(1, 0): 1, (0, 1): 1}
+    p = make_sympoly(("x1", "x2"), source)
+    before = hash(p)
+    source[(5, 5)] = 1
+    with pytest.raises(TypeError):
+        p.terms[(5, 5)] = 1
+    assert dict(p.terms) == {(1, 0): 1, (0, 1): 1} and hash(p) == before
+    q = schur_poly((1,), ("x1", "x2"))
+    with pytest.raises(TypeError):
+        q.terms[(5, 5)] = 1
+    assert p == q and hash(q) == before

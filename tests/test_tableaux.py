@@ -53,6 +53,13 @@ def test_enumerate_ssyt_against_brute_force(n):
             assert count_ssyt(shape, n) == expected
 
 
+def test_count_ssyt_rejects_negative_alphabets():
+    assert count_ssyt((2,), 0) == 0 and count_ssyt((), 0) == 1
+    for n in (-1, -2):
+        with pytest.raises(ValueError):
+            count_ssyt((2,), n)
+
+
 def test_enumerate_ssyt_row_major_lex_order_and_determinism():
     tabs = enumerate_ssyt((2, 1), 3)
     flat = [tuple(x for row in t.rows for x in row) for t in tabs]
