@@ -34,7 +34,7 @@ from .insertion import Biword, brsk, jdt_product, rsk
 from .kron_tableaux import kronecker_count_row
 from .partitions import check_partition, enumerate_partitions
 from .symfunc import kronecker_coefficient, monomial_coefficient_d
-from .tableaux import SSYT, enumerate_ssyt, reading_word
+from .tableaux import SSYT, count_ssyt, enumerate_ssyt, reading_word
 from .words import bitableau_reading_word
 
 USAGE_ERROR = 1
@@ -217,14 +217,15 @@ def _cmd_enumerate(args) -> int:
     if args.shape is None or args.n is None:
         print("error: need --k, or --shape with --n (and --m for bitableaux)", file=sys.stderr)
         return USAGE_ERROR
-    if args.m is None:
-        items = [t.to_json() for t in enumerate_ssyt(args.shape, args.n)]
+    pairs = args.m is not None
+    if args.n < 1 or pairs and args.m < 1:
+        raise ValueError("n and m must be at least 1" if pairs else "n must be at least 1")
+    if args.count_only:  # |B_lam(n,m)| through the [nm] encoding
+        print(count_ssyt(args.shape, args.n * args.m if pairs else args.n))
+    elif pairs:
+        print(_dump([t.to_json() for t in enumerate_bitableaux(args.shape, args.n, args.m)]))
     else:
-        items = [t.to_json() for t in enumerate_bitableaux(args.shape, args.n, args.m)]
-    if args.count_only:
-        print(len(items))
-    else:
-        print(_dump(items))
+        print(_dump([t.to_json() for t in enumerate_ssyt(args.shape, args.n)]))
     return 0
 
 

@@ -12,8 +12,8 @@ from typing import Sequence
 
 from .bitableau import Bitableau, iter_bitableau_rows, weights
 from .graphs import CrystalGraph, CrystalVertex
-from .kernels import tally_yamanouchi_acontent
-from .partitions import Partition, check_partition, check_triple, enumerate_partitions, pad, trim
+from .kernels import layer_runs, tally_yamanouchi_acontent
+from .partitions import Partition, check_partition, check_triple, enumerate_partitions, trim
 from .symfunc import monomial_coefficient_d
 from .tableaux import SkewSSYT, count_ssyt
 from .words import (
@@ -68,8 +68,7 @@ def count_d(
 ) -> int:
     """Bitableaux of shape lam with a(T)=mu, b(T)=nu and Yamanouchi word."""
     lam, mu, nu = check_triple(lam, mu, nu)
-    tally = tally_yamanouchi_acontent(lam, len(mu), nu, conv)
-    return tally.get(mu, 0)
+    return layer_runs(nu, conv)(lam, len(mu)).get(mu, 0)  # mu is its own run
 
 
 def count_d_table(
@@ -81,15 +80,15 @@ def count_d_table(
 
 def monomial_expansion_sweep(k: int, conv: str = "w") -> list[tuple[Partition, Partition, Partition, int, int]]:
     """Crystal count versus character-side d for every triple of partitions of k."""
-    rows = []
-    for lam in enumerate_partitions(k):
-        for nu in enumerate_partitions(k):
-            table = count_d_table(lam, nu, k, conv)
-            for mu in enumerate_partitions(k):
-                crystal = table.get(pad(mu, k), 0)
-                oracle = monomial_coefficient_d(lam, mu, nu)
-                rows.append((lam, mu, nu, crystal, oracle))
-    return rows
+    parts = enumerate_partitions(k)
+    crystal = {}
+    for nu in parts:
+        runs = layer_runs(nu, conv)  # one memo per nu, dropped after it
+        for lam in parts:
+            table = runs(lam, k)
+            crystal.update(((lam, mu, nu), table.get(mu, 0)) for mu in parts)
+    triples = [(lam, mu, nu) for lam in parts for nu in parts for mu in parts]
+    return [(*t, crystal[t], monomial_coefficient_d(*t)) for t in triples]
 
 
 def skew_decomposition(t: Bitableau) -> list[SkewSSYT]:

@@ -5,54 +5,52 @@ A bitableau of shape lam is a chain of top-entry shapes
 filling of bottom entries on each skew layer lam^(a)/lam^(a-1), the split
 that crystal.skew_decomposition makes.  The sort-by-top word w is the
 concatenation of the layers' row reading words for a = 1..n (w' for
-a = n..1), so its Yamanouchi suffix condition is carried layer by layer, as
-in the lattice-word form of the Littlewood-Richardson rule.  The DP state is
-one shape of the chain and the content of the word suffix read so far; a
-layer transition counts the lattice fillings of one skew shape that extend a
-suffix of that content.  Layers are read from the end of the word: a = n
-down to 1 for w, a = 1 up to n for w'.
+a = n..1), so its Yamanouchi condition is carried layer by layer, as in the
+lattice-word form of the Littlewood-Richardson rule.  Both conventions peel
+the layers off lam, a = n first: the end of w, read backward, and the front
+of w', read forward.  The DP state (remaining inner shape, content read so
+far, layers left) does not depend on lam, so one memo serves every shape.
 
-Empty layers add nothing to the word, so the DP runs over chains of
-nonempty layers and the tally spreads each sequence of layer sizes over the
-n top values afterwards.  _tally_python_dict is the naive reference that
-enumerates every filling.
+Empty layers add nothing to the word, so the DP counts by run: the sizes of
+the nonempty layers, a ascending.  A partition a-content without zeros is its
+own run; _spread places each run over the n top values for the full table.
+_tally_python_dict is the naive reference that enumerates every filling.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .partitions import check_partition
+from .partitions import check_partition, trim
 
 Shape = tuple[int, ...]
 Content = tuple[int, ...]
+Runs = dict[tuple[int, ...], int]
 
 
 def _lattice_fillings(
-    outer: Shape, inner: Shape, start: Content, cap: Content
+    outer: Shape, inner: Shape, start: Content, cap: Content, conv: str
 ) -> dict[Content, int]:
-    """Lattice fillings of outer/inner that extend a suffix of content start.
+    """Lattice fillings of outer/inner that extend a word of content start.
 
-    Cells are filled in the reverse of the row reading word (top row first,
-    right to left), so each letter is prepended to the suffix and the
-    Yamanouchi condition is checked as it is placed; letter x may not
-    exceed cap[x] in total.  Returns the number of fillings by the content
-    they end at.
+    w reads the layer backward (top row first, right to left) and keeps the
+    content read a partition; w' reads it forward (bottom row first, left to
+    right) and keeps cap minus the content read a partition.  Each letter is
+    checked as it is placed; letter x may not exceed cap[x] in total.
+    Returns the number of fillings by the content they end at.
     """
     m = len(cap)
-    right: list[int] = []  # index of the layer cell to the right, or -1
-    up: list[int] = []  # index of the layer cell above, or -1
-    above: dict[int, int] = {}
-    for r, (hi, lo) in enumerate(zip(outer, inner)):
-        here: dict[int, int] = {}
-        for col in range(hi - 1, lo - 1, -1):
-            here[col] = len(right)
-            right.append(here.get(col + 1, -1))
-            up.append(above.get(col, -1))
-        above = here
-    size = len(right)
+    suffix = conv == "w"
+    cells = [(r, c) for r in range(len(outer) - 1, -1, -1) for c in range(inner[r], outer[r])]
+    if suffix:
+        cells.reverse()
+    index = {cell: i for i, cell in enumerate(cells)}
+    d = 1 if suffix else -1  # placed earlier: right and above for w, left and below for w'
+    row = [index.get((r, c + d), -1) for r, c in cells]
+    col = [index.get((r - d, c), -1) for r, c in cells]
+    size = len(cells)
     vals = [0] * size
     cnt = list(start)
     ends: dict[Content, int] = {}
@@ -62,10 +60,18 @@ def _lattice_fillings(
             key = tuple(cnt)
             ends[key] = ends.get(key, 0) + 1
             return
-        lo = vals[up[i]] + 1 if up[i] >= 0 else 0
-        hi = vals[right[i]] if right[i] >= 0 else m - 1
+        if suffix:  # above: strictly smaller; right: weakly larger
+            lo = vals[col[i]] + 1 if col[i] >= 0 else 0
+            hi = vals[row[i]] if row[i] >= 0 else m - 1
+        else:  # left: weakly smaller; below: strictly larger
+            lo = vals[row[i]] if row[i] >= 0 else 0
+            hi = vals[col[i]] - 1 if col[i] >= 0 else m - 1
         for x in range(lo, hi + 1):
-            if cnt[x] < cap[x] and (x == 0 or cnt[x] < cnt[x - 1]):
+            if cnt[x] < cap[x] and (
+                (x == 0 or cnt[x] < cnt[x - 1])
+                if suffix
+                else (x == m - 1 or cap[x] - cnt[x] > cap[x + 1] - cnt[x + 1])
+            ):
                 cnt[x] += 1
                 vals[i] = x
                 fill(i + 1)
@@ -91,60 +97,55 @@ def _partitions_between(lo: Shape, hi: Shape):
     return rec(0)
 
 
-def _layer_runs(shape: Shape, n: int, cap: Content, conv: str) -> dict[tuple[int, ...], int]:
-    """Yamanouchi counts by the sizes of the nonempty layers, a ascending.
+def layer_runs(bcontent: Sequence[int], conv: str = "w") -> Callable[[Sequence[int], int], Runs]:
+    """Counter of the Yamanouchi bitableaux of b-content bcontent, by run.
 
-    At most n layers are used.  The memos live for one call only.
+    runs(shape, n) maps each run of at most n layers to its count.  Its
+    memos live as long as runs and serve every shape; a b-content that is
+    not a partition has no Yamanouchi word.
     """
+    if conv not in ("w", "w_prime"):
+        raise ValueError(f"unknown convention {conv!r}")
+    cap = tuple(bcontent)
     m = len(cap)
-    rows = len(shape)
-    k = sum(shape)
-    down = conv == "w"  # w ends with the layer a = n: peel layers off lam
+    lattice = all(x >= y for x, y in zip(cap, cap[1:]))
     fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}
-    runs: dict[tuple[Shape, Content, int], dict[tuple[int, ...], int]] = {}
+    memo: dict[tuple[Shape, Content, int], Runs] = {}
 
-    def layers(state: Shape):
-        """(outer, inner, next state) of each nonempty layer next to state.
-
-        A column of a layer holds at most m cells, since its bottom entries
-        strictly increase.
-        """
-        if down:
-            lo = state[m:] + (0,) * min(m, rows)
-            for inner in _partitions_between(lo, state):
-                if inner != state:
-                    yield state, inner, inner
-        else:
-            hi = tuple(min(b, state[r - m]) if r >= m else b for r, b in enumerate(shape))
-            for outer in _partitions_between(state, hi):
-                if outer != state:
-                    yield outer, state, outer
-
-    def rest(state: Shape, start: Content, budget: int) -> dict[tuple[int, ...], int]:
-        """Counts of the layers still to read from state, after a suffix of content start."""
-        left = k - sum(start)
-        if left == 0:
+    def rest(state: Shape, start: Content, budget: int) -> Runs:
+        """Counts of the layers inside state, after a word of content start."""
+        if not state:
             return {(): 1}
-        budget = min(budget, left)
+        budget = min(budget, sum(state))
         key = (state, start, budget)
-        out = runs.get(key)
+        out = memo.get(key)
         if out is not None:
             return out
         out = {}
-        if budget:
-            for outer, inner, nxt in layers(state):
-                size = sum(outer) - sum(inner)
-                ends = fillings.get((outer, inner, start))
-                if ends is None:
-                    ends = fillings[outer, inner, start] = _lattice_fillings(outer, inner, start, cap)
-                for end, ways in ends.items():
-                    for sizes, count in rest(nxt, end, budget - 1).items():
-                        sizes = sizes + (size,) if down else (size,) + sizes
-                        out[sizes] = out.get(sizes, 0) + ways * count
-        runs[key] = out
+        if budget > 0:
+            # a column of a layer holds at most m cells: its bottom entries strictly increase
+            lo = state[m:] + (0,) * min(m, len(state))
+            for inner in _partitions_between(lo, state):
+                if inner != state:
+                    size, nxt = sum(state) - sum(inner), trim(inner)
+                    ends = fillings.get((state, inner, start))
+                    if ends is None:
+                        ends = _lattice_fillings(state, inner, start, cap, conv)
+                        fillings[state, inner, start] = ends
+                    for end, ways in ends.items():
+                        for sizes, count in rest(nxt, end, budget - 1).items():
+                            sizes += (size,)
+                            out[sizes] = out.get(sizes, 0) + ways * count
+        memo[key] = out
         return out
 
-    return rest(shape if down else (0,) * rows, (0,) * m, n)
+    def runs(shape: Sequence[int], n: int) -> Runs:
+        shape = check_partition(shape)
+        if not lattice or sum(shape) != sum(cap):
+            return {}
+        return rest(shape, (0,) * m, n)
+
+    return runs
 
 
 def tally_yamanouchi_acontent(
@@ -156,8 +157,7 @@ def tally_yamanouchi_acontent(
     b-content is fixed to bcontent (length m).
     """
     shape = check_partition(shape)
-    if conv not in ("w", "w_prime"):
-        raise ValueError(f"unknown convention {conv!r}")
+    runs = layer_runs(bcontent, conv)
     k = sum(shape)
     if k != sum(bcontent):
         return {}
@@ -165,7 +165,7 @@ def tally_yamanouchi_acontent(
         return {(0,) * n: 1}
     if n < 1:
         return {}
-    return _spread(_layer_runs(shape, n, tuple(bcontent), conv), n)
+    return _spread(runs(shape, n), n)
 
 
 def _spread(runs: dict[tuple[int, ...], int], n: int) -> dict[tuple[int, ...], int]:

@@ -49,6 +49,8 @@ def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partitio
     """All partitions of k (at most max_length parts), reverse-lexicographic."""
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if max_length is not None and max_length < 0:
+        raise ValueError("max_length must be nonnegative")
     limit = k if max_length is None else min(max_length, k)
     out: list[Partition] = []
 

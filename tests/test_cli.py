@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import nm_pairs, small_shapes
 from bitableaux.cli import main
 
 
@@ -180,6 +181,24 @@ def test_usage_errors_exit_one(capsys):
     assert err.value.code == 1
     code, _, errtext = run(capsys, "enumerate")
     assert code == 1 and "error" in errtext
+    code, out, errtext = run(capsys, "enumerate", "--k", "3", "--max-length", "-1")
+    assert code == 1 and out == "" and errtext == "error: max_length must be nonnegative\n"
+
+
+def test_count_only_counts_the_listing(capsys):
+    alphabets = [["--n", str(n)] for n in (1, 2, 3)]
+    alphabets += [["--n", str(n), "--m", str(m)] for n, m in nm_pairs(3)]
+    for shape in small_shapes(5):
+        text = ",".join(map(str, shape)) or "-"
+        for sizes in alphabets:
+            code, out, _ = run(capsys, "enumerate", "--shape", text, *sizes)
+            assert code == 0
+            listed = len(json.loads(out))
+            code, out, _ = run(capsys, "enumerate", "--shape", text, *sizes, "--count-only")
+            assert code == 0 and out == f"{listed}\n", (shape, sizes)
+    for sizes in (["--n", "0"], ["--n", "-1"], ["--n", "2", "--m", "0"], ["--n", "0", "--m", "2"]):
+        code, out, err = run(capsys, "enumerate", "--shape", "2,1", *sizes, "--count-only")
+        assert code == 1 and out == "" and err.startswith("error: "), sizes
 
 
 def test_mismatch_exit_code(capsys, monkeypatch):
@@ -278,3 +297,20 @@ def test_structure_and_arithmetic_errors_exit_codes(capsys, monkeypatch):
     code, out, err = run(capsys, "d", "--lam", "1", "--mu", "1", "--nu", "1", "--mode", "oracle")
     assert code == 5 and out == ""
     assert err.startswith("error: oracle arithmetic failed") and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_command_from_a_checkout():
+    import os
+    import subprocess
+    import sys
+
+    import bitableaux
+
+    src = os.path.dirname(os.path.dirname(bitableaux.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bitableaux", "d", "--lam", "2,1", "--mu", "2,1", "--nu", "2,1"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == "2\n" and proc.stderr == ""

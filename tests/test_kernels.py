@@ -5,7 +5,7 @@ import sys
 
 from conftest import nm_pairs, small_shapes
 from bitableaux.crystal import count_d
-from bitableaux.kernels import _tally_python_dict, tally_yamanouchi_acontent
+from bitableaux.kernels import _spread, _tally_python_dict, layer_runs, tally_yamanouchi_acontent
 from bitableaux.partitions import enumerate_partitions
 
 
@@ -24,6 +24,28 @@ def test_kernel_matches_reference_tally():
                     assert fast == slow, (shape, n, bcontent, conv)
                     cases += 1
     assert cases == 2250
+
+
+def test_one_memo_serves_every_shape():
+    # the grid above, with one counter (one memo) per (b-content, n, conv)
+    # reused over every shape of the size, ascending and then descending with
+    # a fresh counter: a stale or shape-dependent memo entry changes a later
+    # shape's table.  Size 0 has one shape, so it shares nothing.
+    cases = 0
+    for k in range(1, 6):
+        shapes = enumerate_partitions(k)
+        for n, m in nm_pairs(3):
+            for bcontent in itertools.product(range(k + 1), repeat=m):
+                if sum(bcontent) != k:
+                    continue
+                for conv in ("w", "w_prime"):
+                    slow = {shape: _tally_python_dict(shape, n, bcontent, conv) for shape in shapes}
+                    for order in (shapes[::-1], shapes):
+                        runs = layer_runs(bcontent, conv)
+                        for shape in order:
+                            assert _spread(runs(shape, n), n) == slow[shape], (shape, n, bcontent, conv)
+                            cases += 1
+    assert cases == 2 * (2250 - 18)
 
 
 def test_empty_shape():

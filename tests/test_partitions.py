@@ -33,6 +33,9 @@ def test_partitions_of_four():
 
 def test_partitions_max_length():
     assert enumerate_partitions(3, max_length=2) == [(3,), (2, 1)]
+    assert enumerate_partitions(3, max_length=0) == []
+    with pytest.raises(ValueError):
+        enumerate_partitions(3, max_length=-1)
 
 
 @pytest.mark.parametrize("k", range(8))
