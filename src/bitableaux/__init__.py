@@ -65,6 +65,8 @@ from .symfunc import (
     kronecker_coefficient,
     mn_character,
     monomial_coefficient_d,
+    monomial_coefficient_row,
+    permutation_characters,
     schur_poly,
 )
 from .tableaux import SSYT, SkewSSYT, enumerate_ssyt, reading_word

@@ -122,6 +122,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--count-only", action="store_true")
+    p.add_argument("--cap", type=int, default=10**6)
 
     p = sub.add_parser("weights", help="a- and b-weight of a bitableau")
     p.add_argument("--tableau")
@@ -220,9 +221,14 @@ def _cmd_enumerate(args) -> int:
     pairs = args.m is not None
     if args.n < 1 or pairs and args.m < 1:
         raise ValueError("n and m must be at least 1" if pairs else "n must be at least 1")
-    if args.count_only:  # |B_lam(n,m)| through the [nm] encoding
-        print(count_ssyt(args.shape, args.n * args.m if pairs else args.n))
-    elif pairs:
+    size = count_ssyt(args.shape, args.n * args.m if pairs else args.n)  # |B_lam(n,m)| via [nm]
+    if args.count_only:
+        print(size)
+        return 0
+    if size > args.cap:
+        kind = "bitableaux" if pairs else "tableaux"
+        raise CapExceededError(f"{size} {kind} exceed the cap {args.cap}")
+    if pairs:
         print(_dump([t.to_json() for t in enumerate_bitableaux(args.shape, args.n, args.m)]))
     else:
         print(_dump([t.to_json() for t in enumerate_ssyt(args.shape, args.n)]))

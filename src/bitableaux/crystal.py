@@ -14,7 +14,7 @@ from .bitableau import Bitableau, iter_bitableau_rows, weights
 from .graphs import CrystalGraph, CrystalVertex
 from .kernels import layer_runs, tally_yamanouchi_acontent
 from .partitions import Partition, check_partition, check_triple, enumerate_partitions, trim
-from .symfunc import monomial_coefficient_d
+from .symfunc import monomial_coefficient_row
 from .tableaux import SkewSSYT, count_ssyt
 from .words import (
     bitableau_reading_cells,
@@ -79,16 +79,21 @@ def count_d_table(
 
 
 def monomial_expansion_sweep(k: int, conv: str = "w") -> list[tuple[Partition, Partition, Partition, int, int]]:
-    """Crystal count versus character-side d for every triple of partitions of k."""
+    """Crystal count versus character-side d for every triple of partitions of k.
+
+    Rows run lam, nu, mu in partition order.  The crystal side reads one
+    layer_runs memo per nu; the oracle side is monomial_coefficient_row, the
+    permutation-character route, once per (lam, nu).  The d point query keeps
+    the other route, monomial_coefficient_d.
+    """
     parts = enumerate_partitions(k)
-    crystal = {}
+    rows = {}
     for nu in parts:
         runs = layer_runs(nu, conv)  # one memo per nu, dropped after it
         for lam in parts:
-            table = runs(lam, k)
-            crystal.update(((lam, mu, nu), table.get(mu, 0)) for mu in parts)
-    triples = [(lam, mu, nu) for lam in parts for nu in parts for mu in parts]
-    return [(*t, crystal[t], monomial_coefficient_d(*t)) for t in triples]
+            table, oracle = runs(lam, k), monomial_coefficient_row(lam, nu)
+            rows[lam, nu] = [(lam, mu, nu, table.get(mu, 0), oracle[mu]) for mu in parts]
+    return [row for lam in parts for nu in parts for row in rows[lam, nu]]
 
 
 def skew_decomposition(t: Bitableau) -> list[SkewSSYT]:

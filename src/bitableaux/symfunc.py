@@ -2,12 +2,19 @@
 
 The oracle is characters (the Murnaghan-Nakayama recursion over exact
 integers), Kronecker coefficients g (the character triple sum), Kostka
-numbers (horizontal-strip counting) and d = sum_tau g K; none of these
-shares code with the crystal side, so they can serve as the oracle the
-crystal counts are checked against.
+numbers (horizontal-strip counting) and the monomial coefficient
+d(lam,mu,nu) = <s_lam * s_nu, h_mu>; none of these shares code with the
+crystal side, so they can serve as the oracle the crystal counts are
+checked against.
 
 character_table(k) stores each character chi^lam as a row of values over
 the classes of S_k, next to the class sizes; g and d read these rows only.
+d has two independent routes.  monomial_coefficient_d is the tau-sum
+sum_tau g(lam,tau,nu) K_{tau,mu}, one triple at a time; the d point query
+uses it.  monomial_coefficient_row dots sizes * chi^lam * chi^nu with the
+permutation characters xi^mu(rho) = <h_mu, p_rho> (a DP over the cycles, no
+Kostka numbers) and gives d for every mu at once; the Theorem-2 sweep uses
+it.  Tests compare the two.
 
 The polynomial helpers schur_poly, kron_coproduct_poly and
 expand_in_schur_schur enumerate tableaux with tableaux.iter_ssyt_rows, the
@@ -362,3 +369,69 @@ def monomial_coefficient_d(lam: Sequence[int], mu: Sequence[int], nu: Sequence[i
     lam, mu, nu = check_triple(lam, mu, nu)
     table = character_table(sum(lam))
     return sum(_g(table, lam, tau, nu) * _kostka(tau, mu) for tau in table.classes)
+
+
+# --- permutation characters -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _xi(rho: Partition, parts: Partition) -> int:
+    """Ways to give each cycle of rho to one of the parts so each part is filled exactly.
+
+    parts is kept sorted and without zeros; equal parts are distinct places,
+    so a cycle given to one of several equal parts counts once per part.
+    """
+    if not rho:
+        return 1 if not parts else 0
+    cycle, rest = rho[0], rho[1:]
+    total = 0
+    for i, part in enumerate(parts):
+        if part < cycle:
+            break
+        if i and parts[i - 1] == part:
+            continue
+        left = parts[:i] + parts[i + 1 :]
+        if part > cycle:
+            left = tuple(sorted(left + (part - cycle,), reverse=True))
+        total += parts.count(part) * _xi(rest, left)
+    return total
+
+
+@lru_cache(maxsize=None)
+def permutation_characters(k: int) -> Mapping[Partition, tuple[int, ...]]:
+    """The rows xi^mu(rho_j) = <h_mu, p_rho_j> for every partition mu of k, read-only.
+
+    The row of mu lists the permutation character of S_k on the cosets of the
+    Young subgroup S_mu over character_table(k).classes: xi^mu(rho) counts
+    the ways to give each cycle of rho to a part of mu so that the cycle
+    lengths sum to that part.  No Kostka number enters.
+    """
+    classes = character_table(k).classes
+    return MappingProxyType({mu: tuple(_xi(rho, mu) for rho in classes) for mu in classes})
+
+
+def monomial_coefficient_row(lam: Sequence[int], nu: Sequence[int]) -> dict[Partition, int]:
+    """d(lam,mu,nu) = <s_lam * s_nu, h_mu> for every partition mu of |lam|, from characters only.
+
+    d = (1/k!) sum_j sizes[j] chi^lam_j chi^nu_j xi^mu_j: the weights
+    sizes * chi^lam * chi^nu are formed once, then dotted with each row of
+    permutation_characters(k).  This is the second oracle route, independent
+    of monomial_coefficient_d's sum over g and Kostka numbers; each value is
+    checked to be a natural number (ArithmeticError otherwise).
+    """
+    lam, nu = check_partition(lam), check_partition(nu)
+    if sum(lam) != sum(nu):
+        raise ValueError("lam and nu must have the same size")
+    k = sum(lam)
+    table = character_table(k)
+    weights = [s * a * b for s, a, b in zip(table.sizes, table.chi[lam], table.chi[nu])]
+    kfact = math.factorial(k)
+    row = {}
+    for mu, xi in permutation_characters(k).items():
+        d, rest = divmod(sum(w * x for w, x in zip(weights, xi)), kfact)
+        if rest:
+            raise ArithmeticError(f"non-integer monomial coefficient for {lam},{mu},{nu}")
+        if d < 0:
+            raise ArithmeticError(f"negative monomial coefficient for {lam},{mu},{nu}")
+        row[mu] = d
+    return row

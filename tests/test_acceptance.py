@@ -290,3 +290,15 @@ def test_criterion_8_sweep_k7_k8_both_conventions():
                         checked += 1
     assert checked == 2 * (15**3 + 22**3)
     _report(8, f"crystal count equals the character-side count on {checked // 2} triples (k = 7, 8), w and w'")
+
+
+def test_criterion_9_sweep_k9_both_conventions():
+    # every triple of k = 9 through monomial_expansion_sweep under w and w',
+    # the oracle taken from the permutation-character route
+    for conv in ("w", "w_prime"):
+        rows = monomial_expansion_sweep(9, conv)
+        assert len(rows) == 30**3
+        for lam, mu, nu, crystal, oracle in rows:
+            assert crystal == oracle, (conv, lam, mu, nu, crystal, oracle)
+        assert sum(row[4] for row in rows) == 16_498_740
+    _report(9, "crystal count equals the character-side count on 27000 triples (k = 9), w and w'")

@@ -201,6 +201,28 @@ def test_count_only_counts_the_listing(capsys):
         assert code == 1 and out == "" and err.startswith("error: "), sizes
 
 
+def test_enumerate_cap_refuses_before_filling(capsys, monkeypatch):
+    import bitableaux.cli as cli
+
+    code, out, _ = run(capsys, "enumerate", "--shape", "2,1", "--n", "2", "--m", "2", "--cap", "20")
+    assert code == 0 and len(json.loads(out)) == 20
+
+    def never(*args):
+        raise AssertionError("the filler ran above the cap")
+
+    monkeypatch.setattr(cli, "enumerate_ssyt", never)
+    monkeypatch.setattr(cli, "enumerate_bitableaux", never)
+    code, out, err = run(capsys, "enumerate", "--shape", "2,1", "--n", "2", "--m", "2", "--cap", "19")
+    assert code == 3 and out == "" and err == "error: 20 bitableaux exceed the cap 19\n"
+    code, out, err = run(capsys, "enumerate", "--shape", "3,2", "--n", "3", "--cap", "0")
+    assert code == 3 and out == "" and err == "error: 15 tableaux exceed the cap 0\n"
+    # the default cap is 10**6, and --count-only builds nothing, so no cap applies
+    code, out, err = run(capsys, "enumerate", "--shape", "4,3,2,1", "--n", "10")
+    assert code == 3 and out == "" and err == "error: 1812096 tableaux exceed the cap 1000000\n"
+    code, out, _ = run(capsys, "enumerate", "--shape", "4,3,2,1", "--n", "10", "--count-only", "--cap", "0")
+    assert code == 0 and out == "1812096\n"
+
+
 def test_mismatch_exit_code(capsys, monkeypatch):
     import bitableaux.cli as cli
 

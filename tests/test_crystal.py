@@ -15,6 +15,7 @@ from bitableaux.crystal import (
 )
 from bitableaux.graphs import export_crystal
 from bitableaux.partitions import enumerate_partitions, trim
+from bitableaux.symfunc import monomial_coefficient_d
 from bitableaux.tableaux import reading_word
 from bitableaux.words import bitableau_reading_word, crystal_op_word
 
@@ -94,8 +95,13 @@ def test_count_d_examples():
 
 def test_monomial_expansion_sweep_small():
     for k in range(1, 5):
-        for lam, mu, nu, crystal, oracle in monomial_expansion_sweep(k):
-            assert crystal == oracle, (lam, mu, nu)
+        parts = enumerate_partitions(k)
+        triples = [(lam, mu, nu) for lam in parts for nu in parts for mu in parts]
+        for conv in ("w", "w_prime"):
+            rows = monomial_expansion_sweep(k, conv)
+            assert [row[:3] for row in rows] == triples
+            for lam, mu, nu, crystal, oracle in rows:
+                assert crystal == oracle == monomial_coefficient_d(lam, mu, nu), (conv, lam, mu, nu)
 
 
 def test_count_d_convention_agnostic():

@@ -15,6 +15,8 @@ from bitableaux.symfunc import (
     make_sympoly,
     mn_character,
     monomial_coefficient_d,
+    monomial_coefficient_row,
+    permutation_characters,
     schur_poly,
     substitute_kron,
 )
@@ -182,6 +184,68 @@ def test_monomial_coefficient_dominates_kronecker():
             assert monomial_coefficient_d(lam, mu, nu) >= kronecker_coefficient(
                 lam, mu, nu
             )
+
+
+def test_permutation_characters_count_every_assignment_up_to_six():
+    # the naive reference: give each cycle of rho to a part of mu in every way
+    for k in range(7):
+        table = character_table(k)
+        rows = permutation_characters(k)
+        assert list(rows) == list(table.classes)
+        for mu, row in rows.items():
+            naive = tuple(
+                sum(
+                    1
+                    for owner in itertools.product(range(len(mu)), repeat=len(rho))
+                    if all(
+                        sum(c for c, o in zip(rho, owner) if o == i) == part
+                        for i, part in enumerate(mu)
+                    )
+                )
+                for rho in table.classes
+            )
+            assert row == naive, (k, mu)
+
+
+def test_monomial_coefficient_row_matches_tau_sum_up_to_eight():
+    for k in range(9):
+        parts = enumerate_partitions(k)
+        for lam, nu in itertools.product(parts, repeat=2):
+            row = monomial_coefficient_row(lam, nu)
+            assert list(row) == parts
+            for mu in parts:
+                assert row[mu] == monomial_coefficient_d(lam, mu, nu), (lam, mu, nu)
+    with pytest.raises(ValueError):
+        monomial_coefficient_row((2,), (1,))
+    with pytest.raises(ValueError):
+        monomial_coefficient_row((1, 2), (2, 1))
+
+
+@pytest.mark.parametrize(
+    "perturb, word",
+    [
+        (lambda row: row[:-1] + (row[-1] + 1,), "non-integer"),  # one more at the identity
+        (lambda row: tuple(-x for x in row), "negative"),
+    ],
+    ids=["non-integer", "negative"],
+)
+def test_monomial_coefficient_row_must_be_natural(monkeypatch, capsys, perturb, word):
+    # the row route checks each d as _g checks each g; verify-thm2 exits 5 on it
+    import bitableaux.symfunc as symfunc
+    from bitableaux.cli import main
+
+    real = symfunc.permutation_characters
+    monkeypatch.setattr(
+        symfunc,
+        "permutation_characters",
+        lambda k: {mu: perturb(row) for mu, row in real(k).items()},
+    )
+    with pytest.raises(ArithmeticError, match=word):
+        monomial_coefficient_row((2,), (2,))
+    assert main(["verify-thm2", "--k", "2"]) == 5
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: oracle arithmetic failed: {word} monomial coefficient")
 
 
 def test_equal_polynomials_hash_alike():
