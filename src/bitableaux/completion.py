@@ -1,10 +1,13 @@
 """Search machinery for candidate top crystal structures.
 
 The bottom gl_2 structure on B_lam(2,2) is known; a commuting top structure
-is only partially determined.  Completions are enumerated by arranging the
-bottom components into gl_2 strings of the correct lengths; every candidate
-is then re-validated with the string criterion and an explicit commutation
-check, so the search logic never has the final word.
+is only partially determined.  A top string pairs bottom chains of one
+b-type (chain of b-weights) only, so the search runs per b-type group: a
+group's options arrange its chains into gl_2 strings of the correct
+lengths, and each is re-validated with the string criterion and an
+explicit commutation check, so the search logic never has the final word.
+A completion is one option per group; the skeleton and the completion
+count are read from the groups without forming that product.
 
 Also here: the top operators on one-row and one-column bitableaux obtained
 from the u / u' reading words, which transport through RSK and Burge
@@ -15,12 +18,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .bitableau import Bitableau, iter_bitableau_rows, weights
-from .crystal import CrystalStructureError, full_crystal
+from .crystal import CapExceededError, CrystalStructureError, full_crystal
 from .graphs import CrystalGraph, CrystalVertex
 from .partitions import Partition, trim
 from .tableaux import ssyt_from_reading_word
@@ -60,6 +64,21 @@ class SeminormalReport:
     violations: tuple[tuple[int, str], ...] = ()
 
 
+def _strings(images: Mapping[int, int], vertices: Iterable[int]) -> Iterable[list[int]]:
+    """The strings of an injective images map, one per vertex without a preimage.
+
+    Vertices are taken in the order given; each string runs from that vertex
+    along images.  Injectivity keeps every walk from revisiting a vertex.
+    """
+    targets = set(images.values())
+    for head in vertices:
+        if head not in targets:
+            path = [head]
+            while (nxt := images.get(path[-1])) is not None:
+                path.append(nxt)
+            yield path
+
+
 def is_valid_gl2_structure(
     images: Mapping[int, int], weight_a: Mapping[int, Weight]
 ) -> SeminormalReport:
@@ -81,19 +100,9 @@ def is_valid_gl2_structure(
             violations.append((src, f"edge breaks the weight shift: {a} -> {b}"))
     if violations:
         return SeminormalReport(False, tuple(violations))
-    starts = [v for v in weight_a if v not in preimage]
     seen: set[int] = set()
-    for start in starts:
-        path = [start]
-        seen.add(start)
-        cur = start
-        while cur in images:
-            cur = images[cur]
-            if cur in seen:
-                violations.append((cur, "cycle reached from a path start"))
-                return SeminormalReport(False, tuple(violations))
-            seen.add(cur)
-            path.append(cur)
+    for path in _strings(images, weight_a):
+        seen.update(path)
         length = len(path)
         for depth, v in enumerate(path):
             a1, a2 = weight_a[v]
@@ -135,17 +144,6 @@ def commutes_with_bottom(
 # --- completions of the gl_2 x gl_2 examples --------------------------------
 
 
-def _bottom_chains(g: CrystalGraph) -> list[tuple[int, ...]]:
-    """f_1-strings of the bottom crystal, each listed from its highest vertex."""
-    chains = []
-    for head in sorted(v.id for v in g.vertices if g.e(v.id, 1) is None):
-        chain = [head]
-        while (nxt := g.f(chain[-1], 1)) is not None:
-            chain.append(nxt)
-        chains.append(tuple(chain))
-    return chains
-
-
 def _arrangements(
     chains_by_level: dict[int, list[int]], levels: list[int]
 ) -> Iterable[list[tuple[int, int]]]:
@@ -185,6 +183,57 @@ def _arrangements(
     yield from rec(0, [])
 
 
+def _group_options(
+    lam: Sequence[int], n: int, m: int, conv: str, cap: int
+) -> tuple[CrystalGraph, list[tuple[int, ...]], list[tuple[list[int], list[dict[int, int]]]]]:
+    """The graph, its bottom chains and, per b-type group, its vertices and options.
+
+    Chains of equal type (same chain of b-weights) are stacked into gl_2
+    strings in every level-respecting way; the operator between consecutive
+    chains is the unique b-weight-preserving isomorphism.  Each option is
+    validated on its own: its strings stay inside the group, and a bottom
+    f_1 stays inside its chain, so a choice of one option per group is a
+    valid completion exactly when every option is valid.
+    """
+    if n != 2 or m != 2:
+        raise ValueError("completion search is implemented for n = m = 2")
+    g = full_crystal(lam, n, m, conv=conv, cap=cap)
+    weight_a = {v.id: v.weight_a for v in g.vertices}
+    f_1 = {src: dst for (src, _), dst in g.edges.items()}  # m = 2: the only bottom operator
+    chains = [tuple(c) for c in _strings(f_1, weight_a)]
+    by_type: dict[tuple[Weight, ...], dict[int, list[int]]] = {}
+    for ci, chain in enumerate(chains):
+        if len({weight_a[v] for v in chain}) != 1:
+            raise CrystalStructureError("bottom chain does not preserve the a-weight")
+        btype = tuple(g.vertices[v].weight_b for v in chain)
+        a1, a2 = weight_a[chain[0]]
+        by_type.setdefault(btype, {}).setdefault(a1 - a2, []).append(ci)
+
+    groups = []
+    for btype, by_level in sorted(by_type.items()):
+        vertices = [v for ids in by_level.values() for ci in ids for v in chains[ci]]
+        group_a = {v: weight_a[v] for v in vertices}
+        levels = sorted(by_level, reverse=True)
+        options = []
+        for pairs in _arrangements(by_level, list(range(levels[0], levels[-1] - 1, -2))):
+            images = {
+                src: dst for parent, child in pairs for src, dst in zip(chains[parent], chains[child])
+            }
+            report = is_valid_gl2_structure(images, group_a)
+            ok, witness = commutes_with_bottom(images, g)
+            if not report.valid or not ok:
+                raise CrystalStructureError(
+                    f"search produced an invalid candidate: {report.violations or witness}"
+                )
+            options.append(images)
+        if not options:
+            raise CrystalStructureError(
+                f"no valid stacking of bottom components of type {btype}"
+            )
+        groups.append((vertices, options))
+    return g, chains, groups
+
+
 def enumerate_completions(
     lam: Sequence[int],
     n: int = 2,
@@ -194,61 +243,20 @@ def enumerate_completions(
 ) -> tuple[CrystalGraph, list[PartialOperator]]:
     """All total top structures commuting with the bottom crystal.
 
-    Bottom components of equal type (same chain of b-weights) are stacked
-    into gl_2 strings in every level-respecting way; the operator between
-    consecutive chains is the unique b-weight-preserving isomorphism.  Every
-    result is re-validated before it is returned.
+    A completion is one validated option per b-type group; completions are
+    sorted by their edge lists.  cap bounds both the vertices and the
+    number of completions, which is known before any completion is built.
     """
-    if n != 2 or m != 2:
-        raise ValueError("completion search is implemented for n = m = 2")
-    g = full_crystal(lam, n, m, conv=conv, cap=cap)
-    weight_a = {v.id: v.weight_a for v in g.vertices}
-    chains = _bottom_chains(g)
-    for chain in chains:
-        if len({weight_a[v] for v in chain}) != 1:
-            raise CrystalStructureError("bottom chain does not preserve the a-weight")
-
-    by_type: dict[tuple[Weight, ...], dict[int, list[int]]] = {}
-    for ci, chain in enumerate(chains):
-        btype = tuple(g.vertices[v].weight_b for v in chain)
-        a1, a2 = weight_a[chain[0]]
-        by_type.setdefault(btype, {}).setdefault(a1 - a2, []).append(ci)
-
-    group_options: list[list[list[tuple[int, int]]]] = []
-    for btype, by_level in sorted(by_type.items()):
-        levels = sorted(by_level, reverse=True)
-        full_levels = list(range(levels[0], min(levels) - 1, -2))
-        options = list(_arrangements(by_level, full_levels))
-        if not options:
-            raise CrystalStructureError(
-                f"no valid stacking of bottom components of type {btype}"
-            )
-        group_options.append(options)
-
-    completions: list[PartialOperator] = []
-    for combo in itertools.product(*group_options):
-        images: dict[int, int] = {}
-        for pairs in combo:
-            for parent, child in pairs:
-                for src, dst in zip(chains[parent], chains[child]):
-                    images[src] = dst
-        report = is_valid_gl2_structure(images, weight_a)
-        ok, witness = commutes_with_bottom(images, g)
-        if not report.valid or not ok:
-            raise CrystalStructureError(
-                f"search produced an invalid candidate: {report.violations or witness}"
-            )
+    g, _, groups = _group_options(lam, n, m, conv, cap)
+    total = math.prod(len(options) for _, options in groups)
+    if total > cap:
+        raise CapExceededError(f"{total} completions exceed the cap {cap}")
+    completions = []
+    for combo in itertools.product(*(options for _, options in groups)):
+        images = {src: dst for option in combo for src, dst in option.items()}
         completions.append(PartialOperator(dict(sorted(images.items()))))
     completions.sort(key=lambda op: sorted(op.images.items()))
-    # exact deduplication as labeled structures
-    unique: list[PartialOperator] = []
-    seen: set[frozenset] = set()
-    for op in completions:
-        key = op.edge_set()
-        if key not in seen:
-            seen.add(key)
-            unique.append(op)
-    return g, unique
+    return g, completions
 
 
 @dataclass(frozen=True)
@@ -282,30 +290,27 @@ def skeleton(
 
     A vertex is free when its slot in the string structure (string length
     and depth from the top) varies across completions; free vertices are
-    grouped by (a,b)-weight, free bottom chains by a-weight.
+    grouped by (a,b)-weight, free bottom chains by a-weight.  Both are read
+    group by group, so no completion is built and cap bounds the vertices
+    only.
     """
-    g, completions = enumerate_completions(lam, n, m, conv, cap)
-    forced_edges = set(completions[0].edge_set())
-    for op in completions[1:]:
-        forced_edges &= op.edge_set()
-    # a vertex is free when its slot in the string structure (string length,
-    # depth from the top) varies across completions
-    positions: dict[int, set[tuple[int, int]]] = {v.id: set() for v in g.vertices}
-    for op in completions:
-        targets = set(op.images.values())
-        for head in (v.id for v in g.vertices if v.id not in targets):
-            path = [head]
-            while (nxt := op.images.get(path[-1])) is not None:
-                path.append(nxt)
-            for depth, v in enumerate(path):
-                positions[v].add((len(path), depth))
-    free = {v for v, pos in positions.items() if len(pos) > 1}
+    g, chains, groups = _group_options(lam, n, m, conv, cap)
+    forced_edges: set[tuple[int, int]] = set()
+    free: set[int] = set()
+    for vertices, options in groups:
+        forced_edges |= set(options[0].items()).intersection(*(op.items() for op in options[1:]))
+        positions: dict[int, set[tuple[int, int]]] = {v: set() for v in vertices}
+        for images in options:
+            for path in _strings(images, vertices):
+                for depth, v in enumerate(path):
+                    positions[v].add((len(path), depth))
+        free.update(v for v, pos in positions.items() if len(pos) > 1)
     slots: dict[tuple[Weight, Weight], list[int]] = {}
     for v in sorted(free):
         vert = g.vertices[v]
         slots.setdefault((vert.weight_a, vert.weight_b), []).append(v)
     segments: dict[Weight, list[tuple[int, ...]]] = {}
-    for chain in _bottom_chains(g):
+    for chain in chains:
         if any(v in free for v in chain):
             segments.setdefault(g.vertices[chain[0]].weight_a, []).append(chain)
     return SkeletonResult(
@@ -314,7 +319,7 @@ def skeleton(
         free_vertices=tuple(sorted(free)),
         free_slots={key: tuple(ids) for key, ids in sorted(slots.items())},
         free_segments={key: tuple(val) for key, val in sorted(segments.items())},
-        completion_count=len(completions),
+        completion_count=math.prod(len(options) for _, options in groups),
     )
 
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .bitableau import Bitableau, iter_bitableau_rows, weights
 from .graphs import CrystalGraph, CrystalVertex
-from .kernels import layer_runs, tally_yamanouchi_acontent
+from .kernels import count_d_table, layer_runs  # count_d_table is re-exported here
 from .partitions import Partition, check_partition, check_triple, enumerate_partitions, trim
 from .symfunc import monomial_coefficient_row
 from .tableaux import SkewSSYT, count_ssyt
@@ -69,13 +69,6 @@ def count_d(
     """Bitableaux of shape lam with a(T)=mu, b(T)=nu and Yamanouchi word."""
     lam, mu, nu = check_triple(lam, mu, nu)
     return layer_runs(nu, conv)(lam, len(mu)).get(mu, 0)  # mu is its own run
-
-
-def count_d_table(
-    lam: Sequence[int], nu: Sequence[int], n: int, conv: str = "w"
-) -> dict[tuple[int, ...], int]:
-    """Yamanouchi counts for every a-content at once (one layer-DP pass)."""
-    return tally_yamanouchi_acontent(check_partition(lam), n, nu, conv)
 
 
 def monomial_expansion_sweep(k: int, conv: str = "w") -> list[tuple[Partition, Partition, Partition, int, int]]:

@@ -148,13 +148,12 @@ def layer_runs(bcontent: Sequence[int], conv: str = "w") -> Callable[[Sequence[i
     return runs
 
 
-def tally_yamanouchi_acontent(
-    shape: Sequence[int], n: int, bcontent: Sequence[int], conv: str = "w"
+def count_d_table(
+    shape: Sequence[int], bcontent: Sequence[int], n: int, conv: str = "w"
 ) -> dict[tuple[int, ...], int]:
-    """Counts of Yamanouchi-reading-word bitableaux by exact a-content.
+    """Yamanouchi counts of one shape and b-content for every a-content at once.
 
     Keys are a-content vectors of length n; only nonzero counts appear.
-    b-content is fixed to bcontent (length m).
     """
     shape = check_partition(shape)
     runs = layer_runs(bcontent, conv)

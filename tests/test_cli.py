@@ -148,6 +148,15 @@ def test_completions_json(capsys):
     assert len(json.loads(out)) == 2
 
 
+def test_completion_count_over_the_cap_is_refused(capsys):
+    # (3,2) has 60 vertices and 576 completions; skeleton builds no completion
+    for command in ("completions", "census"):
+        code, out, err = run(capsys, command, "--shape", "3,2", "--cap", "575")
+        assert code == 3 and out == "" and err == "error: 576 completions exceed the cap 575\n"
+    code, out, _ = run(capsys, "skeleton", "--shape", "3,2", "--format", "json", "--cap", "575")
+    assert code == 0 and json.loads(out)["completions"] == 576
+
+
 def test_candidate_crystal_flag(capsys):
     code, out, _ = run(capsys, "crystal", "--candidate-21", "south")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 from bitableaux.bitableau import Bitableau, enumerate_bitableaux
 from bitableaux.completion import (
     PartialOperator,
+    _group_options,
     column_top_operator,
     commutes_with_bottom,
     enumerate_completions,
@@ -16,7 +17,7 @@ from bitableaux.completion import (
     shape21_candidate_crystal,
     skeleton,
 )
-from bitableaux.crystal import crystal_op_bitableau, full_crystal
+from bitableaux.crystal import CapExceededError, crystal_op_bitableau, full_crystal
 from bitableaux.insertion import Biword, brsk, rsk
 from bitableaux.partitions import enumerate_partitions
 from bitableaux.symfunc import kronecker_coefficient
@@ -181,14 +182,98 @@ def test_hook_skeleton_slots_by_a_weight():
     assert len(result.free_vertices) == 21
 
 
+def _skeleton_from_completions(g, ops):
+    """Reference skeleton: a walk over every completion of the whole product."""
+    forced = set(ops[0].edge_set()).intersection(*(op.edge_set() for op in ops[1:]))
+    positions = {v.id: set() for v in g.vertices}
+    for op in ops:
+        targets = set(op.images.values())
+        for head in positions:
+            if head in targets:
+                continue
+            path = [head]
+            while (nxt := op.images.get(path[-1])) is not None:
+                path.append(nxt)
+            for depth, v in enumerate(path):
+                positions[v].add((len(path), depth))
+    free = sorted(v for v, pos in positions.items() if len(pos) > 1)
+    slots = {}
+    for v in free:
+        slots.setdefault((g.vertices[v].weight_a, g.vertices[v].weight_b), []).append(v)
+    segments = {}
+    for head in (v.id for v in g.vertices if g.e(v.id, 1) is None):
+        chain = [head]
+        while (nxt := g.f(chain[-1], 1)) is not None:
+            chain.append(nxt)
+        if any(v in free for v in chain):
+            segments.setdefault(g.vertices[head].weight_a, []).append(tuple(chain))
+    return (
+        forced,
+        tuple(free),
+        {key: tuple(ids) for key, ids in sorted(slots.items())},
+        {key: tuple(val) for key, val in sorted(segments.items())},
+    )
+
+
 def test_forced_edges_equal_intersection_of_completions():
-    for shape in ((2, 2), (3, 1), (2, 1)):
-        result = skeleton(shape)
-        _, ops = enumerate_completions(shape)
-        expected = set(ops[0].edge_set())
-        for op in ops[1:]:
-            expected &= op.edge_set()
-        assert set(result.forced.images.items()) == expected
+    # skeleton reads its groups; the reference validates and walks the product
+    for k in range(1, 6):
+        for shape in enumerate_partitions(k, 4):
+            for conv in ("w", "w_prime"):
+                result = skeleton(shape, conv=conv)
+                g, ops = enumerate_completions(shape, conv=conv)
+                weight_a = {v.id: v.weight_a for v in g.vertices}
+                for op in ops:
+                    assert is_valid_gl2_structure(op.images, weight_a).valid, (shape, conv)
+                    assert commutes_with_bottom(op, g) == (True, None), (shape, conv)
+                keys = [list(op.images.items()) for op in ops]
+                assert keys == sorted(keys) and len(set(ops)) == len(ops)
+                forced, free, slots, segments = _skeleton_from_completions(g, ops)
+                assert set(result.forced.images.items()) == forced, (shape, conv)
+                assert result.free_vertices == free, (shape, conv)
+                assert dict(result.free_slots) == slots and list(result.free_slots) == list(slots)
+                assert dict(result.free_segments) == segments
+                assert list(result.free_segments) == list(segments)
+                assert result.completion_count == len(ops), (shape, conv)
+
+
+def test_skeleton_builds_no_completion(monkeypatch):
+    import bitableaux.completion as completion
+
+    def never(*args, **kwargs):
+        raise AssertionError("skeleton enumerated the completions")
+
+    monkeypatch.setattr(completion, "enumerate_completions", never)
+    assert skeleton((5, 1)).completion_count == 20736
+
+
+def test_completion_cap_counts_completions_before_building_them():
+    # (3,2) has 60 vertices and 576 completions
+    assert len(enumerate_completions((3, 2), cap=576)[1]) == 576
+    with pytest.raises(CapExceededError, match="576 completions exceed the cap 575"):
+        enumerate_completions((3, 2), cap=575)
+    assert skeleton((3, 2), cap=575).completion_count == 576
+
+
+def test_census_is_one_per_group_and_sums_to_the_coefficients():
+    # a top string stays inside one b-type group, so the census of a
+    # completion is the sum of its options' local censuses: equal censuses
+    # within every group make every completion's census that of any one
+    for k in range(1, 6):
+        two_row = [p for p in enumerate_partitions(k) if len(p) <= 2]
+        for lam in enumerate_partitions(k, 4):
+            for conv in ("w", "w_prime"):
+                g, _, groups = _group_options(lam, 2, 2, conv, 100_000)
+                first = {}
+                for _, options in groups:
+                    census = highest_weight_census(options[0], g)
+                    assert all(highest_weight_census(op, g) == census for op in options[1:])
+                    first.update(options[0])
+                census = highest_weight_census(first, g)
+                for mu in two_row:
+                    for nu in two_row:
+                        expected = kronecker_coefficient(lam, mu, nu)
+                        assert census.get((mu, nu), 0) == expected, (lam, mu, nu, conv)
 
 
 def test_every_completion_census_matches_the_coefficients():

@@ -5,7 +5,7 @@ import sys
 
 from conftest import nm_pairs, small_shapes
 from bitableaux.crystal import count_d
-from bitableaux.kernels import _spread, _tally_python_dict, layer_runs, tally_yamanouchi_acontent
+from bitableaux.kernels import _spread, _tally_python_dict, count_d_table, layer_runs
 from bitableaux.partitions import enumerate_partitions
 
 
@@ -19,7 +19,7 @@ def test_kernel_matches_reference_tally():
                 if sum(bcontent) != k:
                     continue
                 for conv in ("w", "w_prime"):
-                    fast = tally_yamanouchi_acontent(shape, n, bcontent, conv)
+                    fast = count_d_table(shape, bcontent, n, conv)
                     slow = _tally_python_dict(shape, n, bcontent, conv)
                     assert fast == slow, (shape, n, bcontent, conv)
                     cases += 1
@@ -49,7 +49,7 @@ def test_one_memo_serves_every_shape():
 
 
 def test_empty_shape():
-    assert tally_yamanouchi_acontent((), 2, ()) == {(0, 0): 1}
+    assert count_d_table((), (), 2) == {(0, 0): 1}
     assert count_d((), (), ()) == 1
 
 
@@ -62,8 +62,8 @@ def test_wide_alphabet_falls_back_to_dict():
     # a top alphabet wider than the shape has rows: the table restricted to
     # a-contents supported on the first three letters is the narrow table
     shape = (5, 2, 1)
-    wide = tally_yamanouchi_acontent(shape, 8, (8,), "w")
-    narrow = tally_yamanouchi_acontent(shape, 3, (8,), "w")
+    wide = count_d_table(shape, (8,), 8, "w")
+    narrow = count_d_table(shape, (8,), 3, "w")
     projected = {
         key[:3]: count
         for key, count in wide.items()
@@ -80,7 +80,7 @@ def test_tables_are_symmetric_in_the_acontent():
         for n in (2, 3, 4):
             for nu in enumerate_partitions(k, 3):
                 for conv in ("w", "w_prime"):
-                    table = tally_yamanouchi_acontent(shape, n, nu, conv)
+                    table = count_d_table(shape, nu, n, conv)
                     for key, count in table.items():
                         for perm in set(itertools.permutations(key)):
                             assert table.get(perm) == count, (shape, n, nu, conv, key, perm)
