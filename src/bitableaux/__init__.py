@@ -29,6 +29,7 @@ from .crystal import (
     count_d_table,
     crystal_op_bitableau,
     full_crystal,
+    highest_weight_bitableaux,
     is_highest_weight,
     skew_decomposition,
     monomial_expansion_sweep,

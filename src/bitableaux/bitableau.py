@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .partitions import Partition, check_partition
-from .tableaux import SSYT, grid_rows, is_int, iter_ssyt_rows
+from .tableaux import SSYT, check_semistandard, grid_rows, is_int, iter_ssyt_rows
 
 Pair = tuple[int, int]
 PairRows = tuple[tuple[Pair, ...], ...]
@@ -33,14 +33,11 @@ class Bitableau:
         check_partition(self.shape)
         if tuple(len(r) for r in self.rows) != self.shape:
             raise ValueError("row lengths do not match shape")
-        for r, row in enumerate(self.rows):
-            for c, (a, b) in enumerate(row):
+        for row in self.rows:
+            for a, b in row:
                 if not (1 <= a <= self.n and 1 <= b <= self.m):
                     raise ValueError(f"entry ({a},{b}) outside [1,{self.n}]x[1,{self.m}]")
-                if c and (a, b) < row[c - 1]:
-                    raise ValueError("rows must weakly increase lexicographically")
-                if r and c < len(self.rows[r - 1]) and (a, b) <= self.rows[r - 1][c]:
-                    raise ValueError("columns must strictly increase lexicographically")
+        check_semistandard(self.rows)
 
     @property
     def size(self) -> int:

@@ -35,7 +35,7 @@ from .kron_tableaux import kronecker_count_row
 from .partitions import check_partition, enumerate_partitions
 from .symfunc import kronecker_coefficient, monomial_coefficient_d
 from .tableaux import SSYT, count_ssyt, enumerate_ssyt, reading_word
-from .words import bitableau_reading_word
+from .words import READING_METHODS, bitableau_reading_word
 
 USAGE_ERROR = 1
 MISMATCH = 2
@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int)
 
     p = sub.add_parser("word", help="reading word of a tableau or bitableau")
-    p.add_argument("--method", default="w", choices=["row", "w", "w_prime", "u", "u_prime"])
+    p.add_argument("--method", default="w", choices=READING_METHODS)
     p.add_argument("--tableau")
     p.add_argument("--in", dest="infile")
     p.add_argument("--shape", type=_partition, help="optional; checked against the rows")

@@ -23,17 +23,20 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .bitableau import Bitableau, iter_bitableau_rows, weights
-from .crystal import CapExceededError, CrystalStructureError, full_crystal
+from .bitableau import Bitableau, weights
+from .crystal import (
+    CapExceededError,
+    CrystalStructureError,
+    full_crystal,
+    highest_weight_bitableaux,
+)
 from .graphs import CrystalGraph, CrystalVertex
 from .partitions import Partition, trim
 from .tableaux import ssyt_from_reading_word
 from .words import (
     bitableau_reading_cells,
-    bitableau_reading_word,
     crystal_op_position,
     crystal_op_word,
-    is_yamanouchi,
 )
 
 Weight = tuple[int, ...]
@@ -424,13 +427,10 @@ def shape21_candidate_crystal(corner_first: str = "south") -> CrystalGraph:
     """
     if corner_first not in ("south", "east"):
         raise ValueError("corner_first must be 'south' or 'east'")
-    lam = (2, 1)
-    keep: list[Bitableau] = []
-    for rows in iter_bitableau_rows(lam, 3, 2, bcontent=(2, 1)):
-        t = Bitableau(lam, rows, 3, 2)
-        if is_yamanouchi(bitableau_reading_word(t, "w")):
-            keep.append(t)
-    keep.sort(key=lambda t: json.dumps(t.to_json(), sort_keys=True))
+    keep = sorted(
+        highest_weight_bitableaux((2, 1), 3, 2, bcontent=(2, 1)),
+        key=lambda t: json.dumps(t.to_json(), sort_keys=True),
+    )
 
     words: dict[int, tuple[int, ...]] = {}
     lookup: dict[tuple[int, ...], int] = {}

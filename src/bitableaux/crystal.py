@@ -8,7 +8,7 @@ that streamlined route.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bitableau import Bitableau, iter_bitableau_rows, weights
 from .graphs import CrystalGraph, CrystalVertex
@@ -61,6 +61,26 @@ def crystal_op_bitableau(
 def is_highest_weight(t: Bitableau, conv: str = "w") -> bool:
     word, _ = bitableau_reading_cells(t, conv)
     return is_yamanouchi(word)
+
+
+def highest_weight_bitableaux(
+    lam: Sequence[int],
+    n: int,
+    m: int,
+    bcontent: Sequence[int] | None = None,
+    acontent: Sequence[int] | None = None,
+    conv: str = "w",
+) -> Iterator[Bitableau]:
+    """The highest-weight bitableaux of B_lam(n,m) under conv, in filler order.
+
+    bcontent and acontent, when given, keep only the fillings with exactly
+    that b- and a-content.
+    """
+    lam = check_partition(lam)
+    for rows in iter_bitableau_rows(lam, n, m, bcontent, acontent):
+        t = Bitableau(lam, rows, n, m)
+        if is_highest_weight(t, conv):
+            yield t
 
 
 def count_d(

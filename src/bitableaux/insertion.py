@@ -9,6 +9,7 @@ from typing import Sequence
 from .bitableau import Bitableau
 from .partitions import conjugate
 from .tableaux import SSYT, Rows, SkewSSYT
+from .words import bitableau_reading_cells
 
 Word = tuple[int, ...]
 Cell = tuple[int, int]
@@ -86,22 +87,25 @@ def row_insert(t: SSYT, x: int) -> tuple[SSYT, Cell]:
     if x < 1:
         raise ValueError("inserted value must be positive")
     rows = [list(r) for r in t.rows]
-    val = x
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([val])
-            cell = (r, 0)
-            break
-        row = rows[r]
-        pos = bisect_right(row, val)
+    r = _bump(rows, x)
+    return SSYT.from_rows(rows, max(t.max_entry, x)), (r + 1, len(rows[r]))
+
+
+def _bump(rows: list[list[int]], x: int, strict: bool = False) -> int:
+    """Insert x into rows in place; returns the row of the new cell.
+
+    Each row's leftmost entry greater than x (row insertion) or, strict, at
+    least x (dual insertion) is bumped into the next row.
+    """
+    find = bisect_left if strict else bisect_right
+    for r, row in enumerate(rows):
+        pos = find(row, x)
         if pos == len(row):
-            row.append(val)
-            cell = (r, pos)
-            break
-        val, row[pos] = row[pos], val
-        r += 1
-    return SSYT.from_rows(rows, max(t.max_entry, x)), (cell[0] + 1, cell[1] + 1)
+            row.append(x)
+            return r
+        x, row[pos] = row[pos], x
+    rows.append([x])
+    return len(rows) - 1
 
 
 def insert_word(word: Sequence[int]) -> SSYT:
@@ -143,15 +147,14 @@ def transpose_rows(rows: Rows) -> Rows:
 def burge_word(t: Bitableau) -> Biword:
     """Burge word of a single-column bitableau.
 
-    Entries (1,*) are read first, then (2,*) and so on, bottom to top, which
-    sorts ties in decreasing order of the second coordinate.
+    Its columns are the entries in the order of the w reading word: (1,*)
+    first, then (2,*) and so on, bottom to top, which sorts ties in
+    decreasing order of the second coordinate.
     """
     if any(length != 1 for length in t.shape):
         raise ValueError("burge words are read from single-column bitableaux")
-    cols: list[tuple[int, int]] = []
-    for a in range(1, t.n + 1):
-        group = [row[0] for row in t.rows if row[0][0] == a]
-        cols.extend(reversed(group))
+    _, cells = bitableau_reading_cells(t, "w")
+    cols = [t.rows[r][c] for r, c in cells]
     return Biword(
         tuple(a for a, _ in cols), tuple(b for _, b in cols), "burge"
     )
@@ -162,27 +165,11 @@ def brsk(t: Bitableau) -> TableauPair:
     return rsk(burge_word(t))
 
 
-def dual_row_insert(rows: list[list[int]], x: int) -> list[list[int]]:
-    val = x
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([val])
-            return rows
-        row = rows[r]
-        pos = bisect_left(row, val)
-        if pos == len(row):
-            row.append(val)
-            return rows
-        val, row[pos] = row[pos], val
-        r += 1
-
-
 def dual_rsk_insert(word: Sequence[int]) -> Rows:
     """P'(w): dual insertion tableau, row-strict (transpose is semistandard)."""
     rows: list[list[int]] = []
     for x in word:
-        dual_row_insert(rows, x)
+        _bump(rows, x, strict=True)
     out = tuple(tuple(r) for r in rows)
     SSYT.from_rows(transpose_rows(out))  # validates row-strictness
     return out

@@ -14,7 +14,9 @@ far, layers left) does not depend on lam, so one memo serves every shape.
 Empty layers add nothing to the word, so the DP counts by run: the sizes of
 the nonempty layers, a ascending.  A partition a-content without zeros is its
 own run; _spread places each run over the n top values for the full table.
-_tally_python_dict is the naive reference that enumerates every filling.
+_tally_python_dict is the naive reference: it tallies the crystal's
+highest-weight bitableaux (crystal.highest_weight_bitableaux), so the kernel
+is checked against the reading word the crystal itself uses.
 """
 
 from __future__ import annotations
@@ -189,26 +191,12 @@ def _spread(runs: dict[tuple[int, ...], int], n: int) -> dict[tuple[int, ...], i
 def _tally_python_dict(
     shape: Sequence[int], n: int, bcontent: Sequence[int], conv: str
 ) -> dict[tuple[int, ...], int]:
-    """Naive reference: enumerate every filling and test its reading word."""
-    from .bitableau import iter_bitableau_rows
-    from .words import is_yamanouchi
+    """Naive reference: the crystal's highest-weight bitableaux, tallied by a-content."""
+    from .bitableau import weights
+    from .crystal import highest_weight_bitableaux
 
     result: dict[tuple[int, ...], int] = {}
-    groups = range(1, n + 1) if conv == "w" else range(n, 0, -1)
-    for rows in iter_bitableau_rows(shape, n, len(bcontent), bcontent):
-        word = [
-            b
-            for a in groups
-            for r in range(len(rows) - 1, -1, -1)
-            for (x, b) in rows[r]
-            if x == a
-        ]
-        if is_yamanouchi(word):
-            acnt = [0] * n
-            for row in rows:
-                for a, _ in row:
-                    acnt[a - 1] += 1
-            key = tuple(acnt)
-            result[key] = result.get(key, 0) + 1
+    for t in highest_weight_bitableaux(shape, n, len(bcontent), bcontent, conv=conv):
+        key = weights(t)[0]
+        result[key] = result.get(key, 0) + 1
     return result
-

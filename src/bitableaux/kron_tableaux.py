@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .bitableau import Bitableau, iter_bitableau_rows
+from .bitableau import Bitableau
+from .crystal import highest_weight_bitableaux, is_highest_weight
 from .partitions import Partition, check_partition, trim
 from .symfunc import kronecker_coefficient
-from .words import bitableau_reading_word, is_yamanouchi
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class KroneckerVerdict:
 def _require_b_prime(t: Bitableau) -> None:
     if t.n != 2:
         raise ValueError("Kronecker tableaux require top entries in [2]")
-    if not is_yamanouchi(bitableau_reading_word(t, "w_prime")):
+    if not is_highest_weight(t, "w_prime"):
         raise ValueError("tableau is not highest weight: w'(T) is not Yamanouchi")
 
 
@@ -79,7 +79,7 @@ def phi(t: Bitableau) -> Bitableau | None:
         image = t.with_entry(0, col, (2, first[col][1]))
     except ValueError:
         return None
-    if not is_yamanouchi(bitableau_reading_word(image, "w_prime")):
+    if not is_highest_weight(image, "w_prime"):
         return None
     return image
 
@@ -88,13 +88,8 @@ def iter_b_prime_content(
     lam: Sequence[int], p: int, nu: Sequence[int]
 ) -> Iterator[Bitableau]:
     """Members of B'_lam(2,m) with a(T) = (p, k-p) and b(T) = nu."""
-    lam = check_partition(lam)
-    k = sum(lam)
-    nu = tuple(nu)
-    for rows in iter_bitableau_rows(lam, 2, len(nu), nu, (p, k - p)):
-        t = Bitableau(lam, rows, 2, len(nu))
-        if is_yamanouchi(bitableau_reading_word(t, "w_prime")):
-            yield t
+    k = sum(check_partition(lam))
+    return highest_weight_bitableaux(lam, 2, len(nu), nu, (p, k - p), "w_prime")
 
 
 def kronecker_tableaux(lam: Sequence[int], p: int, nu: Sequence[int]) -> list[Bitableau]:

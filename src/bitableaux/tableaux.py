@@ -24,7 +24,11 @@ class SSYT:
         check_partition(self.shape)
         if tuple(len(r) for r in self.rows) != self.shape:
             raise ValueError("row lengths do not match shape")
-        check_semistandard(self.rows, self.max_entry)
+        for row in self.rows:
+            for x in row:
+                if not 1 <= x <= self.max_entry:
+                    raise ValueError(f"entry {x} outside [1, {self.max_entry}]")
+        check_semistandard(self.rows)
 
     @property
     def size(self) -> int:
@@ -81,20 +85,9 @@ class SkewSSYT:
             o - i for o, i in zip(self.outer, inner)
         ):
             raise ValueError("row lengths do not match skew shape")
-        for r, row in enumerate(self.rows):
-            for c, x in enumerate(row):
-                if x < 1:
-                    raise ValueError("entries must be positive")
-                if c and x < row[c - 1]:
-                    raise ValueError("rows must weakly increase")
-        # column strictness across the inner offset
-        for r in range(1, len(self.rows)):
-            hi, lo = inner[r - 1], inner[r]
-            for c, x in enumerate(self.rows[r]):
-                col = lo + c
-                if col >= hi and col < self.outer[r - 1]:
-                    if x <= self.rows[r - 1][col - hi]:
-                        raise ValueError("columns must strictly increase")
+        if any(x < 1 for row in self.rows for x in row):
+            raise ValueError("entries must be positive")
+        check_semistandard(self.rows, inner)
 
     @property
     def size(self) -> int:
@@ -118,14 +111,22 @@ def grid_rows(rows: object, is_cell, cell_form: str) -> tuple[tuple, ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def check_semistandard(rows: Sequence[Sequence[int]], max_entry: int) -> None:
+def check_semistandard(rows: Sequence[Sequence], inner: Sequence[int] = ()) -> None:
+    """ValueError unless rows weakly increase and columns strictly increase.
+
+    Row r starts at column inner[r] (0 past the end of inner).  Entries
+    compare in their alphabet's order, so integers and lexicographically
+    ordered pairs both work.  This is the one semistandard check.
+    """
+    starts = tuple(inner) + (0,) * (len(rows) - len(inner))
     for r, row in enumerate(rows):
+        # cell c of row r sits below cell c + shift of the row above
+        above = rows[r - 1] if r else ()
+        shift = starts[r] - starts[r - 1] if r else 0
         for c, x in enumerate(row):
-            if not 1 <= x <= max_entry:
-                raise ValueError(f"entry {x} outside [1, {max_entry}]")
             if c and x < row[c - 1]:
                 raise ValueError("rows must weakly increase")
-            if r and c < len(rows[r - 1]) and x <= rows[r - 1][c]:
+            if 0 <= c + shift < len(above) and x <= above[c + shift]:
                 raise ValueError("columns must strictly increase")
 
 
@@ -154,7 +155,7 @@ def iter_ssyt_rows(
     for classes, content in budgets:
         if len(classes) != size or not set(classes) <= set(range(len(content))):
             raise ValueError("a budget needs one class in range(len(content)) per letter")
-        if sum(content) != sum(shape):
+        if sum(content) != sum(shape) or min(content, default=0) < 0:
             return
         slots = [slot + (len(left) + cls,) for slot, cls in zip(slots, classes)]
         left.extend(content)

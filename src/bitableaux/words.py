@@ -76,18 +76,10 @@ def crystal_op_word(word: Sequence[int], i: int, direction: str) -> Word | None:
     if i < 1:
         raise ValueError("operator index must be at least 1")
     word = tuple(word)
-    opens, closes = unmatched_brackets(word, i)
-    if direction == "lower":
-        if not closes:
-            return None
-        pos = closes[-1]
-        return word[:pos] + (i + 1,) + word[pos + 1 :]
-    if direction == "raise":
-        if not opens:
-            return None
-        pos = opens[0]
-        return word[:pos] + (i,) + word[pos + 1 :]
-    raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    pos = crystal_op_position(word, i, direction)
+    if pos is None:
+        return None
+    return word[:pos] + (i + 1 if direction == "lower" else i,) + word[pos + 1 :]
 
 
 def crystal_op_position(word: Sequence[int], i: int, direction: str) -> int | None:

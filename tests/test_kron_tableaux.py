@@ -1,6 +1,7 @@
 import pytest
 
 from bitableaux.bitableau import Bitableau, weights
+from bitableaux.kernels import count_d_table
 from bitableaux.kron_tableaux import (
     count_kronecker_tableaux,
     in_two_row_regime,
@@ -142,6 +143,25 @@ def test_lowering_target_is_unique():
         ((1, 1), (1, 1), (2, 2), (2, 2)),
         ((2, 1), (2, 3), (2, 3)),
     )
+
+
+def test_b_prime_content_matches_the_kernel():
+    # the enumerator of B'_lam(2,m) members with a(T) = (p, k-p), b(T) = nu
+    # against the counting kernel's w' table, every lam, nu |- k <= 6, every p
+    cases = total = 0
+    for k in range(1, 7):
+        parts = enumerate_partitions(k)
+        for lam in parts:
+            for nu in parts:
+                table = count_d_table(lam, nu, 2, "w_prime")
+                for p in range(k + 1):
+                    count = len(list(iter_b_prime_content(lam, p, nu)))
+                    assert count == table.get((p, k - p), 0), (lam, p, nu)
+                    cases += 1
+                    total += count
+    assert (cases, total) == (1316, 840)
+    # p > k asks for a negative second top count: no member, not every filling
+    assert list(iter_b_prime_content((2,), 3, (2,))) == []
 
 
 def test_csv_row():

@@ -139,6 +139,8 @@ def test_filler_budgets():
         (("b", "e"), ("e",)),
     ]
     assert list(iter_ssyt_rows((2, 1), "abe", [((0, 1, 0), (3, 1))])) == []
+    # a negative count has no filling, even when the counts sum to the size
+    assert list(iter_ssyt_rows((2, 1), "abe", [((0, 1, 0), (4, -1))])) == []
     with pytest.raises(ValueError):
         list(iter_ssyt_rows((1,), 3, [((0, 1), (1, 0))]))
     with pytest.raises(ValueError):
