@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .partitions import Partition, check_partition
-from .tableaux import SSYT, check_semistandard, grid_rows, is_int, iter_ssyt_rows
+from .partitions import Partition, check_partition, is_int
+from .tableaux import SSYT, check_semistandard, grid_rows, iter_ssyt_rows
 
 Pair = tuple[int, int]
 PairRows = tuple[tuple[Pair, ...], ...]
@@ -102,6 +102,8 @@ def pair_to_int(pair: Pair, m: int) -> int:
 
 
 def int_to_pair(value: int, m: int) -> Pair:
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     if value < 1:
         raise ValueError("value must be positive")
     return ((value - 1) // m + 1, (value - 1) % m + 1)

@@ -35,7 +35,7 @@ from .kron_tableaux import kronecker_count_row
 from .partitions import check_partition, enumerate_partitions
 from .symfunc import kronecker_coefficient, monomial_coefficient_d
 from .tableaux import SSYT, count_ssyt, enumerate_ssyt, reading_word
-from .words import READING_METHODS, bitableau_reading_word
+from .words import CONVENTIONS, READING_METHODS, bitableau_reading_word
 
 USAGE_ERROR = 1
 MISMATCH = 2
@@ -45,10 +45,8 @@ ARITHMETIC_ERROR = 5
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+    def error(self, message: str):  # argparse would print usage and exit 2
+        raise ValueError(message)
 
 
 def _partition(text: str) -> tuple[int, ...]:
@@ -111,102 +109,96 @@ def _fmt_partition(p: Sequence[int]) -> str:
     return ",".join(map(str, p)) if p else "-"
 
 
+def _options() -> argparse.ArgumentParser:
+    """A group of options that several subcommands share, declared once."""
+    return argparse.ArgumentParser(add_help=False)
+
+
 def build_parser() -> _Parser:
+    """The command table: each subcommand once, with its help, options and handler."""
+    conv = _options()
+    conv.add_argument("--conv", default="w", choices=CONVENTIONS)
+    cap = _options()
+    cap.add_argument("--cap", type=int, default=10**6)
+    sizes = _options()
+    sizes.add_argument("--n", type=int)
+    sizes.add_argument("--m", type=int)
+    tableau = _options()
+    tableau.add_argument("--tableau")
+    tableau.add_argument("--in", dest="infile")
+
     parser = _Parser(prog="bitableaux", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="partitions, SSYT, or bitableaux")
+    def command(name: str, run, help: str, *parents: argparse.ArgumentParser):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("enumerate", _cmd_enumerate, "partitions, SSYT, or bitableaux", sizes, cap)
     p.add_argument("--k", type=int, help="enumerate partitions of k")
     p.add_argument("--max-length", type=int, default=None)
     p.add_argument("--shape", type=_partition)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--cap", type=int, default=10**6)
 
-    p = sub.add_parser("weights", help="a- and b-weight of a bitableau")
-    p.add_argument("--tableau")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
+    command("weights", _cmd_weights, "a- and b-weight of a bitableau", tableau, sizes)
 
-    p = sub.add_parser("word", help="reading word of a tableau or bitableau")
+    p = command("word", _cmd_word, "reading word of a tableau or bitableau", tableau, sizes)
     p.add_argument("--method", default="w", choices=READING_METHODS)
-    p.add_argument("--tableau")
-    p.add_argument("--in", dest="infile")
     p.add_argument("--shape", type=_partition, help="optional; checked against the rows")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
 
-    p = sub.add_parser("rsk", help="RSK of a biword")
+    p = command("rsk", _cmd_rsk, "RSK of a biword")
     p.add_argument("--tops", required=True)
     p.add_argument("--bottoms", required=True)
     p.add_argument("--flavor", default="lexicographic", choices=["lexicographic", "burge"])
 
-    p = sub.add_parser("brsk", help="Burge insertion of a column bitableau")
-    p.add_argument("--tableau")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
+    command("brsk", _cmd_brsk, "Burge insertion of a column bitableau", tableau, sizes)
 
-    p = sub.add_parser("jdt", help="jeu de taquin product of two tableaux")
+    p = command("jdt", _cmd_jdt, "jeu de taquin product of two tableaux")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
-    p = sub.add_parser("crystal", help="crystal graph exports")
+    p = command("crystal", _cmd_crystal, "crystal graph exports", sizes, conv, cap)
     p.add_argument("--shape", type=_partition)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--conv", default="w", choices=["w", "w_prime"])
     p.add_argument("--format", default="dot", choices=["dot", "json"])
-    p.add_argument("--cap", type=int, default=10**6)
     p.add_argument(
         "--candidate-21",
         choices=["south", "east"],
         help="emit the fixed-reading-order gl_3 candidate on shape (2,1)",
     )
 
-    p = sub.add_parser("g", help="Kronecker coefficient, or a CSV table of them")
+    p = command("g", _cmd_g, "Kronecker coefficient, or a CSV table of them")
     p.add_argument("--lam", type=_partition)
     p.add_argument("--mu", type=_partition)
     p.add_argument("--nu", type=_partition)
     p.add_argument("--sweep-k", type=int, help="emit (lam, mu, nu, g) for all triples of k")
 
-    p = sub.add_parser("d", help="monomial-expansion coefficient")
+    p = command("d", _cmd_d, "monomial-expansion coefficient", conv)
     p.add_argument("--lam", type=_partition, required=True)
     p.add_argument("--mu", type=_partition, required=True)
     p.add_argument("--nu", type=_partition, required=True)
     p.add_argument("--mode", default="both", choices=["both", "oracle", "crystal"])
-    p.add_argument("--conv", default="w", choices=["w", "w_prime"])
 
-    p = sub.add_parser("verify-thm2", help="crystal counts against the character oracle")
+    p = command(
+        "verify-thm2", _cmd_verify_thm2, "crystal counts against the character oracle", conv
+    )
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--conv", default="w", choices=["w", "w_prime"])
     p.add_argument("--quiet", action="store_true", help="only print the summary line")
 
-    p = sub.add_parser("kron-tableaux", help="Kronecker tableau count vs. coefficient")
+    p = command("kron-tableaux", _cmd_kron_tableaux, "Kronecker tableau count vs. coefficient")
     p.add_argument("--lam", type=_partition, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--nu", type=_partition, required=True)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
 
-    p = sub.add_parser("skeleton", help="forced part of the candidate top structure")
-    p.add_argument("--shape", type=_partition, required=True)
-    p.add_argument("--conv", default="w", choices=["w", "w_prime"])
+    shape = _options()
+    shape.add_argument("--shape", type=_partition, required=True)
+    search = (shape, conv, cap)
+    p = command("skeleton", _cmd_skeleton, "forced part of the candidate top structure", *search)
     p.add_argument("--format", default="dot", choices=["dot", "json"])
-    p.add_argument("--cap", type=int, default=10**6)
-
-    p = sub.add_parser("completions", help="all valid commuting totalizations")
-    p.add_argument("--shape", type=_partition, required=True)
-    p.add_argument("--conv", default="w", choices=["w", "w_prime"])
-    p.add_argument("--cap", type=int, default=10**6)
-
-    p = sub.add_parser("census", help="highest-weight census of a completion")
-    p.add_argument("--shape", type=_partition, required=True)
-    p.add_argument("--conv", default="w", choices=["w", "w_prime"])
+    command("completions", _cmd_completions, "all valid commuting totalizations", *search)
+    p = command("census", _cmd_census, "highest-weight census of a completion", *search)
     p.add_argument("--completion", type=int, default=0)
-    p.add_argument("--cap", type=int, default=10**6)
-
     return parser
 
 
@@ -216,8 +208,7 @@ def _cmd_enumerate(args) -> int:
         print(_dump([list(p) for p in parts]))
         return 0
     if args.shape is None or args.n is None:
-        print("error: need --k, or --shape with --n (and --m for bitableaux)", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("need --k, or --shape with --n (and --m for bitableaux)")
     pairs = args.m is not None
     if args.n < 1 or pairs and args.m < 1:
         raise ValueError("n and m must be at least 1" if pairs else "n must be at least 1")
@@ -243,8 +234,7 @@ def _cmd_word(args) -> int:
         t = _bitableau_arg(args)
         word = bitableau_reading_word(t, args.method)
     if args.shape and t.shape != args.shape:
-        print("error: --shape does not match the rows", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--shape does not match the rows")
     _print_word(word)
     return 0
 
@@ -364,8 +354,7 @@ def _cmd_crystal(args) -> int:
         g = shape21_candidate_crystal(args.candidate_21)
     else:
         if args.shape is None or args.n is None or args.m is None:
-            print("error: crystal needs --shape, --n and --m", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("crystal needs --shape, --n and --m")
         g = full_crystal(args.shape, args.n, args.m, args.conv, args.cap)
     sys.stdout.write(export_crystal(g, args.format))
     if args.format == "json":
@@ -390,8 +379,7 @@ def _cmd_g(args) -> int:
         )
         return 0
     if args.lam is None or args.mu is None or args.nu is None:
-        print("error: need --lam, --mu and --nu (or --sweep-k)", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("need --lam, --mu and --nu (or --sweep-k)")
     print(kronecker_coefficient(args.lam, args.mu, args.nu))
     return 0
 
@@ -421,8 +409,7 @@ def _cmd_completions(args) -> int:
 def _cmd_census(args) -> int:
     g, ops = enumerate_completions(args.shape, conv=args.conv, cap=args.cap)
     if not 0 <= args.completion < len(ops):
-        print(f"error: completion index outside [0, {len(ops) - 1}]", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"completion index outside [0, {len(ops) - 1}]")
     census = highest_weight_census(ops[args.completion], g)
     _csv_out(
         ["mu", "nu", "count"],
@@ -434,29 +421,15 @@ def _cmd_census(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "weights": _cmd_weights,
-    "word": _cmd_word,
-    "rsk": _cmd_rsk,
-    "brsk": _cmd_brsk,
-    "jdt": _cmd_jdt,
-    "crystal": _cmd_crystal,
-    "g": _cmd_g,
-    "d": _cmd_d,
-    "verify-thm2": _cmd_verify_thm2,
-    "kron-tableaux": _cmd_kron_tableaux,
-    "skeleton": _cmd_skeleton,
-    "completions": _cmd_completions,
-    "census": _cmd_census,
-}
+_PARSER = build_parser()  # built once per process; every handler reads module globals when run
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code; only --help exits, with 0."""
     try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, json.JSONDecodeError, OSError) as exc:
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # argparse errors and json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CapExceededError as exc:

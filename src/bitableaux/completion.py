@@ -187,7 +187,7 @@ def _arrangements(
 
 
 def _group_options(
-    lam: Sequence[int], n: int, m: int, conv: str, cap: int
+    lam: Sequence[int], conv: str, cap: int
 ) -> tuple[CrystalGraph, list[tuple[int, ...]], list[tuple[list[int], list[dict[int, int]]]]]:
     """The graph, its bottom chains and, per b-type group, its vertices and options.
 
@@ -198,9 +198,7 @@ def _group_options(
     f_1 stays inside its chain, so a choice of one option per group is a
     valid completion exactly when every option is valid.
     """
-    if n != 2 or m != 2:
-        raise ValueError("completion search is implemented for n = m = 2")
-    g = full_crystal(lam, n, m, conv=conv, cap=cap)
+    g = full_crystal(lam, 2, 2, conv=conv, cap=cap)
     weight_a = {v.id: v.weight_a for v in g.vertices}
     f_1 = {src: dst for (src, _), dst in g.edges.items()}  # m = 2: the only bottom operator
     chains = [tuple(c) for c in _strings(f_1, weight_a)]
@@ -238,11 +236,7 @@ def _group_options(
 
 
 def enumerate_completions(
-    lam: Sequence[int],
-    n: int = 2,
-    m: int = 2,
-    conv: str = "w",
-    cap: int = 100_000,
+    lam: Sequence[int], conv: str = "w", cap: int = 100_000
 ) -> tuple[CrystalGraph, list[PartialOperator]]:
     """All total top structures commuting with the bottom crystal.
 
@@ -250,7 +244,7 @@ def enumerate_completions(
     sorted by their edge lists.  cap bounds both the vertices and the
     number of completions, which is known before any completion is built.
     """
-    g, _, groups = _group_options(lam, n, m, conv, cap)
+    g, _, groups = _group_options(lam, conv, cap)
     total = math.prod(len(options) for _, options in groups)
     if total > cap:
         raise CapExceededError(f"{total} completions exceed the cap {cap}")
@@ -282,13 +276,7 @@ class SkeletonResult:
         return len(self.graph.vertices) - len(self.free_vertices)
 
 
-def skeleton(
-    lam: Sequence[int],
-    n: int = 2,
-    m: int = 2,
-    conv: str = "w",
-    cap: int = 100_000,
-) -> SkeletonResult:
+def skeleton(lam: Sequence[int], conv: str = "w", cap: int = 100_000) -> SkeletonResult:
     """Forced top edges (common to every completion) and the free slots.
 
     A vertex is free when its slot in the string structure (string length
@@ -297,7 +285,7 @@ def skeleton(
     group by group, so no completion is built and cap bounds the vertices
     only.
     """
-    g, chains, groups = _group_options(lam, n, m, conv, cap)
+    g, chains, groups = _group_options(lam, conv, cap)
     forced_edges: set[tuple[int, int]] = set()
     free: set[int] = set()
     for vertices, options in groups:
@@ -331,15 +319,12 @@ def highest_weight_census(
 ) -> dict[tuple[Partition, Partition], int]:
     """Doubly-highest-weight vertices per (a,b) weight pair."""
     images = f_top.images if isinstance(f_top, PartialOperator) else f_top
-    has_top_preimage = set(images.values())
+    doubly = set(g.highest_weight_ids()).difference(images.values())
     census: dict[tuple[Partition, Partition], int] = {}
     for v in g.vertices:
-        if v.id in has_top_preimage:
-            continue
-        if any(g.e(v.id, i) is not None for i in g.operator_indices()):
-            continue
-        key = (trim(v.weight_a), trim(v.weight_b))
-        census[key] = census.get(key, 0) + 1
+        if v.id in doubly:
+            key = (trim(v.weight_a), trim(v.weight_b))
+            census[key] = census.get(key, 0) + 1
     return census
 
 

@@ -17,6 +17,7 @@ from .partitions import Partition, check_partition, check_triple, enumerate_part
 from .symfunc import monomial_coefficient_row
 from .tableaux import SkewSSYT, count_ssyt
 from .words import (
+    CONVENTIONS,
     bitableau_reading_cells,
     crystal_op_position,
     is_yamanouchi,
@@ -40,7 +41,7 @@ def crystal_op_bitableau(
     None mirrors the word-level null; an invalid resulting filling raises
     CrystalStructureError.
     """
-    if conv not in ("w", "w_prime"):
+    if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
     if not 1 <= i < t.m:
         raise ValueError(f"operator index {i} outside [1, {t.m - 1}]")

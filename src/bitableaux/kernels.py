@@ -26,6 +26,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .partitions import check_partition, trim
+from .words import CONVENTIONS
 
 Shape = tuple[int, ...]
 Content = tuple[int, ...]
@@ -104,13 +105,13 @@ def layer_runs(bcontent: Sequence[int], conv: str = "w") -> Callable[[Sequence[i
 
     runs(shape, n) maps each run of at most n layers to its count.  Its
     memos live as long as runs and serve every shape; a b-content that is
-    not a partition has no Yamanouchi word.
+    not a partition (padded with zeros) has no Yamanouchi word.
     """
-    if conv not in ("w", "w_prime"):
+    if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
     cap = tuple(bcontent)
     m = len(cap)
-    lattice = all(x >= y for x, y in zip(cap, cap[1:]))
+    lattice = all(x >= y for x, y in zip(cap, cap[1:] + (0,)))  # weakly decreasing, >= 0
     fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}
     memo: dict[tuple[Shape, Content, int], Runs] = {}
 
@@ -158,15 +159,10 @@ def count_d_table(
     Keys are a-content vectors of length n; only nonzero counts appear.
     """
     shape = check_partition(shape)
-    runs = layer_runs(bcontent, conv)
-    k = sum(shape)
-    if k != sum(bcontent):
-        return {}
-    if k == 0:
-        return {(0,) * n: 1}
-    if n < 1:
-        return {}
-    return _spread(runs(shape, n), n)
+    runs = layer_runs(bcontent, conv)(shape, n)
+    if not shape:  # the empty bitableau, if bcontent is all zeros
+        return {(0,) * n: count for count in runs.values()}
+    return _spread(runs, n)
 
 
 def _spread(runs: dict[tuple[int, ...], int], n: int) -> dict[tuple[int, ...], int]:

@@ -7,14 +7,21 @@ from typing import Iterable, Sequence
 Partition = tuple[int, ...]
 
 
+def is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_partition(parts: Iterable[int]) -> Partition:
     """Normalize an iterable into a partition tuple, rejecting bad input.
 
-    Parts must be positive and weakly decreasing; no trailing zeros are
-    stored (strip them yourself first if you have a padded weight vector).
+    Parts must be positive ints (not bools) and weakly decreasing; no
+    trailing zeros are stored (strip them yourself first if you have a
+    padded weight vector).
     """
-    p = tuple(int(x) for x in parts)
+    p = tuple(parts)
     for i, part in enumerate(p):
+        if not is_int(part):
+            raise ValueError(f"partition parts must be integers, got {p!r}")
         if part < 1:
             raise ValueError(f"partition parts must be positive, got {p}")
         if i and part > p[i - 1]:

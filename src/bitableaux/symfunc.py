@@ -30,7 +30,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .partitions import Partition, check_partition, check_triple, enumerate_partitions, trim
+from .partitions import Partition, check_partition, check_triple, enumerate_partitions, is_int, trim
 from .tableaux import iter_ssyt_rows
 
 Exponents = tuple[int, ...]
@@ -185,9 +185,9 @@ def _kostka(lam: Partition, content: tuple[int, ...]) -> int:
 def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
     """Number of SSYT of shape lam and content mu (mu may be a composition)."""
     lam = check_partition(lam)
-    mu = tuple(int(x) for x in mu)
-    if any(x < 0 for x in mu):
-        raise ValueError("content entries must be nonnegative")
+    mu = tuple(mu)
+    if not all(is_int(x) and x >= 0 for x in mu):
+        raise ValueError(f"content entries must be nonnegative integers, got {mu!r}")
     if sum(lam) != sum(mu):
         raise ValueError("content must sum to the shape size")
     return _kostka(lam, mu)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .partitions import Partition, check_partition, contains
+from .partitions import Partition, check_partition, contains, is_int
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -92,10 +92,6 @@ class SkewSSYT:
     @property
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
-
-
-def is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def grid_rows(rows: object, is_cell, cell_form: str) -> tuple[tuple, ...]:

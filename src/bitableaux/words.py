@@ -16,7 +16,8 @@ from .graphs import CrystalGraph, CrystalVertex
 
 Word = tuple[int, ...]
 
-READING_METHODS = ("row", "w", "w_prime", "u", "u_prime")
+CONVENTIONS = ("w", "w_prime")  # the sort-by-top words of the crystal and the kernel
+READING_METHODS = ("row", *CONVENTIONS, "u", "u_prime")
 
 
 def bitableau_reading_cells(

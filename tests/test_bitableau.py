@@ -104,6 +104,13 @@ def test_pair_to_int_examples():
         pair_to_int((1, 3), 2)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_an_empty_second_alphabet_is_a_value_error(m):
+    for convert in (lambda: int_to_pair(3, m), lambda: pair_to_int((1, 1), m)):
+        with pytest.raises(ValueError):
+            convert()
+
+
 def test_pair_int_round_trip():
     for n, m in nm_pairs(4):
         for a in range(1, n + 1):

@@ -185,13 +185,54 @@ def test_word_row_method(capsys):
 
 
 def test_usage_errors_exit_one(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["g", "--lam", "oops", "--mu", "1", "--nu", "1"])
-    assert err.value.code == 1
+    code, out, errtext = run(capsys, "g", "--lam", "oops", "--mu", "1", "--nu", "1")
+    assert code == 1 and out == ""
+    assert errtext == "error: argument --lam: invalid literal for int() with base 10: 'oops'\n"
     code, _, errtext = run(capsys, "enumerate")
     assert code == 1 and "error" in errtext
     code, out, errtext = run(capsys, "enumerate", "--k", "3", "--max-length", "-1")
     assert code == 1 and out == "" and errtext == "error: max_length must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["no-such-command"],
+        ["enumerate", "--k", "x"],
+        ["enumerate", "--shape", "2,1"],
+        ["weights", "--tableau", "[[[1,1]]", "--n", "1", "--m", "1"],
+        ["word", "--method", "v", "--tableau", "[[1]]"],
+        ["word", "--shape", "2", "--tableau", "[[[1,1]],[[2,1]]]", "--n", "2", "--m", "1"],
+        ["rsk", "--tops", "1,2"],
+        ["brsk"],
+        ["jdt", "--left", "[[1]]"],
+        ["crystal", "--shape", "2,1", "--n", "2"],
+        ["crystal", "--candidate-21", "west"],
+        ["g", "--lam", "2,1"],
+        ["g", "--sweep-k", "two"],
+        ["d", "--lam", "2,1"],
+        ["d", "--lam", "2,1", "--mu", "2,1", "--nu", "2,1", "--conv", "u"],
+        ["verify-thm2"],
+        ["verify-thm2", "--k", "3", "--extra"],
+        ["kron-tableaux", "--lam", "4,3", "--nu", "3,2,2"],
+        ["skeleton", "--shape", "1,2"],
+        ["completions"],
+        ["census", "--shape", "2,2", "--completion", "2"],
+        ["census", "--shape", "2,2", "--cap", "many"],
+    ],
+)
+def test_every_usage_error_is_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n"), err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["d", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bitableaux d ")
 
 
 def test_count_only_counts_the_listing(capsys):

@@ -263,7 +263,7 @@ def test_census_is_one_per_group_and_sums_to_the_coefficients():
         two_row = [p for p in enumerate_partitions(k) if len(p) <= 2]
         for lam in enumerate_partitions(k, 4):
             for conv in ("w", "w_prime"):
-                g, _, groups = _group_options(lam, 2, 2, conv, 100_000)
+                g, _, groups = _group_options(lam, conv, 100_000)
                 first = {}
                 for _, options in groups:
                     census = highest_weight_census(options[0], g)

@@ -23,4 +23,6 @@ def test_readme_example_is_byte_identical(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = main(case["argv"])
     assert code == case["exit"]
-    assert capsys.readouterr().out == case["stdout"]
+    out = capsys.readouterr()
+    assert out.out == case["stdout"]
+    assert out.err == ""

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import nm_pairs, small_shapes
 from bitableaux.crystal import count_d
 from bitableaux.kernels import _spread, _tally_python_dict, count_d_table, layer_runs
@@ -46,6 +48,23 @@ def test_one_memo_serves_every_shape():
                             assert _spread(runs(shape, n), n) == slow[shape], (shape, n, bcontent, conv)
                             cases += 1
     assert cases == 2 * (2250 - 18)
+
+
+@pytest.mark.parametrize("conv", ["w", "w_prime"])
+def test_negative_bcontent_counts_nothing(conv):
+    # a b-content with a negative entry has no filling, however it sums
+    cases = 0
+    for shape in small_shapes(4):
+        k = sum(shape)
+        for n in (1, 2, 3):
+            for bcontent in [(k + 1, -1), (k + 2, -1, -1), (k + 1, 0, -1), (-1, k + 1), (1, -1)]:
+                if sum(bcontent) != k:
+                    continue
+                slow = _tally_python_dict(shape, n, bcontent, conv)
+                assert count_d_table(shape, bcontent, n, conv) == slow == {}, (shape, n, bcontent)
+                assert layer_runs(bcontent, conv)(shape, n) == {}
+                cases += 1
+    assert cases == 3 * (12 * 4 + 1)  # 12 shapes of size <= 4; (1, -1) fits only the empty one
 
 
 def test_empty_shape():

@@ -72,6 +72,13 @@ def test_check_partition_rejects_bad_input():
         check_partition((2, 0))
 
 
+@pytest.mark.parametrize("parts", [(2.9, 1), (2, 1.2), "21", (True,), (2.0,), ("2",)])
+def test_check_partition_takes_only_int_parts(parts):
+    # no silent truncation: int(2.9) would read (2.9, 1) as (2, 1)
+    with pytest.raises(ValueError):
+        check_partition(parts)
+
+
 def test_check_triple_is_the_one_size_check():
     from bitableaux.crystal import count_d
     from bitableaux.symfunc import kronecker_coefficient, monomial_coefficient_d

@@ -92,6 +92,20 @@ def test_kostka_examples():
     assert kostka((1, 1), (2, 0)) == 0
 
 
+def test_non_integer_input_is_refused():
+    from bitableaux.crystal import count_d
+
+    for call in (
+        lambda: kronecker_coefficient([2.9, 1], [2, 1.2], [3]),
+        lambda: count_d("21", "21", "21"),
+        lambda: kostka((2,), (1.7, 1)),
+        lambda: kostka((2,), (True, 1)),
+        lambda: monomial_coefficient_d((2, 1), (2, 1), (2.0, 1)),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_kostka_matches_enumeration():
     from bitableaux.tableaux import iter_ssyt_rows
 
