@@ -94,6 +94,8 @@ def _pair_rows(rows: object) -> PairRows:
 def pair_to_int(pair: Pair, m: int) -> int:
     """Order isomorphism ([n]x[m], lex) -> [nm] via (i,j) -> (i-1)m + j."""
     i, j = pair
+    if not (is_int(i) and is_int(j) and is_int(m)):
+        raise ValueError(f"pair and m must be integers, got {pair!r} and {m!r}")
     if not 1 <= j <= m:
         raise ValueError(f"second coordinate {j} outside [1, {m}]")
     if i < 1:
@@ -102,6 +104,8 @@ def pair_to_int(pair: Pair, m: int) -> int:
 
 
 def int_to_pair(value: int, m: int) -> Pair:
+    if not (is_int(value) and is_int(m)):
+        raise ValueError(f"value and m must be integers, got {value!r} and {m!r}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     if value < 1:

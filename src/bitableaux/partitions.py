@@ -54,6 +54,8 @@ def pad(parts: Sequence[int], length: int) -> tuple[int, ...]:
 
 def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of k (at most max_length parts), reverse-lexicographic."""
+    if not is_int(k) or not (max_length is None or is_int(max_length)):
+        raise ValueError(f"k and max_length must be integers, got {k!r} and {max_length!r}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if max_length is not None and max_length < 0:

@@ -16,10 +16,11 @@ permutation characters xi^mu(rho) = <h_mu, p_rho> (a DP over the cycles, no
 Kostka numbers) and gives d for every mu at once; the Theorem-2 sweep uses
 it.  Tests compare the two.
 
-The polynomial helpers schur_poly, kron_coproduct_poly and
-expand_in_schur_schur enumerate tableaux with tableaux.iter_ssyt_rows, the
-same filler the crystal side enumerates bitableaux with; they are checked
-against g, not used to compute it.
+The polynomial helpers are checked against g, not used to compute it.
+schur_poly is the Kostka sum s_lam(z) = sum_c K_{lam,c} z^c over the
+contents c, with no filling.  kron_coproduct_poly fills the bitableaux (the
+crystal side's filler) and checks the sum against that same Kostka sum with
+z_(i,j) = x_i y_j; the bitableau side is the only one that fills.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement, groupby
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
+from .bitableau import iter_bitableau_rows
 from .partitions import Partition, check_partition, check_triple, enumerate_partitions, is_int, trim
-from .tableaux import iter_ssyt_rows
 
 Exponents = tuple[int, ...]
 
@@ -212,6 +214,10 @@ class SymPoly:
         for exps, coeff in self.terms.items():
             if len(exps) != len(self.variables):
                 raise ValueError("exponent vector length must match variable count")
+            if not all(is_int(e) and e >= 0 for e in exps):
+                raise ValueError(f"exponents must be nonnegative integers, got {exps!r}")
+            if not is_int(coeff):
+                raise ValueError(f"coefficients must be integers, got {coeff!r}")
             if coeff == 0:
                 raise ValueError("zero terms must not be stored")
 
@@ -233,7 +239,7 @@ class SymPoly:
 
 
 def make_sympoly(variables: Sequence[str], terms: Mapping[Exponents, int]) -> SymPoly:
-    clean = {tuple(e): int(c) for e, c in terms.items() if c != 0}
+    clean = {tuple(e): c for e, c in terms.items() if c != 0}
     return SymPoly(tuple(variables), clean)
 
 
@@ -244,64 +250,57 @@ def default_variables(n: int, m: int | None = None) -> tuple[str, ...]:
     return xs + tuple(f"y{j}" for j in range(1, m + 1))
 
 
+def _schur_terms(lam: Partition, slots: Sequence[Sequence[int]], width: int) -> dict[Exponents, int]:
+    """s_lam(z_1..z_N) = sum_c K_{lam,c} z^c as exponent vectors of the given width.
+
+    z_v adds one to each exponent slot in slots[v].  Each content c is taken
+    once, as a multiset of |lam| variables; Kostka numbers are symmetric in
+    the content, so K is read at c sorted.
+    """
+    terms: dict[Exponents, int] = {}
+    for word in combinations_with_replacement(range(len(slots)), sum(lam)):
+        content = sorted((len(list(run)) for _, run in groupby(word)), reverse=True)
+        coeff = _kostka(lam, tuple(content))
+        if coeff:
+            exps = [0] * width
+            for v in word:
+                for slot in slots[v]:
+                    exps[slot] += 1
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0) + coeff
+    return terms
+
+
 def schur_poly(lam: Sequence[int], variables: Sequence[str]) -> SymPoly:
-    """s_lam over the named variables: sum of x^content(T) over SSYT."""
+    """s_lam over the named variables, from the Kostka numbers."""
     lam = check_partition(lam)
     n = len(variables)
-    terms: dict[Exponents, int] = {}
-    for rows in iter_ssyt_rows(lam, n):
-        counts = [0] * n
-        for row in rows:
-            for x in row:
-                counts[x - 1] += 1
-        key = tuple(counts)
-        terms[key] = terms.get(key, 0) + 1
-    return make_sympoly(variables, terms)
-
-
-def substitute_kron(p: SymPoly, n: int, m: int) -> SymPoly:
-    """Apply z_(i,j) = x_i y_j to a polynomial in nm lexicographic z variables."""
-    if len(p.variables) != n * m:
-        raise ValueError("polynomial must have n*m variables")
-    terms: dict[Exponents, int] = {}
-    for exps, coeff in p.terms.items():
-        xexp = [0] * n
-        yexp = [0] * m
-        for v, e in enumerate(exps):
-            xexp[v // m] += e
-            yexp[v % m] += e
-        key = tuple(xexp) + tuple(yexp)
-        terms[key] = terms.get(key, 0) + coeff
-    return make_sympoly(default_variables(n, m), terms)
+    return make_sympoly(variables, _schur_terms(lam, [(v,) for v in range(n)], n))
 
 
 def kron_coproduct_poly(lam: Sequence[int], n: int, m: int) -> SymPoly:
-    """s_lam[xy] in x_1..x_n, y_1..y_m, computed two ways that must agree.
+    """s_lam[xy] in x_1..x_n, y_1..y_m from the bitableaux, checked against the Kostka numbers.
 
-    It sums x^a(T) y^b(T) over the semistandard fillings T over the pair
-    alphabet [n]x[m] (the bitableaux), then checks the sum term by term
-    against the reference: fill over 1..nm, sum z^content and substitute
+    It sums x^a(T) y^b(T) over the bitableaux T of shape lam over [n]x[m],
+    then checks the sum term by term against sum_c K_{lam,c} z^c with
     z_(i,j) = x_i y_j.  A disagreement raises ArithmeticError.
     """
     lam = check_partition(lam)
     terms: dict[Exponents, int] = {}
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)]
-    for rows in iter_ssyt_rows(lam, pairs):
-        xexp = [0] * n
-        yexp = [0] * m
+    for rows in iter_bitableau_rows(lam, n, m):
+        exps = [0] * (n + m)
         for row in rows:
             for a, b in row:
-                xexp[a - 1] += 1
-                yexp[b - 1] += 1
-        key = tuple(xexp) + tuple(yexp)
+                exps[a - 1] += 1
+                exps[n + b - 1] += 1
+        key = tuple(exps)
         terms[key] = terms.get(key, 0) + 1
-    direct = make_sympoly(default_variables(n, m), terms)
-    zvars = tuple(f"z{v}" for v in range(1, n * m + 1))
-    if direct.terms != substitute_kron(schur_poly(lam, zvars), n, m).terms:
+    slots = [(i, n + j) for i in range(n) for j in range(m)]
+    if terms != _schur_terms(lam, slots, n + m):
         raise ArithmeticError(
-            f"bitableau and substitution fillings disagree for lam={lam}, n={n}, m={m}"
+            f"bitableau filling and Kostka sum disagree for lam={lam}, n={n}, m={m}"
         )
-    return direct
+    return make_sympoly(default_variables(n, m), terms)
 
 
 def _product_terms(

@@ -204,6 +204,8 @@ def enumerate_ssyt(shape: Sequence[int], n: int) -> list[SSYT]:
 def count_ssyt(shape: Sequence[int], n: int) -> int:
     """Number of SSYT of the shape over [1, n], s_shape(1^n) by the hook-content formula."""
     shape = check_partition(shape)
+    if not is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     num = den = 1

@@ -75,7 +75,7 @@ def test_criterion_2_coproduct_identity():
                         lam, mu, nu
                     ), (lam, mu, nu)
                     triples += 1
-    _report(2, f"both coproduct fillings and the Schur expansion agree on {triples} coefficients")
+    _report(2, f"bitableaux, Kostka sum and Schur expansion agree on {triples} coefficients")
 
 
 def test_criterion_3_point_values():

@@ -6,6 +6,7 @@ import pytest
 
 from bitableaux.partitions import enumerate_partitions
 from bitableaux.symfunc import (
+    SymPoly,
     character_table,
     default_variables,
     expand_in_schur_schur,
@@ -18,7 +19,6 @@ from bitableaux.symfunc import (
     monomial_coefficient_row,
     permutation_characters,
     schur_poly,
-    substitute_kron,
 )
 
 
@@ -93,14 +93,23 @@ def test_kostka_examples():
 
 
 def test_non_integer_input_is_refused():
+    from bitableaux.bitableau import int_to_pair, pair_to_int
     from bitableaux.crystal import count_d
+    from bitableaux.tableaux import count_ssyt
 
+    # floats used to pass: partitions of 3 up to (1, 1, 1), 4.0 tableaux, 2.0 and
+    # (1.0, 2.5); a float k raised TypeError
     for call in (
         lambda: kronecker_coefficient([2.9, 1], [2, 1.2], [3]),
         lambda: count_d("21", "21", "21"),
         lambda: kostka((2,), (1.7, 1)),
         lambda: kostka((2,), (True, 1)),
         lambda: monomial_coefficient_d((2, 1), (2, 1), (2.0, 1)),
+        lambda: enumerate_partitions(3, 1.5),
+        lambda: count_ssyt((2, 1), 2.5),
+        lambda: pair_to_int((1.5, 1), 2),
+        lambda: int_to_pair(2.5, 2),
+        lambda: enumerate_partitions(4.0),
     ):
         with pytest.raises(ValueError):
             call()
@@ -123,28 +132,52 @@ def test_schur_poly_examples():
     assert schur_poly((1, 1, 1), ("x1", "x2")).is_zero()
 
 
+def test_schur_poly_matches_enumeration():
+    # the Kostka sum against the content tally of the tableau filler, compositions included
+    from bitableaux.tableaux import enumerate_ssyt
+
+    for k in range(1, 7):
+        for lam in enumerate_partitions(k):
+            for n in range(1, 6):
+                tally = {}
+                for t in enumerate_ssyt(lam, n):
+                    content = [0] * n
+                    for row in t.rows:
+                        for x in row:
+                            content[x - 1] += 1
+                    tally[tuple(content)] = tally.get(tuple(content), 0) + 1
+                assert schur_poly(lam, default_variables(n)).terms == tally, (lam, n)
+
+
 def test_kron_coproduct_examples():
     assert kron_coproduct_poly((1,), 1, 1).terms == {(1, 1): 1}
     assert kron_coproduct_poly((1, 1, 1), 1, 2).is_zero()
-    p = kron_coproduct_poly((2,), 2, 2)
-    assert sum(p.terms.values()) == 10
-    zvars = ("z1", "z2", "z3", "z4")
-    assert p.terms == substitute_kron(schur_poly((2,), zvars), 2, 2).terms
+    # s_(2)[xy] = h_2(x1y1, x1y2, x2y1, x2y2), exponents (x1, x2, y1, y2)
+    assert kron_coproduct_poly((2,), 2, 2).terms == {
+        (2, 0, 2, 0): 1,
+        (2, 0, 1, 1): 1,
+        (2, 0, 0, 2): 1,
+        (1, 1, 2, 0): 1,
+        (1, 1, 1, 1): 2,
+        (1, 1, 0, 2): 1,
+        (0, 2, 2, 0): 1,
+        (0, 2, 1, 1): 1,
+        (0, 2, 0, 2): 1,
+    }
 
 
 def test_kron_coproduct_fillings_must_agree(monkeypatch):
-    # the substitution filling is the reference every call checks against
+    # the Kostka sum with z_(i,j) = x_i y_j is the reference every call checks against
     import bitableaux.symfunc as symfunc
 
-    real = symfunc.substitute_kron
+    real = symfunc._schur_terms
 
-    def perturbed(p, n, m):
-        terms = dict(real(p, n, m).terms)
-        key = min(terms)
-        terms[key] += 1
-        return make_sympoly(default_variables(n, m), terms)
+    def perturbed(lam, slots, width):
+        terms = real(lam, slots, width)
+        terms[min(terms)] += 1
+        return terms
 
-    monkeypatch.setattr(symfunc, "substitute_kron", perturbed)
+    monkeypatch.setattr(symfunc, "_schur_terms", perturbed)
     with pytest.raises(ArithmeticError):
         kron_coproduct_poly((2,), 2, 2)
 
@@ -174,16 +207,18 @@ def test_expand_rejects_junk():
 
 
 def test_coproduct_identity_small():
-    # both fillings agree and the expansion returns the Kronecker coefficients
+    # both sides agree and the expansion returns the Kronecker coefficients
+    # with l(mu) <= n and l(nu) <= m; n != m tells x from y
     for k in range(1, 4):
-        for lam in enumerate_partitions(k):
-            p = kron_coproduct_poly(lam, k, k)
-            expansion = expand_in_schur_schur(p, k)
-            for mu in enumerate_partitions(k):
-                for nu in enumerate_partitions(k):
-                    assert expansion.get((mu, nu), 0) == kronecker_coefficient(
-                        lam, mu, nu
-                    )
+        for n, m in ((k, k), (2, 3), (3, 2)):
+            for lam in enumerate_partitions(k):
+                p = kron_coproduct_poly(lam, n, m)
+                expansion = expand_in_schur_schur(p, k)
+                for mu in enumerate_partitions(k, n):
+                    for nu in enumerate_partitions(k, m):
+                        assert expansion.get((mu, nu), 0) == kronecker_coefficient(
+                            lam, mu, nu
+                        ), (lam, mu, nu, n, m)
 
 
 def test_monomial_coefficient_examples():
@@ -282,3 +317,13 @@ def test_polynomial_terms_are_read_only():
     with pytest.raises(TypeError):
         q.terms[(5, 5)] = 1
     assert p == q and hash(q) == before
+
+
+
+def test_polynomial_terms_are_natural_exponents_and_integer_coefficients():
+    # make_sympoly used to store int(1.5) = 1; SymPoly stored 1.5 and (-1,) as given
+    for terms in ({(1,): 1.5}, {(1,): 0.5}, {(1,): True}, {(-1,): 1}, {(1.0,): 1}):
+        for build in (make_sympoly, SymPoly):
+            with pytest.raises(ValueError, match="integers"):
+                build(("x1",), terms)
+    assert make_sympoly(("x1",), {(1,): 2, (0,): 0}).terms == {(1,): 2}
