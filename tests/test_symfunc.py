@@ -97,8 +97,8 @@ def test_non_integer_input_is_refused():
     from bitableaux.crystal import count_d
     from bitableaux.tableaux import count_ssyt
 
-    # floats used to pass: partitions of 3 up to (1, 1, 1), 4.0 tableaux, 2.0 and
-    # (1.0, 2.5); a float k raised TypeError
+    # floats used to pass: enumerate_partitions(3, 1.5) listed (1, 1, 1), count_ssyt
+    # gave 4.0, pair_to_int 2.0, int_to_pair (1.0, 2.5); a float k raised TypeError
     for call in (
         lambda: kronecker_coefficient([2.9, 1], [2, 1.2], [3]),
         lambda: count_d("21", "21", "21"),
@@ -317,7 +317,6 @@ def test_polynomial_terms_are_read_only():
     with pytest.raises(TypeError):
         q.terms[(5, 5)] = 1
     assert p == q and hash(q) == before
-
 
 
 def test_polynomial_terms_are_natural_exponents_and_integer_coefficients():
