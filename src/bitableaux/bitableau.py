@@ -43,11 +43,6 @@ class Bitableau:
     def size(self) -> int:
         return sum(self.shape)
 
-    def cells(self) -> Iterator[tuple[int, int, Pair]]:
-        for r, row in enumerate(self.rows):
-            for c, pair in enumerate(row):
-                yield r, c, pair
-
     def with_entry(self, r: int, c: int, pair: Pair) -> "Bitableau":
         """Copy with one cell replaced (revalidates)."""
         rows = list(list(row) for row in self.rows)

@@ -45,7 +45,7 @@ def crystal_op_bitableau(
         raise ValueError(f"unknown convention {conv!r}")
     if not 1 <= i < t.m:
         raise ValueError(f"operator index {i} outside [1, {t.m - 1}]")
-    word, cells = bitableau_reading_cells(t, conv)
+    word, cells = bitableau_reading_cells(t.rows, conv)
     pos = crystal_op_position(word, i, direction)
     if pos is None:
         return None
@@ -60,8 +60,7 @@ def crystal_op_bitableau(
 
 
 def is_highest_weight(t: Bitableau, conv: str = "w") -> bool:
-    word, _ = bitableau_reading_cells(t, conv)
-    return is_yamanouchi(word)
+    return is_yamanouchi(bitableau_reading_cells(t.rows, conv)[0])
 
 
 def highest_weight_bitableaux(
@@ -79,9 +78,8 @@ def highest_weight_bitableaux(
     """
     lam = check_partition(lam)
     for rows in iter_bitableau_rows(lam, n, m, bcontent, acontent):
-        t = Bitableau(lam, rows, n, m)
-        if is_highest_weight(t, conv):
-            yield t
+        if is_yamanouchi(bitableau_reading_cells(rows, conv)[0]):
+            yield Bitableau(lam, rows, n, m)
 
 
 def count_d(

@@ -13,7 +13,7 @@ Weight = tuple[int, ...]
 @dataclass(frozen=True)
 class CrystalVertex:
     id: int
-    payload: object
+    payload: object = field(hash=False)
     weight_a: Weight | None
     weight_b: Weight
 
@@ -27,7 +27,7 @@ class CrystalGraph:
     """
 
     vertices: tuple[CrystalVertex, ...]
-    edges: Mapping[tuple[int, int], int]
+    edges: Mapping[tuple[int, int], int] = field(hash=False)
     _reverse: Mapping[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -50,18 +50,12 @@ class Biword:
         if self.flavor not in ("lexicographic", "burge"):
             raise ValueError(f"unknown biword flavor {self.flavor!r}")
 
-    def __len__(self) -> int:
-        return len(self.tops)
-
     def swapped(self) -> "Biword":
         """Exchange the rows and re-sort lexicographically."""
         cols = sorted(zip(self.bottoms, self.tops))
         return Biword(
             tuple(a for a, _ in cols), tuple(b for _, b in cols), "lexicographic"
         )
-
-    def to_json(self) -> list[list[int]]:
-        return [list(self.tops), list(self.bottoms)]
 
 
 @dataclass(frozen=True)
@@ -153,7 +147,7 @@ def burge_word(t: Bitableau) -> Biword:
     """
     if any(length != 1 for length in t.shape):
         raise ValueError("burge words are read from single-column bitableaux")
-    _, cells = bitableau_reading_cells(t, "w")
+    _, cells = bitableau_reading_cells(t.rows, "w")
     cols = [t.rows[r][c] for r, c in cells]
     return Biword(
         tuple(a for a, _ in cols), tuple(b for _, b in cols), "burge"

@@ -30,18 +30,6 @@ class SSYT:
                     raise ValueError(f"entry {x} outside [1, {self.max_entry}]")
         check_semistandard(self.rows)
 
-    @property
-    def size(self) -> int:
-        return sum(self.shape)
-
-    def content(self) -> tuple[int, ...]:
-        """Multiplicity vector of entries, length max_entry."""
-        counts = [0] * self.max_entry
-        for row in self.rows:
-            for x in row:
-                counts[x - 1] += 1
-        return tuple(counts)
-
     def to_json(self) -> dict:
         return {
             "shape": list(self.shape),
@@ -88,10 +76,6 @@ class SkewSSYT:
         if any(x < 1 for row in self.rows for x in row):
             raise ValueError("entries must be positive")
         check_semistandard(self.rows, inner)
-
-    @property
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
 
 
 def grid_rows(rows: object, is_cell, cell_form: str) -> tuple[tuple, ...]:

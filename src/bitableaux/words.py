@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bitableau import Bitableau
+from .bitableau import Bitableau, PairRows
 from .graphs import CrystalGraph, CrystalVertex
 
 Word = tuple[int, ...]
@@ -20,41 +20,34 @@ CONVENTIONS = ("w", "w_prime")  # the sort-by-top words of the crystal and the k
 READING_METHODS = ("row", *CONVENTIONS, "u", "u_prime")
 
 
-def bitableau_reading_cells(
-    t: Bitableau, method: str
-) -> tuple[Word, tuple[tuple[int, int], ...]]:
-    """Reading word of a bitableau together with each letter's source cell.
+# method -> (coordinate the boxes are sorted by, descending)
+_READING_SORTS = {"w": (0, False), "w_prime": (0, True), "u": (1, False), "u_prime": (1, True)}
 
-    w / w_prime group boxes by top entry (ascending / descending) and read
-    bottom entries; u / u_prime group by bottom entry and read top entries.
-    Within a group, rows are read left to right, bottom row first.
+
+def bitableau_reading_cells(
+    rows: PairRows, method: str
+) -> tuple[Word, tuple[tuple[int, int], ...]]:
+    """Reading word of bitableau rows together with each letter's source cell.
+
+    The boxes in row reading order (bottom row first, left to right) are
+    sorted stably by one coordinate, and the other coordinate is read: w / w'
+    sort by top entry (ascending / descending) and read bottom entries; u / u'
+    sort by bottom entry and read top entries.
     """
-    if method == "w":
-        groups, read_top = range(1, t.n + 1), False
-    elif method == "w_prime":
-        groups, read_top = range(t.n, 0, -1), False
-    elif method == "u":
-        groups, read_top = range(1, t.m + 1), True
-    elif method == "u_prime":
-        groups, read_top = range(t.m, 0, -1), True
-    else:
+    if method not in _READING_SORTS:
         raise ValueError(f"unknown bitableau reading method {method!r}")
-    word: list[int] = []
-    cells: list[tuple[int, int]] = []
-    for g in groups:
-        for r in range(len(t.rows) - 1, -1, -1):
-            for c, (a, b) in enumerate(t.rows[r]):
-                key, letter = (b, a) if read_top else (a, b)
-                if key == g:
-                    word.append(letter)
-                    cells.append((r, c))
-    return tuple(word), tuple(cells)
+    key, descending = _READING_SORTS[method]
+    boxes = [
+        (pair, (r, c)) for r in range(len(rows) - 1, -1, -1) for c, pair in enumerate(rows[r])
+    ]
+    boxes.sort(key=lambda box: box[0][key], reverse=descending)
+    return tuple(pair[1 - key] for pair, _ in boxes), tuple(cell for _, cell in boxes)
 
 
 def bitableau_reading_word(t: Bitableau, method: str) -> Word:
     if method == "row":
         raise ValueError("method 'row' applies to integer tableaux, not bitableaux")
-    return bitableau_reading_cells(t, method)[0]
+    return bitableau_reading_cells(t.rows, method)[0]
 
 
 def unmatched_brackets(word: Sequence[int], i: int) -> tuple[list[int], list[int]]:

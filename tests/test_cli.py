@@ -371,6 +371,21 @@ def test_structure_and_arithmetic_errors_exit_codes(capsys, monkeypatch):
     assert err.startswith("error: oracle arithmetic failed") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [((1, 2), "non-integer"), ((-3, 1), "negative")],  # g((2),(2),(2)) = 9/2, then -13
+)
+def test_g_refuses_a_non_integral_or_negative_value(capsys, monkeypatch, row, reason):
+    import bitableaux.symfunc as symfunc
+
+    table = symfunc.character_table(2)
+    perturbed = symfunc.CharacterTable(2, table.classes, table.sizes, {**table.chi, (2,): row})
+    monkeypatch.setattr(symfunc, "character_table", lambda k: perturbed)
+    code, out, err = run(capsys, "g", "--lam", "2", "--mu", "2", "--nu", "2")
+    assert code == 5 and out == ""
+    assert err == f"error: oracle arithmetic failed: {reason} Kronecker coefficient for (2,),(2,),(2,)\n"
+
+
 def test_python_dash_m_runs_the_command_from_a_checkout():
     import os
     import subprocess

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 
@@ -18,7 +19,9 @@ from bitableaux.completion import (
     skeleton,
 )
 from bitableaux.crystal import CapExceededError, crystal_op_bitableau, full_crystal
+from bitableaux.graphs import CrystalGraph, CrystalVertex
 from bitableaux.insertion import Biword, brsk, rsk
+from bitableaux.kernels import count_d_table
 from bitableaux.partitions import enumerate_partitions
 from bitableaux.symfunc import kronecker_coefficient
 from bitableaux.tableaux import reading_word
@@ -35,6 +38,20 @@ def test_string_criterion_rejects_a_two_cycle():
     weight_a = {0: (1, 1), 1: (1, 1)}
     report = is_valid_gl2_structure({0: 1, 1: 0}, weight_a)
     assert not report.valid
+
+
+def test_string_criterion_rejects_a_cycle_by_its_weight_shift():
+    # 1 -> 2 respects the shift, so only 2 -> 1 can reject the cycle
+    report = is_valid_gl2_structure({1: 2, 2: 1}, {1: (1, 0), 2: (0, 1)})
+    assert not report.valid
+    assert report.violations == ((2, "edge breaks the weight shift: (0, 1) -> (1, 0)"),)
+
+
+def test_string_criterion_rejects_two_edges_into_one_target():
+    # both strings 0 -> 2 and 1 -> 2 are well placed; only the shared target fails
+    report = is_valid_gl2_structure({0: 2, 1: 2}, {0: (1, 0), 1: (1, 0), 2: (0, 1)})
+    assert not report.valid
+    assert report.violations == ((2, "two f-edges share a target"),)
 
 
 def test_string_criterion_rejects_misplaced_strings():
@@ -69,6 +86,15 @@ def test_row_transport_commutes():
         g, images = _row_transport_graph(r, 2, 2)
         ok, witness = commutes_with_bottom(images, g)
         assert ok, witness
+
+
+def test_commutation_fails_on_the_raising_side():
+    # bottom chains 0 -> 1 and 2 -> 3 -> 4; the top map sends the first chain
+    # onto the end of the second, so every lowering square closes but e_1
+    # of the image of 0 is 2 while 0 has no e_1
+    vertices = tuple(CrystalVertex(v, None, None, (0,)) for v in range(5))
+    g = CrystalGraph(vertices, {(0, 1): 1, (2, 1): 3, (3, 1): 4})
+    assert commutes_with_bottom({0: 3, 1: 4}, g) == (False, (0, 1, "raising"))
 
 
 def test_broken_transport_reports_a_counterexample():
@@ -256,6 +282,13 @@ def test_completion_cap_counts_completions_before_building_them():
 
 
 def test_census_is_one_per_group_and_sums_to_the_coefficients():
+    """Every option's census is g: a Theorem-2 check for two top letters.
+
+    The census is forced.  At level j a completion has c_j - c_(j-1)
+    doubly-highest-weight elements (c_j as in the option-count test below),
+    and Theorem 2 makes that g(lam, (k-j, j), nu), so this test is not
+    evidence for any one top structure.
+    """
     # a top string stays inside one b-type group, so the census of a
     # completion is the sum of its options' local censuses: equal censuses
     # within every group make every completion's census that of any one
@@ -277,6 +310,12 @@ def test_census_is_one_per_group_and_sums_to_the_coefficients():
 
 
 def test_every_completion_census_matches_the_coefficients():
+    """Every completion's census is g, for k <= 4.
+
+    Forced, as above: a Theorem-2 check for two top letters, not evidence
+    for any one completion.  The search cannot go much further: for
+    lam = (7, 3) the group of nu = (7, 3) alone has about 9.8e21 options.
+    """
     for k in range(1, 5):
         for lam in enumerate_partitions(k):
             g, ops = enumerate_completions(lam)
@@ -438,3 +477,35 @@ def test_skeleton_result_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.completion_count = 0
     assert list(result.free_slots) == [((2, 2), (2, 2))]
+
+
+def _option_count(c, k):
+    """Top maps on one group, level by level from the bottom-highest-weight counts c_j.
+
+    Below the middle level f is an injection into the next level; above it,
+    the strings that go on map bijectively onto the next level.
+    """
+    return math.prod(
+        math.factorial(c[j + 1]) // math.factorial(c[j + 1] - c[j])
+        if 2 * (j + 1) <= k
+        else math.factorial(c[j + 1])
+        for j in range(k)
+    )
+
+
+def test_option_counts_follow_from_the_kernel():
+    # c_j counts the bottom-highest-weight bitableaux of b-weight nu and top
+    # weight (k - j, j); a top f commuting with the bottom crystal is fixed by
+    # its values on them
+    for k in range(1, 6):
+        for lam in enumerate_partitions(k):
+            for conv in ("w", "w_prime"):
+                expected = []
+                for nu in enumerate_partitions(k, 2):
+                    table = count_d_table(lam, nu, 2, conv)
+                    if table:
+                        c = [table.get((k - j, j), 0) for j in range(k + 1)]
+                        expected.append(_option_count(c, k))
+                _, _, groups = _group_options(lam, conv, 100_000)
+                counts = sorted(len(options) for _, options in groups)
+                assert counts == sorted(expected), (lam, conv)

@@ -4,8 +4,10 @@ import pytest
 
 from conftest import EIGHTEEN_BOX, FIVE_BOX, nm_pairs, small_shapes
 from bitableaux.bitableau import Bitableau, enumerate_bitableaux, weights
+from bitableaux.completion import PartialOperator, is_valid_gl2_structure, skeleton
 from bitableaux.crystal import (
     CapExceededError,
+    CrystalStructureError,
     count_d,
     crystal_op_bitableau,
     full_crystal,
@@ -13,10 +15,12 @@ from bitableaux.crystal import (
     skew_decomposition,
     monomial_expansion_sweep,
 )
-from bitableaux.graphs import export_crystal
+from bitableaux.graphs import CrystalGraph, CrystalVertex, export_crystal
+from bitableaux.insertion import Biword, rsk
+from bitableaux.kron_tableaux import KroneckerVerdict
 from bitableaux.partitions import enumerate_partitions, trim
-from bitableaux.symfunc import monomial_coefficient_d
-from bitableaux.tableaux import reading_word
+from bitableaux.symfunc import CharacterTable, character_table, monomial_coefficient_d, schur_poly
+from bitableaux.tableaux import SSYT, SkewSSYT, reading_word
 from bitableaux.words import bitableau_reading_word, crystal_op_word
 
 
@@ -220,6 +224,52 @@ def test_export_empty_and_chain():
     parsed = json.loads(payload)
     assert len(parsed["vertices"]) == 2 and len(parsed["edges"]) == 1
     assert parsed["edges"][0]["dir"] == "f"
+
+
+def test_an_invalid_image_is_a_structure_error(monkeypatch):
+    import bitableaux.crystal as crystal
+
+    t = Bitableau.from_rows([[[1, 1], [1, 1]]], 1, 2)
+    assert crystal_op_bitableau(t, 1, "lower").rows == (((1, 1), (1, 2)),)
+    # lowering the first box instead breaks the row
+    monkeypatch.setattr(crystal, "crystal_op_position", lambda word, i, direction: 0)
+    with pytest.raises(CrystalStructureError, match=r"broke semistandardness at \(0, 0\)"):
+        crystal_op_bitableau(t, 1, "lower")
+
+
+def test_crystal_graph_refuses_a_non_injective_f():
+    vertices = tuple(CrystalVertex(v, None, None, (0,)) for v in range(3))
+    with pytest.raises(ValueError, match="f_1 is not injective at vertex 2"):
+        CrystalGraph(vertices, {(0, 1): 2, (1, 1): 2})
+
+
+def _fresh_character_table():
+    table = character_table(3)  # cached, so copy it into a new value
+    return CharacterTable(table.k, table.classes, table.sizes, dict(table.chi))
+
+
+VALUE_TYPES = {
+    "Bitableau": lambda: Bitableau.from_rows([[[1, 1], [1, 2]], [[2, 1]]]),
+    "SSYT": lambda: SSYT.from_rows([[1, 2], [3]]),
+    "SkewSSYT": lambda: SkewSSYT((2, 1), (1,), ((2,), (1,))),
+    "Biword": lambda: Biword((1, 1, 2), (2, 3, 1)),
+    "TableauPair": lambda: rsk(Biword((1, 1, 2), (2, 3, 1))),
+    "CrystalVertex": lambda: CrystalVertex(0, {"rows": [[1]]}, (1,), (1,)),
+    "CrystalGraph": lambda: full_crystal((2, 1), 2, 2),
+    "CharacterTable": _fresh_character_table,
+    "SymPoly": lambda: schur_poly((2, 1), ("x1", "x2")),
+    "PartialOperator": lambda: PartialOperator({1: 2, 3: 4}),
+    "SkeletonResult": lambda: skeleton((2, 1)),
+    "SeminormalReport": lambda: is_valid_gl2_structure({0: 1}, {0: (2, 0), 1: (0, 2)}),
+    "KroneckerVerdict": lambda: KroneckerVerdict(False, (2, 1), frozenset({"I"})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_equal_values_hash_alike(name):
+    a, b = VALUE_TYPES[name](), VALUE_TYPES[name]()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and hash(a) == hash(b)
 
 
 def test_crystal_graph_is_frozen():
