@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import sys
@@ -29,7 +28,7 @@ from .crystal import (
     full_crystal,
     monomial_expansion_sweep,
 )
-from .graphs import export_crystal
+from .graphs import CrystalGraph, export_crystal
 from .insertion import Biword, brsk, jdt_product, rsk
 from .kron_tableaux import kronecker_count_row
 from .partitions import check_partition, enumerate_partitions
@@ -287,28 +286,12 @@ def _cmd_verify_thm2(args) -> int:
     return 0
 
 
-def _skeleton_dot(result) -> str:
-    g = result.graph
-    free = set(result.free_vertices)
-    out = io.StringIO()
-    out.write("digraph skeleton {\n")
-    for v in g.vertices:
-        label = _dump(v.payload["rows"])
-        style = ' style=dashed' if v.id in free else ""
-        out.write(
-            f'  v{v.id} [label="{label}" weight_a="{",".join(map(str, v.weight_a))}"'
-            f' weight_b="{",".join(map(str, v.weight_b))}"{style}];\n'
-        )
-    for src, dst in sorted(result.forced.images.items()):
-        out.write(f"  v{src} -> v{dst} [label=\"1\"];\n")
-    out.write("}\n")
-    return out.getvalue()
-
-
 def _cmd_skeleton(args) -> int:
     result = skeleton(args.shape, conv=args.conv, cap=args.cap)
     if args.format == "dot":
-        sys.stdout.write(_skeleton_dot(result))
+        forced = {(s, 1): d for s, d in result.forced.images.items()}
+        g = CrystalGraph(result.graph.vertices, forced)
+        sys.stdout.write(export_crystal(g, name="skeleton", dashed=result.free_vertices))
         return 0
     payload = {
         "forced": sorted([s, d] for s, d in result.forced.images.items()),

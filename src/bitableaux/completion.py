@@ -17,7 +17,6 @@ insertion, and the fixed-reading-order gl_3 candidate on shape (2,1).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -151,6 +150,8 @@ def _arrangements(
 
     Levels are a_1 - a_2 values, processed downward; every open string must
     pick up exactly one chain per level until it closes at the mirror level.
+    Chain counts c are symmetric in a_1 - a_2, so c(-l) = c(l) strings are open
+    at a level l < 0 and take every chain there; a chain left over raises.
     """
 
     def rec(idx: int, open_strings: list[tuple[int, int]]):
@@ -161,13 +162,11 @@ def _arrangements(
             return
         level = levels[idx]
         comps = chains_by_level.get(level, [])
-        if len(comps) < len(open_strings):
-            return
         for assignment in itertools.permutations(comps, len(open_strings)):
             chosen = set(assignment)
             new_starts = [c for c in comps if c not in chosen]
             if new_starts and level < 0:
-                continue  # a string cannot start below the mirror axis
+                raise CrystalStructureError(f"a top string would start at level {level}")
             pairs = [
                 (parent, child) for (parent, _), child in zip(open_strings, assignment)
             ]
@@ -409,10 +408,7 @@ def shape21_candidate_crystal(corner_first: str = "south") -> CrystalGraph:
     """
     if corner_first not in ("south", "east"):
         raise ValueError("corner_first must be 'south' or 'east'")
-    keep = sorted(
-        highest_weight_bitableaux((2, 1), 3, 2, bcontent=(2, 1)),
-        key=lambda t: json.dumps(t.to_json(), sort_keys=True),
-    )
+    keep = list(highest_weight_bitableaux((2, 1), 3, 2, bcontent=(2, 1)))
 
     words: dict[int, tuple[int, ...]] = {}
     lookup: dict[tuple[int, ...], int] = {}

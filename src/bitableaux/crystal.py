@@ -7,10 +7,9 @@ that streamlined route.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator, Sequence
 
-from .bitableau import Bitableau, iter_bitableau_rows, weights
+from .bitableau import Bitableau, PairRows, iter_bitableau_rows, weights
 from .graphs import CrystalGraph, CrystalVertex
 from .kernels import count_d_table, layer_runs  # count_d_table is re-exported here
 from .partitions import Partition, check_partition, check_triple, enumerate_partitions, trim
@@ -32,12 +31,24 @@ class CapExceededError(RuntimeError):
     """A vertex budget was exceeded."""
 
 
+def _image_rows(
+    rows: PairRows, word: Sequence[int], cells: Sequence[tuple[int, int]], i: int, direction: str
+) -> tuple[tuple[int, int], PairRows] | None:
+    """The cell an operator changes and the unchecked rows it leaves, or None."""
+    pos = crystal_op_position(word, i, direction)
+    if pos is None:
+        return None
+    r, c = cells[pos]
+    a, b = rows[r][c]
+    row = rows[r][:c] + ((a, b + (1 if direction == "lower" else -1)),) + rows[r][c + 1 :]
+    return (r, c), rows[:r] + (row,) + rows[r + 1 :]
+
+
 def crystal_op_bitableau(
     t: Bitableau, i: int, direction: str, conv: str = "w"
 ) -> Bitableau | None:
     """gl_m operator on the bottom entries; conv picks the w or w' word.
 
-    The word-level operator is applied at the changed letter's source box.
     None mirrors the word-level null; an invalid resulting filling raises
     CrystalStructureError.
     """
@@ -45,17 +56,15 @@ def crystal_op_bitableau(
         raise ValueError(f"unknown convention {conv!r}")
     if not 1 <= i < t.m:
         raise ValueError(f"operator index {i} outside [1, {t.m - 1}]")
-    word, cells = bitableau_reading_cells(t.rows, conv)
-    pos = crystal_op_position(word, i, direction)
-    if pos is None:
+    image = _image_rows(t.rows, *bitableau_reading_cells(t.rows, conv), i, direction)
+    if image is None:
         return None
-    r, c = cells[pos]
-    a, b = t.rows[r][c]
+    cell, rows = image
     try:
-        return t.with_entry(r, c, (a, b + (1 if direction == "lower" else -1)))
+        return Bitableau(t.shape, rows, t.n, t.m)
     except ValueError as exc:
         raise CrystalStructureError(
-            f"{conv} operator {direction} f_{i} broke semistandardness at {(r, c)}"
+            f"{conv} operator {direction} f_{i} broke semistandardness at {cell}"
         ) from exc
 
 
@@ -134,25 +143,29 @@ def full_crystal(
 ) -> CrystalGraph:
     """Graph over all of B_lam(n,m) with every gl_m operator.
 
-    Vertex ids are ordinals after sorting canonical JSON serializations, so
-    exports are byte-stable.
+    Vertex ids follow the filler's row-major lexicographic order, so exports
+    are byte-stable.  An image outside B_lam(n,m) broke semistandardness.
     """
     lam = check_partition(lam)
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
+    if conv not in CONVENTIONS:
+        raise ValueError(f"unknown convention {conv!r}")
     size = count_ssyt(lam, n * m)  # |B_lam(n,m)| through the [nm] encoding
     if size > cap:
         raise CapExceededError(f"{size} vertices exceed the cap {cap}")
-    tableaux = [Bitableau(lam, rows, n, m) for rows in iter_bitableau_rows(lam, n, m)]
-    tableaux.sort(key=lambda t: json.dumps(t.to_json(), sort_keys=True))
-    index = {t.rows: i for i, t in enumerate(tableaux)}
+    index = {rows: vid for vid, rows in enumerate(iter_bitableau_rows(lam, n, m))}
     vertices = []
     edges: dict[tuple[int, int], int] = {}
-    for vid, t in enumerate(tableaux):
-        a, b = weights(t)
-        vertices.append(CrystalVertex(vid, t.to_json(), a, b))
+    for rows, vid in index.items():
+        t = Bitableau(lam, rows, n, m)
+        vertices.append(CrystalVertex(vid, t.to_json(), *weights(t)))
+        word, cells = bitableau_reading_cells(rows, conv)
         for i in range(1, m):
-            image = crystal_op_bitableau(t, i, "lower", conv)
-            if image is not None:
-                edges[(vid, i)] = index[image.rows]
+            if (image := _image_rows(rows, word, cells, i, "lower")) is not None:
+                if image[1] not in index:
+                    raise CrystalStructureError(
+                        f"{conv} operator lower f_{i} broke semistandardness at {image[0]}"
+                    )
+                edges[(vid, i)] = index[image[1]]
     return CrystalGraph(tuple(vertices), edges)

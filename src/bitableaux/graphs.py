@@ -104,18 +104,26 @@ def _vertex_label(v: CrystalVertex) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_crystal(g: CrystalGraph, format: str = "dot") -> str:
-    """Serialize a crystal graph; byte-stable across runs."""
+def export_crystal(
+    g: CrystalGraph, format: str = "dot", name: str = "crystal", dashed: Iterable[int] = ()
+) -> str:
+    """Serialize a crystal graph; byte-stable across runs.
+
+    DOT only: the graph is called name and the vertex ids in dashed are dashed.
+    """
     if format == "json":
         return json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True)
     if format != "dot":
         raise ValueError(f"unknown format {format!r}")
-    lines = ["digraph crystal {"]
+    dashed = set(dashed)
+    lines = [f"digraph {name} {{"]
     for v in g.vertices:
         attrs = [f'label="{_vertex_label(v)}"']
         if v.weight_a is not None:
             attrs.append(f'weight_a="{",".join(map(str, v.weight_a))}"')
         attrs.append(f'weight_b="{",".join(map(str, v.weight_b))}"')
+        if v.id in dashed:
+            attrs.append("style=dashed")
         lines.append(f'  v{v.id} [{" ".join(attrs)}];')
     for (src, i), dst in sorted(g.edges.items()):
         lines.append(f'  v{src} -> v{dst} [label="{i}"];')

@@ -8,6 +8,7 @@ import pytest
 from bitableaux.bitableau import Bitableau, enumerate_bitableaux
 from bitableaux.completion import (
     PartialOperator,
+    _arrangements,
     _group_options,
     column_top_operator,
     commutes_with_bottom,
@@ -18,7 +19,12 @@ from bitableaux.completion import (
     shape21_candidate_crystal,
     skeleton,
 )
-from bitableaux.crystal import CapExceededError, crystal_op_bitableau, full_crystal
+from bitableaux.crystal import (
+    CapExceededError,
+    CrystalStructureError,
+    crystal_op_bitableau,
+    full_crystal,
+)
 from bitableaux.graphs import CrystalGraph, CrystalVertex
 from bitableaux.insertion import Biword, brsk, rsk
 from bitableaux.kernels import count_d_table
@@ -509,3 +515,9 @@ def test_option_counts_follow_from_the_kernel():
                 _, _, groups = _group_options(lam, conv, 100_000)
                 counts = sorted(len(options) for _, options in groups)
                 assert counts == sorted(expected), (lam, conv)
+
+
+def test_a_string_starting_below_the_axis_is_a_structure_error():
+    # chain counts 1 at level 1 and 2 at level -1 are not symmetric
+    with pytest.raises(CrystalStructureError, match="start at level -1"):
+        list(_arrangements({1: [0], -1: [1, 2]}, [1, -1]))

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import EIGHTEEN_BOX, FIVE_BOX, nm_pairs, small_shapes
-from bitableaux.bitableau import Bitableau, enumerate_bitableaux, weights
+from bitableaux.bitableau import Bitableau, enumerate_bitableaux, iter_bitableau_rows, weights
 from bitableaux.completion import PartialOperator, is_valid_gl2_structure, skeleton
 from bitableaux.crystal import (
     CapExceededError,
@@ -21,7 +21,7 @@ from bitableaux.kron_tableaux import KroneckerVerdict
 from bitableaux.partitions import enumerate_partitions, trim
 from bitableaux.symfunc import CharacterTable, character_table, monomial_coefficient_d, schur_poly
 from bitableaux.tableaux import SSYT, SkewSSYT, reading_word
-from bitableaux.words import bitableau_reading_word, crystal_op_word
+from bitableaux.words import bitableau_reading_word, crystal_op_word, word_crystal_component
 
 
 def test_lowering_on_the_worked_example():
@@ -42,6 +42,8 @@ def test_operator_index_validation():
         crystal_op_bitableau(FIVE_BOX, 3, "lower")
     with pytest.raises(ValueError):
         crystal_op_bitableau(FIVE_BOX, 1, "lower", conv="u")
+    with pytest.raises(ValueError):
+        full_crystal((1,), 1, 1, conv="u")
 
 
 def test_full_crystal_needs_nonempty_alphabets():
@@ -119,6 +121,29 @@ def test_full_crystal_examples():
     assert len(chain.vertices) == 2 and len(chain.edges) == 1
     big = full_crystal((2, 2), 2, 2)
     assert len(big.vertices) == 20
+
+
+def test_full_crystal_numbers_vertices_in_filler_order():
+    import json
+
+    def vertex_rows(g):
+        return [tuple(tuple(map(tuple, row)) for row in v.payload["rows"]) for v in g.vertices]
+
+    for shape in small_shapes(4):
+        for n, m in nm_pairs(3):
+            rows = vertex_rows(full_crystal(shape, n, m))
+            assert rows == list(iter_bitableau_rows(shape, n, m))
+            # with single-digit entries this is the order of the sorted JSON forms
+            by_json = sorted(
+                enumerate_bitableaux(shape, n, m),
+                key=lambda t: json.dumps(t.to_json(), sort_keys=True),
+            )
+            assert rows == [t.rows for t in by_json]
+    # with two-digit entries the order is numeric: 2 before 10
+    assert vertex_rows(full_crystal((1,), 10, 1)) == [(((a, 1),),) for a in range(1, 11)]
+    assert vertex_rows(full_crystal((2,), 1, 10)) == [
+        (((1, b), (1, c)),) for b in range(1, 11) for c in range(b, 11)
+    ]
 
 
 def test_full_crystal_cap():
@@ -226,7 +251,16 @@ def test_export_empty_and_chain():
     assert parsed["edges"][0]["dir"] == "f"
 
 
-def test_an_invalid_image_is_a_structure_error(monkeypatch):
+def test_export_names_the_graph_and_dashes_the_given_vertices():
+    g = word_crystal_component((1, 2), 2)  # words 11, 12, 22; no a-weights
+    lines = export_crystal(g, name="skeleton", dashed=(1,)).splitlines()
+    assert lines[0] == "digraph skeleton {"
+    assert [line for line in lines if "style=dashed" in line] == [lines[2]]
+    assert lines[2] == '  v1 [label="[1,2]" weight_b="1,1" style=dashed];'
+
+
+def test_an_invalid_image_is_a_structure_error(monkeypatch, capsys):
+    import bitableaux.cli as cli
     import bitableaux.crystal as crystal
 
     t = Bitableau.from_rows([[[1, 1], [1, 1]]], 1, 2)
@@ -235,6 +269,13 @@ def test_an_invalid_image_is_a_structure_error(monkeypatch):
     monkeypatch.setattr(crystal, "crystal_op_position", lambda word, i, direction: 0)
     with pytest.raises(CrystalStructureError, match=r"broke semistandardness at \(0, 0\)"):
         crystal_op_bitableau(t, 1, "lower")
+    # the graph builder finds the image missing from B_(2)(1,2)
+    with pytest.raises(CrystalStructureError, match=r"broke semistandardness at \(0, 0\)"):
+        full_crystal((2,), 1, 2)
+    assert cli.main(["crystal", "--shape", "2", "--n", "1", "--m", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: crystal structure broken")
+    assert err.count("\n") == 1
 
 
 def test_crystal_graph_refuses_a_non_injective_f():
