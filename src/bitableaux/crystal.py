@@ -94,16 +94,21 @@ def highest_weight_bitableaux(
 def count_d(
     lam: Sequence[int], mu: Sequence[int], nu: Sequence[int], conv: str = "w"
 ) -> int:
-    """Bitableaux of shape lam with a(T)=mu, b(T)=nu and Yamanouchi word."""
+    """Bitableaux of shape lam with a(T)=mu, b(T)=nu and Yamanouchi word.
+
+    The partition mu is its own run, so the counter builds partition runs only.
+    """
     lam, mu, nu = check_triple(lam, mu, nu)
-    return layer_runs(nu, conv)(lam, len(mu)).get(mu, 0)  # mu is its own run
+    return layer_runs(nu, conv)(lam, len(mu), _partitions=True).get(mu, 0)
 
 
 def monomial_expansion_sweep(k: int, conv: str = "w") -> list[tuple[Partition, Partition, Partition, int, int]]:
     """Crystal count versus character-side d for every triple of partitions of k.
 
     Rows run lam, nu, mu in partition order.  The crystal side reads one
-    layer_runs memo per nu; the oracle side is monomial_coefficient_row, the
+    layer_runs memo per nu, which holds partition runs only: every mu is its
+    own run, and the count is symmetric in the a-content, so no other run is
+    read.  The oracle side is monomial_coefficient_row, the
     permutation-character route, once per (lam, nu).  The d point query keeps
     the other route, monomial_coefficient_d.
     """
@@ -112,7 +117,7 @@ def monomial_expansion_sweep(k: int, conv: str = "w") -> list[tuple[Partition, P
     for nu in parts:
         runs = layer_runs(nu, conv)  # one memo per nu, dropped after it
         for lam in parts:
-            table, oracle = runs(lam, k), monomial_coefficient_row(lam, nu)
+            table, oracle = runs(lam, k, _partitions=True), monomial_coefficient_row(lam, nu)
             rows[lam, nu] = [(lam, mu, nu, table.get(mu, 0), oracle[mu]) for mu in parts]
     return [row for lam in parts for nu in parts for row in rows[lam, nu]]
 

@@ -14,6 +14,11 @@ far, layers left) does not depend on lam, so one memo serves every shape.
 Empty layers add nothing to the word, so the DP counts by run: the sizes of
 the nonempty layers, a ascending.  A partition a-content without zeros is its
 own run; _spread places each run over the n top values for the full table.
+crystal.count_d and crystal.monomial_expansion_sweep read only partition
+a-contents, and d(lam, mu, nu) is symmetric in mu, so they ask the counter
+for partition runs alone: the DP then peels only layers no smaller than the
+one peeled before it.  count_d_table keeps every composition run, so that its
+symmetry in the a-content is checked, not assumed.
 _tally_python_dict is the naive reference: it tallies the crystal's
 highest-weight bitableaux (crystal.highest_weight_bitableaux), so the kernel
 is checked against the reading word the crystal itself uses.
@@ -25,7 +30,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .partitions import check_partition, trim
+from .partitions import check_partition, is_int, trim
 from .words import CONVENTIONS
 
 Shape = tuple[int, ...]
@@ -100,27 +105,38 @@ def _partitions_between(lo: Shape, hi: Shape):
     return rec(0)
 
 
-def layer_runs(bcontent: Sequence[int], conv: str = "w") -> Callable[[Sequence[int], int], Runs]:
+def layer_runs(bcontent: Sequence[int], conv: str = "w") -> Callable[..., Runs]:
     """Counter of the Yamanouchi bitableaux of b-content bcontent, by run.
 
     runs(shape, n) maps each run of at most n layers to its count.  Its
     memos live as long as runs and serve every shape; a b-content that is
     not a partition (padded with zeros) has no Yamanouchi word.
+    runs(shape, n, _partitions=True) keeps only the weakly decreasing runs,
+    the keys count_d and monomial_expansion_sweep read, and builds no other.
     """
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
     cap = tuple(bcontent)
+    if not all(is_int(x) for x in cap):
+        raise ValueError(f"b-content entries must be integers, got {cap!r}")
     m = len(cap)
     lattice = all(x >= y for x, y in zip(cap, cap[1:] + (0,)))  # weakly decreasing, >= 0
     fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}
-    memo: dict[tuple[Shape, Content, int], Runs] = {}
+    memo: dict[tuple[Shape, Content, int, int], Runs] = {}
 
-    def rest(state: Shape, start: Content, budget: int) -> Runs:
-        """Counts of the layers inside state, after a word of content start."""
+    def rest(state: Shape, start: Content, budget: int, floor: int) -> Runs:
+        """Counts of the layers inside state, after a word of content start.
+
+        floor 0 counts every run.  A floor f >= 1 counts only the runs whose
+        layers all hold at least f cells and weakly decrease, a ascending:
+        as layers come off a = n first, each one peeled is the floor of the
+        rest, so the rest holds no layer smaller than it.
+        """
         if not state:
             return {(): 1}
-        budget = min(budget, sum(state))
-        key = (state, start, budget)
+        total = sum(state)
+        budget = min(budget, total // max(floor, 1))
+        key = (state, start, budget, floor)
         out = memo.get(key)
         if out is not None:
             return out
@@ -129,24 +145,28 @@ def layer_runs(bcontent: Sequence[int], conv: str = "w") -> Callable[[Sequence[i
             # a column of a layer holds at most m cells: its bottom entries strictly increase
             lo = state[m:] + (0,) * min(m, len(state))
             for inner in _partitions_between(lo, state):
-                if inner != state:
-                    size, nxt = sum(state) - sum(inner), trim(inner)
-                    ends = fillings.get((state, inner, start))
-                    if ends is None:
-                        ends = _lattice_fillings(state, inner, start, cap, conv)
-                        fillings[state, inner, start] = ends
-                    for end, ways in ends.items():
-                        for sizes, count in rest(nxt, end, budget - 1).items():
-                            sizes += (size,)
-                            out[sizes] = out.get(sizes, 0) + ways * count
+                size = total - sum(inner)
+                if size == 0 or size < floor or (floor and 0 < total - size < size):
+                    continue
+                nxt = trim(inner)
+                ends = fillings.get((state, inner, start))
+                if ends is None:
+                    ends = _lattice_fillings(state, inner, start, cap, conv)
+                    fillings[state, inner, start] = ends
+                for end, ways in ends.items():
+                    for sizes, count in rest(nxt, end, budget - 1, floor and size).items():
+                        sizes += (size,)
+                        out[sizes] = out.get(sizes, 0) + ways * count
         memo[key] = out
         return out
 
-    def runs(shape: Sequence[int], n: int) -> Runs:
+    def runs(shape: Sequence[int], n: int, _partitions: bool = False) -> Runs:
         shape = check_partition(shape)
+        if not is_int(n) or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
         if not lattice or sum(shape) != sum(cap):
             return {}
-        return rest(shape, (0,) * m, n)
+        return rest(shape, (0,) * m, n, 1 if _partitions else 0)
 
     return runs
 

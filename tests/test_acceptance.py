@@ -302,3 +302,15 @@ def test_criterion_9_sweep_k9_both_conventions():
             assert crystal == oracle, (conv, lam, mu, nu, crystal, oracle)
         assert sum(row[4] for row in rows) == 16_498_740
     _report(9, "crystal count equals the character-side count on 27000 triples (k = 9), w and w'")
+
+
+def test_criterion_10_sweep_k10_both_conventions():
+    # every triple of k = 10 through monomial_expansion_sweep under w and w',
+    # the kernel counting partition runs only
+    for conv in ("w", "w_prime"):
+        rows = monomial_expansion_sweep(10, conv)
+        assert len(rows) == 42**3
+        for lam, mu, nu, crystal, oracle in rows:
+            assert crystal == oracle, (conv, lam, mu, nu, crystal, oracle)
+        assert sum(row[4] for row in rows) == 220_874_588
+    _report(10, "crystal count equals the character-side count on 74088 triples (k = 10), w and w'")

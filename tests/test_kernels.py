@@ -50,6 +50,45 @@ def test_one_memo_serves_every_shape():
     assert cases == 2 * (2250 - 18)
 
 
+def test_partition_runs_are_the_nonincreasing_composition_runs():
+    # one counter per (nu, conv) serves both kinds of run over every lam, in
+    # both orders, so a floor that leaks into the shared memo changes a table
+    cases = 0
+    for k in range(1, 8):
+        shapes = enumerate_partitions(k)
+        for nu in shapes:
+            for conv in ("w", "w_prime"):
+                runs = layer_runs(nu, conv)
+                for i, lam in enumerate(shapes):
+                    if i % 2:
+                        full, part = runs(lam, k), runs(lam, k, _partitions=True)
+                    else:
+                        part, full = runs(lam, k, _partitions=True), runs(lam, k)
+                    kept = {key: c for key, c in full.items() if list(key) == sorted(key, reverse=True)}
+                    assert part == kept, (lam, nu, conv)
+                    cases += 1
+    assert cases == 868
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: layer_runs((2, 1))((2, 1), 2.5),
+        lambda: layer_runs((2, 1))((2, 1), 2.0, _partitions=True),
+        lambda: layer_runs((2, 1))((2, 1), True),
+        lambda: count_d_table((), (), -1),
+        lambda: count_d_table((2, 1), (2.0, 1), 2),
+        lambda: count_d_table((2, 1), (2, 1), -1, "w_prime"),
+        lambda: layer_runs((2, 1.0)),
+    ],
+    ids=["float-n", "float-n-partitions", "bool-n", "negative-n-empty", "float-bcontent",
+         "negative-n", "float-bcontent-counter"],
+)
+def test_kernel_refuses_a_bad_n_or_bcontent(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 @pytest.mark.parametrize("conv", ["w", "w_prime"])
 def test_negative_bcontent_counts_nothing(conv):
     # a b-content with a negative entry has no filling, however it sums
