@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .partitions import Partition, check_partition, is_int
-from .tableaux import SSYT, check_semistandard, grid_rows, iter_ssyt_rows
+from .partitions import Partition, check_int, check_partition, is_int
+from .tableaux import SSYT, check_semistandard, grid_rows, iter_ssyt_rows, json_shape
 
 Pair = tuple[int, int]
 PairRows = tuple[tuple[Pair, ...], ...]
@@ -27,15 +27,14 @@ class Bitableau:
     m: int
 
     def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("m", self.m)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_int(self.n, "n", 1)
+        check_int(self.m, "m", 1)
         check_partition(self.shape)
         if tuple(len(r) for r in self.rows) != self.shape:
             raise ValueError("row lengths do not match shape")
         for row in self.rows:
             for a, b in row:
-                if not (1 <= a <= self.n and 1 <= b <= self.m):
+                if check_int(a, "top entry", 1) > self.n or check_int(b, "bottom entry", 1) > self.m:
                     raise ValueError(f"entry ({a},{b}) outside [1,{self.n}]x[1,{self.m}]")
         check_semistandard(self.rows)
 
@@ -63,7 +62,7 @@ class Bitableau:
         # n and m are inferred from the entries only when the key is absent
         n = data.get("n", max((a for row in rows for a, _ in row), default=1))
         m = data.get("m", max((b for row in rows for _, b in row), default=1))
-        return cls(tuple(len(r) for r in rows), rows, n, m)
+        return cls(json_shape(data, rows), rows, n, m)
 
     @classmethod
     def from_rows(
@@ -89,22 +88,15 @@ def _pair_rows(rows: object) -> PairRows:
 def pair_to_int(pair: Pair, m: int) -> int:
     """Order isomorphism ([n]x[m], lex) -> [nm] via (i,j) -> (i-1)m + j."""
     i, j = pair
-    if not (is_int(i) and is_int(j) and is_int(m)):
-        raise ValueError(f"pair and m must be integers, got {pair!r} and {m!r}")
-    if not 1 <= j <= m:
+    check_int(i, "first coordinate", 1)
+    if check_int(j, "second coordinate", 1) > check_int(m, "m", 1):
         raise ValueError(f"second coordinate {j} outside [1, {m}]")
-    if i < 1:
-        raise ValueError(f"first coordinate {i} must be positive")
     return (i - 1) * m + j
 
 
 def int_to_pair(value: int, m: int) -> Pair:
-    if not (is_int(value) and is_int(m)):
-        raise ValueError(f"value and m must be integers, got {value!r} and {m!r}")
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    if value < 1:
-        raise ValueError("value must be positive")
+    check_int(value, "value", 1)
+    check_int(m, "m", 1)
     return ((value - 1) // m + 1, (value - 1) % m + 1)
 
 
@@ -121,6 +113,8 @@ def iter_bitableau_rows(
     lexicographic order.  bcontent and acontent, when given, keep only the
     fillings with exactly that b- and a-content.
     """
+    check_int(n, "n", 1)
+    check_int(m, "m", 1)
     pairs = [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)]
     budgets = []
     if bcontent is not None:
@@ -132,8 +126,6 @@ def iter_bitableau_rows(
 
 def enumerate_bitableaux(shape: Sequence[int], n: int, m: int) -> list[Bitableau]:
     """All lexicographic bitableaux with entries in [n]x[m], deterministic order."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be at least 1")
     shape = check_partition(shape)
     return [Bitableau(shape, rows, n, m) for rows in iter_bitableau_rows(shape, n, m)]
 

@@ -24,6 +24,7 @@ from .completion import (
 from .crystal import (
     CapExceededError,
     CrystalStructureError,
+    check_cap,
     count_d,
     full_crystal,
     monomial_expansion_sweep,
@@ -31,7 +32,7 @@ from .crystal import (
 from .graphs import CrystalGraph, export_crystal
 from .insertion import Biword, brsk, jdt_product, rsk
 from .kron_tableaux import kronecker_count_row
-from .partitions import check_partition, enumerate_partitions
+from .partitions import check_int, check_partition, enumerate_partitions
 from .symfunc import kronecker_coefficient, monomial_coefficient_d
 from .tableaux import SSYT, count_ssyt, enumerate_ssyt, reading_word
 from .words import CONVENTIONS, READING_METHODS, bitableau_reading_word
@@ -209,15 +210,14 @@ def _cmd_enumerate(args) -> int:
     if args.shape is None or args.n is None:
         raise ValueError("need --k, or --shape with --n (and --m for bitableaux)")
     pairs = args.m is not None
-    if args.n < 1 or pairs and args.m < 1:
-        raise ValueError("n and m must be at least 1" if pairs else "n must be at least 1")
+    check_int(args.n, "n", 1)
+    if pairs:
+        check_int(args.m, "m", 1)
     size = count_ssyt(args.shape, args.n * args.m if pairs else args.n)  # |B_lam(n,m)| via [nm]
     if args.count_only:
         print(size)
         return 0
-    if size > args.cap:
-        kind = "bitableaux" if pairs else "tableaux"
-        raise CapExceededError(f"{size} {kind} exceed the cap {args.cap}")
+    check_cap(size, args.cap, "bitableaux" if pairs else "tableaux")
     if pairs:
         print(_dump([t.to_json() for t in enumerate_bitableaux(args.shape, args.n, args.m)]))
     else:

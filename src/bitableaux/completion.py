@@ -24,13 +24,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .bitableau import Bitableau, weights
 from .crystal import (
-    CapExceededError,
     CrystalStructureError,
+    check_cap,
     full_crystal,
     highest_weight_bitableaux,
 )
 from .graphs import CrystalGraph, CrystalVertex
-from .partitions import Partition, trim
+from .partitions import Partition, check_int, trim
 from .tableaux import ssyt_from_reading_word
 from .words import (
     bitableau_reading_cells,
@@ -241,9 +241,7 @@ def enumerate_completions(
     number of completions, which is known before any completion is built.
     """
     g, _, groups = _group_options(lam, conv, cap)
-    total = math.prod(len(options) for _, options in groups)
-    if total > cap:
-        raise CapExceededError(f"{total} completions exceed the cap {cap}")
+    check_cap(math.prod(len(options) for _, options in groups), cap, "completions")
     completions = []
     for combo in itertools.product(*(options for _, options in groups)):
         images = {src: dst for option in combo for src, dst in option.items()}
@@ -363,7 +361,7 @@ def row_top_operator(t: Bitableau, j: int, direction: str) -> Bitableau | None:
     """gl_n operator on a one-row bitableau via the u reading word."""
     if len(t.shape) != 1:
         raise ValueError("row operator requires a one-row shape")
-    if not 1 <= j < t.n:
+    if check_int(j, "operator index", 1) >= t.n:
         raise ValueError(f"operator index {j} outside [1, {t.n - 1}]")
     return _top_flip_resorted(t, "u", j, direction)
 
@@ -372,7 +370,7 @@ def column_top_operator(t: Bitableau, j: int, direction: str) -> Bitableau | Non
     """gl_n operator on a one-column bitableau via the u' reading word."""
     if any(length != 1 for length in t.shape):
         raise ValueError("column operator requires a one-column shape")
-    if not 1 <= j < t.n:
+    if check_int(j, "operator index", 1) >= t.n:
         raise ValueError(f"operator index {j} outside [1, {t.n - 1}]")
     return _top_flip_resorted(t, "u_prime", j, direction)
 

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 from .bitableau import Bitableau, PairRows, iter_bitableau_rows, weights
 from .graphs import CrystalGraph, CrystalVertex
 from .kernels import count_d_table, layer_runs  # count_d_table is re-exported here
-from .partitions import Partition, check_partition, check_triple, enumerate_partitions, trim
+from .partitions import Partition, check_int, check_partition, check_triple, enumerate_partitions, trim
 from .symfunc import monomial_coefficient_row
 from .tableaux import SkewSSYT, count_ssyt
 from .words import (
@@ -29,6 +29,12 @@ class CrystalStructureError(RuntimeError):
 
 class CapExceededError(RuntimeError):
     """A vertex budget was exceeded."""
+
+
+def check_cap(count: int, cap: int, noun: str) -> None:
+    """CapExceededError if count exceeds cap; a cap that is not an int >= 0 is a ValueError."""
+    if count > check_int(cap, "cap"):
+        raise CapExceededError(f"{count} {noun} exceed the cap {cap}")
 
 
 def _image_rows(
@@ -54,7 +60,7 @@ def crystal_op_bitableau(
     """
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
-    if not 1 <= i < t.m:
+    if check_int(i, "operator index", 1) >= t.m:
         raise ValueError(f"operator index {i} outside [1, {t.m - 1}]")
     image = _image_rows(t.rows, *bitableau_reading_cells(t.rows, conv), i, direction)
     if image is None:
@@ -152,13 +158,11 @@ def full_crystal(
     are byte-stable.  An image outside B_lam(n,m) broke semistandardness.
     """
     lam = check_partition(lam)
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be at least 1")
+    check_int(n, "n", 1)
+    check_int(m, "m", 1)
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
-    size = count_ssyt(lam, n * m)  # |B_lam(n,m)| through the [nm] encoding
-    if size > cap:
-        raise CapExceededError(f"{size} vertices exceed the cap {cap}")
+    check_cap(count_ssyt(lam, n * m), cap, "vertices")  # |B_lam(n,m)| through the [nm] encoding
     index = {rows: vid for vid, rows in enumerate(iter_bitableau_rows(lam, n, m))}
     vertices = []
     edges: dict[tuple[int, int], int] = {}

@@ -7,14 +7,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitableau import Bitableau
-from .partitions import conjugate
+from .partitions import check_int, conjugate
 from .tableaux import SSYT, Rows, SkewSSYT
 from .words import bitableau_reading_cells
 
 Word = tuple[int, ...]
 Cell = tuple[int, int]
-
-EMPTY = SSYT((), (), 1)
 
 
 @dataclass(frozen=True)
@@ -33,8 +31,8 @@ class Biword:
     def __post_init__(self) -> None:
         if len(self.tops) != len(self.bottoms):
             raise ValueError("rows of a biword must have equal length")
-        if any(x < 1 for x in self.tops) or any(x < 1 for x in self.bottoms):
-            raise ValueError("biword entries must be positive")
+        for x in (*self.tops, *self.bottoms):
+            check_int(x, "biword entry", 1)
         cols = list(zip(self.tops, self.bottoms))
         for i in range(len(cols) - 1):
             (a1, b1), (a2, b2) = cols[i], cols[i + 1]
@@ -78,10 +76,8 @@ class TableauPair:
 
 def row_insert(t: SSYT, x: int) -> tuple[SSYT, Cell]:
     """Bump x through the rows; returns the new tableau and 1-based new cell."""
-    if x < 1:
-        raise ValueError("inserted value must be positive")
     rows = [list(r) for r in t.rows]
-    r = _bump(rows, x)
+    r = _bump(rows, check_int(x, "inserted value", 1))
     return SSYT.from_rows(rows, max(t.max_entry, x)), (r + 1, len(rows[r]))
 
 
@@ -104,10 +100,10 @@ def _bump(rows: list[list[int]], x: int, strict: bool = False) -> int:
 
 def insert_word(word: Sequence[int]) -> SSYT:
     """P(w): successive row insertion into an initially empty tableau."""
-    t = EMPTY
+    rows: list[list[int]] = []
     for x in word:
-        t, _ = row_insert(t, x)
-    return t
+        _bump(rows, check_int(x, "inserted value", 1))
+    return SSYT.from_rows(rows)
 
 
 def rsk(bw: Biword) -> TableauPair:
@@ -116,18 +112,18 @@ def rsk(bw: Biword) -> TableauPair:
     For burge-flavor words the recording array is row-strict while it is
     built and is transposed at the end, giving conjugate shapes.
     """
-    p = EMPTY
+    prows: list[list[int]] = []
     qrows: list[list[int]] = []
     for top, bottom in zip(bw.tops, bw.bottoms):
-        p, (r, _) = row_insert(p, bottom)
-        if r > len(qrows):
+        r = _bump(prows, bottom)
+        if r == len(qrows):
             qrows.append([])
-        qrows[r - 1].append(top)
+        qrows[r].append(top)
+    p = SSYT.from_rows(prows)
     if bw.flavor == "burge":
         q = SSYT.from_rows(transpose_rows(tuple(tuple(r) for r in qrows)))
         return TableauPair(p, q, "brsk")
-    q = SSYT.from_rows(qrows) if qrows else EMPTY
-    return TableauPair(p, q, "rsk")
+    return TableauPair(p, SSYT.from_rows(qrows), "rsk")
 
 
 def transpose_rows(rows: Rows) -> Rows:

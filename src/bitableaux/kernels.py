@@ -30,7 +30,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .partitions import check_partition, is_int, trim
+from .partitions import check_int, check_partition, is_int, trim
 from .words import CONVENTIONS
 
 Shape = tuple[int, ...]
@@ -162,8 +162,7 @@ def layer_runs(bcontent: Sequence[int], conv: str = "w") -> Callable[..., Runs]:
 
     def runs(shape: Sequence[int], n: int, _partitions: bool = False) -> Runs:
         shape = check_partition(shape)
-        if not is_int(n) or n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        check_int(n, "n")
         if not lattice or sum(shape) != sum(cap):
             return {}
         return rest(shape, (0,) * m, n, 1 if _partitions else 0)

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 from .bitableau import Bitableau
 from .crystal import highest_weight_bitableaux, is_highest_weight
-from .partitions import Partition, check_partition, trim
+from .partitions import Partition, check_int, check_partition, trim
 from .symfunc import kronecker_coefficient
 
 
@@ -98,7 +98,7 @@ def kronecker_tableaux(lam: Sequence[int], p: int, nu: Sequence[int]) -> list[Bi
     nu = check_partition(nu)
     if sum(lam) != sum(nu):
         raise ValueError("shape and b-weight must have the same size")
-    if not 0 <= p <= sum(lam):
+    if check_int(p, "p") > sum(lam):
         raise ValueError(f"p = {p} outside [0, {sum(lam)}]")
     return [t for t in iter_b_prime_content(lam, p, nu) if is_kronecker_tableau(t).is_kronecker]
 

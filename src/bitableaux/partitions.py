@@ -11,6 +11,16 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_int(value: object, name: str, least: int = 0) -> int:
+    """value, if it is an int (not a bool) of at least least; otherwise ValueError.
+
+    This is the one integer rule for scalar arguments, caps and cells.
+    """
+    if not is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def check_partition(parts: Iterable[int]) -> Partition:
     """Normalize an iterable into a partition tuple, rejecting bad input.
 
@@ -54,13 +64,8 @@ def pad(parts: Sequence[int], length: int) -> tuple[int, ...]:
 
 def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of k (at most max_length parts), reverse-lexicographic."""
-    if not is_int(k) or not (max_length is None or is_int(max_length)):
-        raise ValueError(f"k and max_length must be integers, got {k!r} and {max_length!r}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if max_length is not None and max_length < 0:
-        raise ValueError("max_length must be nonnegative")
-    limit = k if max_length is None else min(max_length, k)
+    check_int(k, "k")
+    limit = k if max_length is None else min(check_int(max_length, "max_length"), k)
     out: list[Partition] = []
 
     def rec(remaining: int, max_part: int, slots: int, prefix: list[int]) -> None:

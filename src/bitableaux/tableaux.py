@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .partitions import Partition, check_partition, contains, is_int
+from .partitions import Partition, check_int, check_partition, contains, is_int
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -19,14 +19,13 @@ class SSYT:
     max_entry: int
 
     def __post_init__(self) -> None:
-        if not is_int(self.max_entry) or self.max_entry < 1:
-            raise ValueError(f"max_entry must be an integer >= 1, got {self.max_entry!r}")
+        check_int(self.max_entry, "max_entry", 1)
         check_partition(self.shape)
         if tuple(len(r) for r in self.rows) != self.shape:
             raise ValueError("row lengths do not match shape")
         for row in self.rows:
             for x in row:
-                if not 1 <= x <= self.max_entry:
+                if check_int(x, "entry", 1) > self.max_entry:
                     raise ValueError(f"entry {x} outside [1, {self.max_entry}]")
         check_semistandard(self.rows)
 
@@ -42,7 +41,7 @@ class SSYT:
         rows = grid_rows(data.get("rows"), is_int, "an integer")
         # max_entry is inferred from the entries only when the key is absent
         max_entry = data.get("max_entry", max((x for r in rows for x in r), default=1))
-        return cls(tuple(len(r) for r in rows), rows, max_entry)
+        return cls(json_shape(data, rows), rows, max_entry)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], max_entry: int | None = None) -> "SSYT":
@@ -73,8 +72,9 @@ class SkewSSYT:
             o - i for o, i in zip(self.outer, inner)
         ):
             raise ValueError("row lengths do not match skew shape")
-        if any(x < 1 for row in self.rows for x in row):
-            raise ValueError("entries must be positive")
+        for row in self.rows:
+            for x in row:
+                check_int(x, "entry", 1)
         check_semistandard(self.rows, inner)
 
 
@@ -89,6 +89,15 @@ def grid_rows(rows: object, is_cell, cell_form: str) -> tuple[tuple, ...]:
             if not is_cell(x):
                 raise ValueError(f"cell {x!r} is not {cell_form}")
     return tuple(tuple(row) for row in rows)
+
+
+def json_shape(data: dict, rows: tuple[tuple, ...]) -> Partition:
+    """The row lengths of rows; ValueError unless data's "shape", when present, is the same."""
+    shape = tuple(len(row) for row in rows)
+    given = data.get("shape", shape)
+    if not isinstance(given, (list, tuple)) or check_partition(given) != shape:
+        raise ValueError(f"shape {given!r} does not match the row lengths {list(shape)}")
+    return shape
 
 
 def check_semistandard(rows: Sequence[Sequence], inner: Sequence[int] = ()) -> None:
@@ -179,8 +188,7 @@ def iter_ssyt_rows(
 
 def enumerate_ssyt(shape: Sequence[int], n: int) -> list[SSYT]:
     """All SSYT of the shape with entries in [1, n], deterministic order."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_int(n, "n", 1)
     shape = check_partition(shape)
     return [SSYT(shape, rows, n) for rows in iter_ssyt_rows(shape, n)]
 
@@ -188,10 +196,7 @@ def enumerate_ssyt(shape: Sequence[int], n: int) -> list[SSYT]:
 def count_ssyt(shape: Sequence[int], n: int) -> int:
     """Number of SSYT of the shape over [1, n], s_shape(1^n) by the hook-content formula."""
     shape = check_partition(shape)
-    if not is_int(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_int(n, "n")
     num = den = 1
     for r, length in enumerate(shape):
         for c in range(length):

@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .bitableau import Bitableau, PairRows
 from .graphs import CrystalGraph, CrystalVertex
+from .partitions import check_int
 
 Word = tuple[int, ...]
 
@@ -67,8 +68,7 @@ def unmatched_brackets(word: Sequence[int], i: int) -> tuple[list[int], list[int
 
 def crystal_op_word(word: Sequence[int], i: int, direction: str) -> Word | None:
     """Apply f_i ("lower") or e_i ("raise"); None encodes "sent to zero"."""
-    if i < 1:
-        raise ValueError("operator index must be at least 1")
+    check_int(i, "operator index", 1)
     word = tuple(word)
     pos = crystal_op_position(word, i, direction)
     if pos is None:
@@ -98,9 +98,9 @@ def is_yamanouchi(word: Sequence[int]) -> bool:
 
 def word_weight(word: Sequence[int], n: int) -> tuple[int, ...]:
     """Letter multiplicity vector of length n."""
-    counts = [0] * n
+    counts = [0] * check_int(n, "n")
     for x in word:
-        if not 1 <= x <= n:
+        if check_int(x, "letter", 1) > n:
             raise ValueError(f"letter {x} outside [1, {n}]")
         counts[x - 1] += 1
     return tuple(counts)

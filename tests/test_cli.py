@@ -191,7 +191,7 @@ def test_usage_errors_exit_one(capsys):
     code, _, errtext = run(capsys, "enumerate")
     assert code == 1 and "error" in errtext
     code, out, errtext = run(capsys, "enumerate", "--k", "3", "--max-length", "-1")
-    assert code == 1 and out == "" and errtext == "error: max_length must be nonnegative\n"
+    assert code == 1 and out == "" and errtext == "error: max_length must be an integer >= 0, got -1\n"
 
 
 @pytest.mark.parametrize(
@@ -316,6 +316,8 @@ def test_verify_thm2_mismatch_goes_to_stderr(capsys, monkeypatch):
         ["brsk", "--tableau", '{"rows": [[[1, 2, 3]]]}'],
         ["jdt", "--left", '{"rows": 3}', "--right", "[[1]]"],
         ["jdt", "--left", "[[1]]", "--right", "7"],
+        ["weights", "--tableau", '{"shape": [5], "rows": [[[1, 1]], [[2, 1]]]}'],
+        ["jdt", "--left", '{"shape": [1], "rows": [[1, 2]]}', "--right", "[[1]]"],
     ],
 )
 def test_malformed_tableau_is_a_usage_error(capsys, argv):
@@ -328,7 +330,21 @@ def test_malformed_tableau_is_a_usage_error(capsys, argv):
 def test_crystal_on_an_empty_alphabet_is_a_usage_error(capsys, n):
     code, out, err = run(capsys, "crystal", "--shape", "2", "--n", n, "--m", "2")
     assert code == 1 and out == ""
-    assert err == "error: n and m must be at least 1\n"
+    assert err == f"error: n must be an integer >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--shape", "2", "--n", "2"],
+        ["crystal", "--shape", "2", "--n", "2", "--m", "2"],
+        ["completions", "--shape", "2"],
+    ],
+)
+def test_a_negative_cap_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--cap", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: cap must be an integer >= 0, got -1\n"
 
 
 def test_cap_exceeded_exits_three_without_traceback():

@@ -1,7 +1,25 @@
 import itertools
+import re
 
 import pytest
 
+from bitableaux import (
+    Biword,
+    Bitableau,
+    SSYT,
+    SkewSSYT,
+    column_top_operator,
+    crystal_op_bitableau,
+    crystal_op_word,
+    enumerate_bitableaux,
+    enumerate_completions,
+    enumerate_ssyt,
+    full_crystal,
+    kronecker_tableaux,
+    row_top_operator,
+    skeleton,
+    word_weight,
+)
 from bitableaux.partitions import (
     check_partition,
     check_triple,
@@ -104,3 +122,38 @@ def test_contains():
     assert contains((3, 2), (2, 2))
     assert not contains((3, 2), (2, 2, 1))
     assert contains((3,), ())
+
+
+ONE_ROW = Bitableau.from_rows([[(1, 1), (2, 1)]], 2, 2)
+ONE_COLUMN = Bitableau.from_rows([[(1, 1)], [(2, 1)]], 2, 2)
+
+# each site: the name and least value of the integer it checks, and a call
+# taking that integer; every site is refused through the one integer rule
+INTEGER_SITES = {
+    "enumerate_ssyt": ("n", 1, lambda v: enumerate_ssyt((2, 1), v)),
+    "enumerate_bitableaux": ("n", 1, lambda v: enumerate_bitableaux((1, 1, 1), v, 2)),
+    "word_weight": ("n", 0, lambda v: word_weight((1, 2), v)),
+    "word_weight-letter": ("letter", 1, lambda v: word_weight((v, 2), 2)),
+    "crystal_op_word": ("operator index", 1, lambda v: crystal_op_word((1, 2), v, "lower")),
+    "crystal_op_bitableau": ("operator index", 1, lambda v: crystal_op_bitableau(ONE_ROW, v, "lower")),
+    "row_top_operator": ("operator index", 1, lambda v: row_top_operator(ONE_ROW, v, "lower")),
+    "column_top_operator": ("operator index", 1, lambda v: column_top_operator(ONE_COLUMN, v, "lower")),
+    "kronecker_tableaux": ("p", 0, lambda v: kronecker_tableaux((2, 1), v, (2, 1))),
+    "Biword": ("biword entry", 1, lambda v: Biword((v,), (1,))),
+    "full_crystal": ("n", 1, lambda v: full_crystal((1, 1, 1), v, 2)),
+    "full_crystal-cap": ("cap", 0, lambda v: full_crystal((2, 1), 2, 2, cap=v)),
+    "skeleton-cap": ("cap", 0, lambda v: skeleton((2, 2), cap=v)),
+    "enumerate_completions-cap": ("cap", 0, lambda v: enumerate_completions((1,), cap=v)),
+    "SSYT-cell": ("entry", 1, lambda v: SSYT((2,), ((v, 2),), 2)),
+    "Bitableau-cell": ("bottom entry", 1, lambda v: Bitableau((1,), (((1, v),),), 2, 2)),
+    "SkewSSYT-cell": ("entry", 1, lambda v: SkewSSYT((2,), (), ((v, 2),))),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "below"])
+@pytest.mark.parametrize("site", list(INTEGER_SITES))
+def test_the_integer_rule_refuses_a_float_a_bool_and_a_value_below_range(site, kind):
+    name, least, call = INTEGER_SITES[site]
+    value = {"float": least + 0.5, "bool": True, "below": least - 1}[kind]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {least}, got {value!r}")):
+        call(value)

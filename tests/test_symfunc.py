@@ -110,6 +110,9 @@ def test_non_integer_input_is_refused():
         lambda: pair_to_int((1.5, 1), 2),
         lambda: int_to_pair(2.5, 2),
         lambda: enumerate_partitions(4.0),
+        lambda: kron_coproduct_poly((2, 1), 2.0, 2),
+        lambda: kron_coproduct_poly((2, 1), True, 2),
+        lambda: kron_coproduct_poly((2, 1), 0, 2),
     ):
         with pytest.raises(ValueError):
             call()
