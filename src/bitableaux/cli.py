@@ -32,7 +32,7 @@ from .crystal import (
 from .graphs import CrystalGraph, export_crystal
 from .insertion import Biword, brsk, jdt_product, rsk
 from .kron_tableaux import kronecker_count_row
-from .partitions import check_int, check_partition, enumerate_partitions
+from .partitions import check_int, check_partition, count_partitions, enumerate_partitions
 from .symfunc import kronecker_coefficient, monomial_coefficient_d
 from .tableaux import SSYT, count_ssyt, enumerate_ssyt, reading_word
 from .words import CONVENTIONS, READING_METHODS, bitableau_reading_word
@@ -204,6 +204,7 @@ def build_parser() -> _Parser:
 
 def _cmd_enumerate(args) -> int:
     if args.k is not None:
+        check_cap(count_partitions(args.k, args.max_length), args.cap, "partitions")
         parts = enumerate_partitions(args.k, args.max_length)
         print(_dump([list(p) for p in parts]))
         return 0

@@ -11,7 +11,7 @@ from typing import Iterator, Sequence
 
 from .bitableau import Bitableau, PairRows, iter_bitableau_rows, weights
 from .graphs import CrystalGraph, CrystalVertex
-from .kernels import count_d_table, layer_runs  # count_d_table is re-exported here
+from .kernels import count_d_table, layer_runs, shared_runs  # count_d_table is re-exported here
 from .partitions import Partition, check_int, check_partition, check_triple, enumerate_partitions, trim
 from .symfunc import monomial_coefficient_row
 from .tableaux import SkewSSYT, count_ssyt
@@ -102,30 +102,36 @@ def count_d(
 ) -> int:
     """Bitableaux of shape lam with a(T)=mu, b(T)=nu and Yamanouchi word.
 
-    The partition mu is its own run, so the counter builds partition runs only.
+    The partition mu is its own run, so the counter builds partition runs
+    only.  It is the process-wide counter of conv (kernels.shared_runs):
+    its DP holds no nu, and under w no lam either, so queries share its
+    memo; under w' they share its layer fillings and the last lam's runs.
     """
     lam, mu, nu = check_triple(lam, mu, nu)
-    return layer_runs(nu, conv)(lam, len(mu), _partitions=True).get(mu, 0)
+    return shared_runs(conv)(lam, partitions=True).get(nu, {}).get(mu, 0)
 
 
 def monomial_expansion_sweep(k: int, conv: str = "w") -> list[tuple[Partition, Partition, Partition, int, int]]:
     """Crystal count versus character-side d for every triple of partitions of k.
 
-    Rows run lam, nu, mu in partition order.  The crystal side reads one
-    layer_runs memo per nu, which holds partition runs only: every mu is its
-    own run, and the count is symmetric in the a-content, so no other run is
-    read.  The oracle side is monomial_coefficient_row, the
-    permutation-character route, once per (lam, nu).  The d point query keeps
-    the other route, monomial_coefficient_d.
+    Rows run lam, nu, mu in partition order.  The crystal side is one
+    layer_runs counter per call, read once per lam: its partition runs hold
+    every (mu, nu) of that lam at once, since the DP holds no nu, and the
+    count is symmetric in the a-content, so no other run is read.  Under w
+    its memo serves every lam; under w' its states go with each lam.  The
+    oracle side is monomial_coefficient_row, the permutation-character
+    route, once per (lam, nu).  The d point query keeps the other route,
+    monomial_coefficient_d.
     """
     parts = enumerate_partitions(k)
-    rows = {}
-    for nu in parts:
-        runs = layer_runs(nu, conv)  # one memo per nu, dropped after it
-        for lam in parts:
-            table, oracle = runs(lam, k, _partitions=True), monomial_coefficient_row(lam, nu)
-            rows[lam, nu] = [(lam, mu, nu, table.get(mu, 0), oracle[mu]) for mu in parts]
-    return [row for lam in parts for nu in parts for row in rows[lam, nu]]
+    runs = layer_runs(conv)
+    rows = []
+    for lam in parts:
+        tables = runs(lam, partitions=True)
+        for nu in parts:
+            table, oracle = tables.get(nu, {}), monomial_coefficient_row(lam, nu)
+            rows += [(lam, mu, nu, table.get(mu, 0), oracle[mu]) for mu in parts]
+    return rows
 
 
 def skew_decomposition(t: Bitableau) -> list[SkewSSYT]:

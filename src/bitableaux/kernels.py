@@ -1,4 +1,4 @@
-"""Counting kernel: Yamanouchi bitableaux tallied by a-content, by a layer DP.
+"""Counting kernel: Yamanouchi bitableaux tallied by b-content and run, by a layer DP.
 
 A bitableau of shape lam is a chain of top-entry shapes
 () = lam^(0) <= lam^(1) <= ... <= lam^(n) = lam together with a semistandard
@@ -6,18 +6,32 @@ filling of bottom entries on each skew layer lam^(a)/lam^(a-1), the split
 that crystal.skew_decomposition makes.  The sort-by-top word w is the
 concatenation of the layers' row reading words for a = 1..n (w' for
 a = n..1), so its Yamanouchi condition is carried layer by layer, as in the
-lattice-word form of the Littlewood-Richardson rule.  Both conventions peel
-the layers off lam, a = n first: the end of w, read backward, and the front
-of w', read forward.  The DP state (remaining inner shape, content read so
-far, layers left) does not depend on lam, so one memo serves every shape.
+lattice-word form of the Littlewood-Richardson rule.  A word is Yamanouchi
+when every suffix has partition content, so both conventions read the word
+backward, each layer top row first and right to left, under one lattice
+test: the content read stays a partition.  They differ only in the order
+the layers come.  w ends with the a = n layer, so its DP peels layers off
+lam inward; w' ends with the a = 1 layer, so its DP grows layers from ()
+out to lam.
+
+No b-content enters the DP.  Column strictness and the lattice test bound
+the letters, and the content read at the end is b(T), so every count is
+keyed by b-content and run, and one DP serves every nu.  The w state (inner
+shape left, content read so far, floor) holds no lam either, so one memo
+serves every shape.  The w' state (inner shape grown, content read so far,
+ceiling) is pushed from () out to one lam, a number of cells at a time, and
+dropped when that lam is done; the layer fillings are cached for the
+counter's life under both conventions.
 
 Empty layers add nothing to the word, so the DP counts by run: the sizes of
-the nonempty layers, a ascending.  A partition a-content without zeros is its
-own run; _spread places each run over the n top values for the full table.
+the nonempty layers, a ascending.  A run's length is its number of top
+values used.  A partition a-content without zeros is its own run; _spread
+places each run of at most n layers over the n top values for the full
+table.
 crystal.count_d and crystal.monomial_expansion_sweep read only partition
 a-contents, and d(lam, mu, nu) is symmetric in mu, so they ask the counter
-for partition runs alone: the DP then peels only layers no smaller than the
-one peeled before it.  count_d_table keeps every composition run, so that its
+for partition runs alone: the DP then builds only layers no smaller than
+the next one out.  count_d_table keeps every composition run, so that its
 symmetry in the a-content is checked, not assumed.
 _tally_python_dict is the naive reference: it tallies the crystal's
 highest-weight bitableaux (crystal.highest_weight_bitableaux), so the kernel
@@ -26,148 +40,190 @@ is checked against the reading word the crystal itself uses.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .partitions import check_int, check_partition, is_int, trim
 from .words import CONVENTIONS
 
 Shape = tuple[int, ...]
 Content = tuple[int, ...]
-Runs = dict[tuple[int, ...], int]
+Runs = dict[Content, dict[tuple[int, ...], int]]  # b-content -> run -> count
 
 
-def _lattice_fillings(
-    outer: Shape, inner: Shape, start: Content, cap: Content, conv: str
-) -> dict[Content, int]:
+def _lattice_fillings(outer: Shape, inner: Shape, start: Content) -> dict[Content, int]:
     """Lattice fillings of outer/inner that extend a word of content start.
 
-    w reads the layer backward (top row first, right to left) and keeps the
-    content read a partition; w' reads it forward (bottom row first, left to
-    right) and keeps cap minus the content read a partition.  Each letter is
-    checked as it is placed; letter x may not exceed cap[x] in total.
-    Returns the number of fillings by the content they end at.
+    The layer is read backward, top row first and right to left, and the
+    content read must stay a partition: a letter x > 0 is placed only after
+    more x-1's than x's.  inner has the length of outer, and start is a
+    partition.  Returns the number of fillings by the content they end at.
     """
-    m = len(cap)
-    suffix = conv == "w"
-    cells = [(r, c) for r in range(len(outer) - 1, -1, -1) for c in range(inner[r], outer[r])]
-    if suffix:
-        cells.reverse()
+    cells = [(r, c) for r in range(len(outer)) for c in range(outer[r] - 1, inner[r] - 1, -1)]
     index = {cell: i for i, cell in enumerate(cells)}
-    d = 1 if suffix else -1  # placed earlier: right and above for w, left and below for w'
-    row = [index.get((r, c + d), -1) for r, c in cells]
-    col = [index.get((r - d, c), -1) for r, c in cells]
+    right = [index.get((r, c + 1), -1) for r, c in cells]  # placed earlier: no smaller
+    above = [index.get((r - 1, c), -1) for r, c in cells]  # placed earlier: strictly smaller
     size = len(cells)
     vals = [0] * size
-    cnt = list(start)
+    cnt = list(start) + [0] * size
     ends: dict[Content, int] = {}
 
-    def fill(i: int) -> None:
+    def fill(i: int, width: int) -> None:
         if i == size:
-            key = tuple(cnt)
+            key = tuple(cnt[:width])
             ends[key] = ends.get(key, 0) + 1
             return
-        if suffix:  # above: strictly smaller; right: weakly larger
-            lo = vals[col[i]] + 1 if col[i] >= 0 else 0
-            hi = vals[row[i]] if row[i] >= 0 else m - 1
-        else:  # left: weakly smaller; below: strictly larger
-            lo = vals[row[i]] if row[i] >= 0 else 0
-            hi = vals[col[i]] - 1 if col[i] >= 0 else m - 1
+        lo = vals[above[i]] + 1 if above[i] >= 0 else 0
+        hi = vals[right[i]] if right[i] >= 0 else width  # width: the first letter not yet read
         for x in range(lo, hi + 1):
-            if cnt[x] < cap[x] and (
-                (x == 0 or cnt[x] < cnt[x - 1])
-                if suffix
-                else (x == m - 1 or cap[x] - cnt[x] > cap[x + 1] - cnt[x + 1])
-            ):
+            if x == 0 or cnt[x] < cnt[x - 1]:
                 cnt[x] += 1
                 vals[i] = x
-                fill(i + 1)
+                fill(i + 1, width + (x == width))
                 cnt[x] -= 1
 
-    fill(0)
+    fill(0, len(start))
     return ends
 
 
-def _partitions_between(lo: Shape, hi: Shape):
-    """Partitions p with lo <= p <= hi entrywise, all of the same length."""
-    p = [0] * len(hi)
+def _partitions_between(lo: Shape, hi: Shape, least: int, most: int) -> Iterator[Shape]:
+    """Partitions p with lo <= p <= hi entrywise and least <= |p| <= most, all of len(hi)."""
+    n = len(hi)
+    p = [0] * n
+    rest_lo = [sum(lo[r:]) for r in range(n + 1)]
+    rest_hi = [sum(hi[r:]) for r in range(n + 1)]
 
-    def rec(r: int):
-        if r == len(hi):
-            yield tuple(p)
+    def rec(r: int, filled: int):
+        if r == n:
+            if filled >= least:
+                yield tuple(p)
             return
         top = min(hi[r], p[r - 1]) if r else hi[r]
-        for x in range(lo[r], top + 1):
-            p[r] = x
-            yield from rec(r + 1)
+        for x in range(lo[r], min(top, most - filled - rest_lo[r + 1]) + 1):
+            # the rows below hold at most x each, and at most hi
+            if filled + x + min(rest_hi[r + 1], x * (n - r - 1)) >= least:
+                p[r] = x
+                yield from rec(r + 1, filled + x)
 
-    return rec(0)
+    return rec(0, 0)
 
 
-def layer_runs(bcontent: Sequence[int], conv: str = "w") -> Callable[..., Runs]:
-    """Counter of the Yamanouchi bitableaux of b-content bcontent, by run.
+def layer_runs(conv: str = "w") -> Callable[..., Runs]:
+    """Counter of the Yamanouchi bitableaux by run and b-content.
 
-    runs(shape, n) maps each run of at most n layers to its count.  Its
-    memos live as long as runs and serve every shape; a b-content that is
-    not a partition (padded with zeros) has no Yamanouchi word.
-    runs(shape, n, _partitions=True) keeps only the weakly decreasing runs,
-    the keys count_d and monomial_expansion_sweep read, and builds no other.
+    runs(shape) maps each b-content, the partition the word's content ends
+    at, to the count of each run, the nonempty layers' sizes, a ascending;
+    it counts over every top and bottom alphabet.
+    runs(shape, partitions=True) keeps only the weakly decreasing runs, the
+    keys count_d and monomial_expansion_sweep read, and builds no other.
+    Nothing in the DP depends on nu.  Under w the memo serves every shape;
+    under w' the counter keeps the last shape's runs.  The maps returned are
+    the counter's own, to be read and not changed.
     """
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
-    cap = tuple(bcontent)
-    if not all(is_int(x) for x in cap):
-        raise ValueError(f"b-content entries must be integers, got {cap!r}")
-    m = len(cap)
-    lattice = all(x >= y for x, y in zip(cap, cap[1:] + (0,)))  # weakly decreasing, >= 0
     fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}
-    memo: dict[tuple[Shape, Content, int, int], Runs] = {}
+    memo: dict[tuple[Shape, Content, int], Runs] = {}  # w
+    grown: dict[bool, Runs] = {}  # w': the runs of the shape lam
+    lam: Shape = ()
 
-    def rest(state: Shape, start: Content, budget: int, floor: int) -> Runs:
-        """Counts of the layers inside state, after a word of content start.
+    def layer(outer: Shape, inner: Shape, start: Content) -> dict[Content, int]:
+        ends = fillings.get((outer, inner, start))
+        if ends is None:
+            ends = fillings[outer, inner, start] = _lattice_fillings(outer, inner, start)
+        return ends
+
+    def peel(state: Shape, start: Content, floor: int) -> Runs:
+        """w: the layers inside state, the outermost first, after a word of content start.
 
         floor 0 counts every run.  A floor f >= 1 counts only the runs whose
         layers all hold at least f cells and weakly decrease, a ascending:
-        as layers come off a = n first, each one peeled is the floor of the
-        rest, so the rest holds no layer smaller than it.
+        each layer peeled is the floor of the layers inside it.
         """
         if not state:
-            return {(): 1}
-        total = sum(state)
-        budget = min(budget, total // max(floor, 1))
-        key = (state, start, budget, floor)
+            return {start: {(): 1}}
+        key = (state, start, floor)
         out = memo.get(key)
         if out is not None:
             return out
         out = {}
-        if budget > 0:
-            # a column of a layer holds at most m cells: its bottom entries strictly increase
-            lo = state[m:] + (0,) * min(m, len(state))
-            for inner in _partitions_between(lo, state):
-                size = total - sum(inner)
-                if size == 0 or size < floor or (floor and 0 < total - size < size):
-                    continue
-                nxt = trim(inner)
-                ends = fillings.get((state, inner, start))
-                if ends is None:
-                    ends = _lattice_fillings(state, inner, start, cap, conv)
-                    fillings[state, inner, start] = ends
-                for end, ways in ends.items():
-                    for sizes, count in rest(nxt, end, budget - 1, floor and size).items():
+        total = sum(state)
+        zero = (0,) * len(state)
+        if floor:  # the inner shape is empty or holds layers no smaller than this one
+            last = [zero] if total >= floor else []
+            inners = chain(last, _partitions_between(zero, state, (total + 1) // 2, total - floor))
+        else:
+            inners = _partitions_between(zero, state, 0, total - 1)
+        for inner in inners:
+            size = total - sum(inner)
+            nxt = trim(inner)
+            for end, ways in layer(state, inner, start).items():
+                for content, counts in peel(nxt, end, floor and size).items():
+                    merged = out.setdefault(content, {})
+                    for sizes, count in counts.items():
                         sizes += (size,)
-                        out[sizes] = out.get(sizes, 0) + ways * count
+                        merged[sizes] = merged.get(sizes, 0) + ways * count
         memo[key] = out
         return out
 
-    def runs(shape: Sequence[int], n: int, _partitions: bool = False) -> Runs:
+    def grow(shape: Shape, partitions: bool) -> Runs:
+        """w': the layers from () out to shape, the innermost first.
+
+        A state (inner shape, content read, ceiling) holds the count of each
+        run of the layers inside it, and passes them on to the states one
+        layer out; states are taken by their number of cells, so each is
+        complete before it is passed on.  ceiling 0 counts every run.  A
+        ceiling c >= 1 counts only the runs whose layers all hold at most c
+        cells and weakly decrease, a ascending: each layer grown is the
+        ceiling of the layers outside it.
+        """
+        total = sum(shape)
+        levels: list = [{} for _ in range(total + 1)]  # (inner, start, ceiling) -> run -> count
+        levels[0][(0,) * len(shape), (), total if partitions else 0] = {(): 1}
+        for filled in range(total):
+            for (inner, start, ceiling), before in levels[filled].items():
+                most = min(total, filled + ceiling) if ceiling else total
+                for outer in _partitions_between(inner, shape, filled + 1, most):
+                    size = sum(outer) - filled
+                    cut = trim(outer)
+                    level = levels[filled + size]
+                    for end, ways in layer(cut, inner[: len(cut)], start).items():
+                        after = level.setdefault((outer, end, ceiling and size), {})
+                        for sizes, count in before.items():
+                            sizes += (size,)
+                            after[sizes] = after.get(sizes, 0) + ways * count
+            levels[filled] = None  # every state of this size has passed its counts on
+        out: Runs = {}
+        for (_, end, _), after in levels[total].items():
+            out.setdefault(end, {}).update(after)  # states of one end differ in ceiling, the last size
+        return out
+
+    def runs(shape: Sequence[int], partitions: bool = False) -> Runs:
+        nonlocal lam
         shape = check_partition(shape)
-        check_int(n, "n")
-        if not lattice or sum(shape) != sum(cap):
-            return {}
-        return rest(shape, (0,) * m, n, 1 if _partitions else 0)
+        if conv == "w":
+            return peel(shape, (), 1 if partitions else 0)
+        if shape != lam:
+            grown.clear()
+            lam = shape
+        if partitions not in grown:
+            grown[partitions] = grow(shape, partitions)
+        return grown[partitions]
 
     return runs
+
+
+_SHARED: dict[str, Callable[..., Runs]] = {}
+
+
+def shared_runs(conv: str) -> Callable[..., Runs]:
+    """The process-wide counter of one convention, which count_d and count_d_table read."""
+    if conv not in CONVENTIONS:
+        raise ValueError(f"unknown convention {conv!r}")
+    if conv not in _SHARED:
+        _SHARED[conv] = layer_runs(conv)
+    return _SHARED[conv]
 
 
 def count_d_table(
@@ -175,13 +231,26 @@ def count_d_table(
 ) -> dict[tuple[int, ...], int]:
     """Yamanouchi counts of one shape and b-content for every a-content at once.
 
-    Keys are a-content vectors of length n; only nonzero counts appear.
+    Keys are a-content vectors of length n; only nonzero counts appear.  The
+    table reads the composition runs of the process-wide counter
+    (shared_runs) that end at bcontent, its trailing zeros trimmed, and
+    keeps those of at most n layers.  A b-content that is not a partition
+    has no Yamanouchi word.
     """
     shape = check_partition(shape)
-    runs = layer_runs(bcontent, conv)(shape, n)
-    if not shape:  # the empty bitableau, if bcontent is all zeros
-        return {(0,) * n: count for count in runs.values()}
-    return _spread(runs, n)
+    nu = tuple(bcontent)
+    if not all(is_int(x) for x in nu):
+        raise ValueError(f"b-content entries must be integers, got {nu!r}")
+    check_int(n, "n")
+    return _table(shared_runs(conv)(shape), trim(nu), n)
+
+
+def _table(runs: Runs, nu: Content, n: int) -> dict[tuple[int, ...], int]:
+    """The a-content table over n top values of one shape's runs that end at b-content nu."""
+    kept = {sizes: count for sizes, count in runs.get(nu, {}).items() if len(sizes) <= n}
+    if () in kept:  # the empty bitableau
+        return {(0,) * n: kept[()]}
+    return _spread(kept, n)
 
 
 def _spread(runs: dict[tuple[int, ...], int], n: int) -> dict[tuple[int, ...], int]:

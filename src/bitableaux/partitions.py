@@ -57,7 +57,7 @@ def trim(vec: Sequence[int]) -> Partition:
 
 def pad(parts: Sequence[int], length: int) -> tuple[int, ...]:
     """Extend with zeros to the requested length."""
-    if len(parts) > length:
+    if len(parts) > check_int(length, "length"):
         raise ValueError(f"cannot pad {parts} to shorter length {length}")
     return tuple(parts) + (0,) * (length - len(parts))
 
@@ -81,6 +81,22 @@ def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partitio
 
     rec(k, k, limit, [])
     return out
+
+
+def count_partitions(k: int, max_length: int | None = None) -> int:
+    """len(enumerate_partitions(k, max_length)), counted without listing them.
+
+    Partitions with at most L parts are conjugate to those with parts at
+    most L, so ways[s] adds one allowed part size at a time: the recurrence
+    p(s; parts <= j) = p(s; parts <= j - 1) + p(s - j; parts <= j).
+    """
+    check_int(k, "k")
+    limit = k if max_length is None else min(check_int(max_length, "max_length"), k)
+    ways = [1] + [0] * k
+    for part in range(1, limit + 1):
+        for s in range(part, k + 1):
+            ways[s] += ways[s - part]
+    return ways[k]
 
 
 def conjugate(p: Sequence[int]) -> Partition:

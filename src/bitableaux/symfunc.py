@@ -33,7 +33,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .bitableau import iter_bitableau_rows
-from .partitions import Partition, check_partition, check_triple, enumerate_partitions, is_int, trim
+from .partitions import Partition, check_int, check_partition, check_triple, enumerate_partitions, is_int, trim
 
 Exponents = tuple[int, ...]
 
@@ -308,6 +308,7 @@ def expand_in_schur_schur(p: SymPoly, k: int) -> dict[tuple[Partition, Partition
     terms.  A nonzero residual that has no partition-shaped leading term
     means the input was not in the span and is reported as an error.
     """
+    check_int(k, "degree")
     n = sum(1 for v in p.variables if v.startswith("x"))
     m = len(p.variables) - n
     xvars = p.variables[:n]

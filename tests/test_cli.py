@@ -262,6 +262,11 @@ def test_enumerate_cap_refuses_before_filling(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_ssyt", never)
     monkeypatch.setattr(cli, "enumerate_bitableaux", never)
+    monkeypatch.setattr(cli, "enumerate_partitions", never)
+    code, out, err = run(capsys, "enumerate", "--k", "8", "--cap", "5")
+    assert code == 3 and out == "" and err == "error: 22 partitions exceed the cap 5\n"
+    code, out, err = run(capsys, "enumerate", "--k", "8", "--max-length", "2", "--cap", "4")
+    assert code == 3 and out == "" and err == "error: 5 partitions exceed the cap 4\n"
     code, out, err = run(capsys, "enumerate", "--shape", "2,1", "--n", "2", "--m", "2", "--cap", "19")
     assert code == 3 and out == "" and err == "error: 20 bitableaux exceed the cap 19\n"
     code, out, err = run(capsys, "enumerate", "--shape", "3,2", "--n", "3", "--cap", "0")

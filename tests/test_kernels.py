@@ -7,8 +7,10 @@ import pytest
 
 from conftest import nm_pairs, small_shapes
 from bitableaux.crystal import count_d
-from bitableaux.kernels import _spread, _tally_python_dict, count_d_table, layer_runs
-from bitableaux.partitions import enumerate_partitions
+from bitableaux.kernels import _table, _tally_python_dict, count_d_table, layer_runs
+from bitableaux.partitions import enumerate_partitions, trim
+from bitableaux.symfunc import monomial_coefficient_row
+from bitableaux.words import CONVENTIONS
 
 
 def test_kernel_matches_reference_tally():
@@ -29,10 +31,12 @@ def test_kernel_matches_reference_tally():
 
 
 def test_one_memo_serves_every_shape():
-    # the grid above, with one counter (one memo) per (b-content, n, conv)
-    # reused over every shape of the size, ascending and then descending with
-    # a fresh counter: a stale or shape-dependent memo entry changes a later
-    # shape's table.  Size 0 has one shape, so it shares nothing.
+    # the grid above, with one fresh counter (one memo) per convention and
+    # order, reused over every shape, b-content and n, with the shapes of
+    # each size descending and then ascending: a stale or shape-dependent
+    # memo entry changes a later shape's table.  Size 0 has one shape, so
+    # it shares nothing.
+    counters = {(conv, order): layer_runs(conv) for conv in CONVENTIONS for order in (-1, 1)}
     cases = 0
     for k in range(1, 6):
         shapes = enumerate_partitions(k)
@@ -40,49 +44,74 @@ def test_one_memo_serves_every_shape():
             for bcontent in itertools.product(range(k + 1), repeat=m):
                 if sum(bcontent) != k:
                     continue
-                for conv in ("w", "w_prime"):
+                for conv in CONVENTIONS:
                     slow = {shape: _tally_python_dict(shape, n, bcontent, conv) for shape in shapes}
-                    for order in (shapes[::-1], shapes):
-                        runs = layer_runs(bcontent, conv)
-                        for shape in order:
-                            assert _spread(runs(shape, n), n) == slow[shape], (shape, n, bcontent, conv)
+                    for order in (-1, 1):
+                        runs = counters[conv, order]
+                        for shape in shapes[::order]:
+                            table = _table(runs(shape), trim(bcontent), n)
+                            assert table == slow[shape], (shape, n, bcontent, conv)
                             cases += 1
     assert cases == 2 * (2250 - 18)
 
 
 def test_partition_runs_are_the_nonincreasing_composition_runs():
-    # one counter per (nu, conv) serves both kinds of run over every lam, in
-    # both orders, so a floor that leaks into the shared memo changes a table
+    # one counter per (k, conv) serves both kinds of run over every nu and
+    # lam, in both orders, so a floor or ceiling that leaks into the shared
+    # memo changes a table
     cases = 0
     for k in range(1, 8):
         shapes = enumerate_partitions(k)
+        counters = {conv: layer_runs(conv) for conv in CONVENTIONS}
         for nu in shapes:
-            for conv in ("w", "w_prime"):
-                runs = layer_runs(nu, conv)
+            for conv in CONVENTIONS:
+                runs = counters[conv]
                 for i, lam in enumerate(shapes):
                     if i % 2:
-                        full, part = runs(lam, k), runs(lam, k, _partitions=True)
+                        full, part = runs(lam), runs(lam, partitions=True)
                     else:
-                        part, full = runs(lam, k, _partitions=True), runs(lam, k)
-                    kept = {key: c for key, c in full.items() if list(key) == sorted(key, reverse=True)}
-                    assert part == kept, (lam, nu, conv)
+                        part, full = runs(lam, partitions=True), runs(lam)
+                    kept = {run: c for run, c in full.get(nu, {}).items() if list(run) == sorted(run, reverse=True)}
+                    assert part.get(nu, {}) == kept, (lam, nu, conv)
                     cases += 1
     assert cases == 868
+
+
+def test_the_process_wide_memo_answers_as_a_fresh_counter():
+    # count_d reads one counter per convention for the whole process; every
+    # triple of k <= 7, both conventions interleaved, forward and then
+    # reversed, must match a fresh counter and the permutation-character oracle
+    cases = 0
+    for order in (1, -1):
+        for k in range(1, 8)[::order]:
+            parts = enumerate_partitions(k)[::order]
+            fresh = {conv: layer_runs(conv) for conv in CONVENTIONS}
+            for lam in parts:
+                for nu in parts:
+                    oracle = monomial_coefficient_row(lam, nu)
+                    for mu in parts:
+                        for conv in CONVENTIONS:
+                            expected = fresh[conv](lam, partitions=True).get(nu, {}).get(mu, 0)
+                            assert count_d(lam, mu, nu, conv) == expected == oracle[mu], (lam, mu, nu, conv)
+                            cases += 1
+    assert cases == 2 * 2 * sum(len(enumerate_partitions(k)) ** 3 for k in range(1, 8))
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: layer_runs((2, 1))((2, 1), 2.5),
-        lambda: layer_runs((2, 1))((2, 1), 2.0, _partitions=True),
-        lambda: layer_runs((2, 1))((2, 1), True),
+        lambda: count_d_table((2, 1), (2, 1), 2.5),
+        lambda: count_d_table((2, 1), (2, 1), 2.0, "w_prime"),
+        lambda: count_d_table((2, 1), (2, 1), True),
         lambda: count_d_table((), (), -1),
         lambda: count_d_table((2, 1), (2.0, 1), 2),
         lambda: count_d_table((2, 1), (2, 1), -1, "w_prime"),
-        lambda: layer_runs((2, 1.0)),
+        lambda: layer_runs("u"),
+        lambda: layer_runs()((2, 1.0)),
+        lambda: count_d((1,), (1,), (1,), ["w"]),
     ],
-    ids=["float-n", "float-n-partitions", "bool-n", "negative-n-empty", "float-bcontent",
-         "negative-n", "float-bcontent-counter"],
+    ids=["float-n", "float-n-w_prime", "bool-n", "negative-n-empty", "float-bcontent",
+         "negative-n", "unknown-conv-counter", "float-shape-counter", "list-conv-count_d"],
 )
 def test_kernel_refuses_a_bad_n_or_bcontent(call):
     with pytest.raises(ValueError):
@@ -101,7 +130,7 @@ def test_negative_bcontent_counts_nothing(conv):
                     continue
                 slow = _tally_python_dict(shape, n, bcontent, conv)
                 assert count_d_table(shape, bcontent, n, conv) == slow == {}, (shape, n, bcontent)
-                assert layer_runs(bcontent, conv)(shape, n) == {}
+                assert bcontent not in layer_runs(conv)(shape)
                 cases += 1
     assert cases == 3 * (12 * 4 + 1)  # 12 shapes of size <= 4; (1, -1) fits only the empty one
 
@@ -116,7 +145,7 @@ def test_count_yamanouchi_examples():
     assert count_d((1,), (1,), (1,)) == 1
 
 
-def test_wide_alphabet_falls_back_to_dict():
+def test_wide_top_alphabet_projects_to_the_narrow_table():
     # a top alphabet wider than the shape has rows: the table restricted to
     # a-contents supported on the first three letters is the narrow table
     shape = (5, 2, 1)

@@ -25,10 +25,12 @@ from bitableaux.partitions import (
     check_triple,
     conjugate,
     contains,
+    count_partitions,
     enumerate_partitions,
     pad,
     trim,
 )
+from bitableaux.symfunc import expand_in_schur_schur, make_sympoly
 
 
 def brute_force_partitions(k: int) -> set[tuple[int, ...]]:
@@ -118,6 +120,13 @@ def test_trim_and_pad():
         pad((2, 1, 1), 2)
 
 
+def test_count_partitions_counts_the_listing():
+    for k in range(13):
+        for max_length in [None, *range(k + 2)]:
+            assert count_partitions(k, max_length) == len(enumerate_partitions(k, max_length)), (k, max_length)
+    assert count_partitions(100) == 190569292
+
+
 def test_contains():
     assert contains((3, 2), (2, 2))
     assert not contains((3, 2), (2, 2, 1))
@@ -147,6 +156,10 @@ INTEGER_SITES = {
     "SSYT-cell": ("entry", 1, lambda v: SSYT((2,), ((v, 2),), 2)),
     "Bitableau-cell": ("bottom entry", 1, lambda v: Bitableau((1,), (((1, v),),), 2, 2)),
     "SkewSSYT-cell": ("entry", 1, lambda v: SkewSSYT((2,), (), ((v, 2),))),
+    "pad": ("length", 0, lambda v: pad((), v)),
+    "count_partitions": ("k", 0, lambda v: count_partitions(v)),
+    "count_partitions-max_length": ("max_length", 0, lambda v: count_partitions(3, v)),
+    "expand_in_schur_schur": ("degree", 0, lambda v: expand_in_schur_schur(make_sympoly(("x1", "y1"), {}), v)),
 }
 
 
