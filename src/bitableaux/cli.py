@@ -203,26 +203,29 @@ def build_parser() -> _Parser:
 
 
 def _cmd_enumerate(args) -> int:
+    check_int(args.cap, "cap")  # on every path, --count-only included
     if args.k is not None:
-        check_cap(count_partitions(args.k, args.max_length), args.cap, "partitions")
-        parts = enumerate_partitions(args.k, args.max_length)
-        print(_dump([list(p) for p in parts]))
-        return 0
-    if args.shape is None or args.n is None:
+        size, noun = count_partitions(args.k, args.max_length), "partitions"
+    elif args.shape is None or args.n is None:
         raise ValueError("need --k, or --shape with --n (and --m for bitableaux)")
-    pairs = args.m is not None
-    check_int(args.n, "n", 1)
-    if pairs:
-        check_int(args.m, "m", 1)
-    size = count_ssyt(args.shape, args.n * args.m if pairs else args.n)  # |B_lam(n,m)| via [nm]
+    else:
+        pairs = args.m is not None
+        check_int(args.n, "n", 1)
+        if pairs:
+            check_int(args.m, "m", 1)
+        size = count_ssyt(args.shape, args.n * args.m if pairs else args.n)  # |B_lam(n,m)| via [nm]
+        noun = "bitableaux" if pairs else "tableaux"
     if args.count_only:
         print(size)
         return 0
-    check_cap(size, args.cap, "bitableaux" if pairs else "tableaux")
-    if pairs:
-        print(_dump([t.to_json() for t in enumerate_bitableaux(args.shape, args.n, args.m)]))
+    check_cap(size, args.cap, noun)
+    if args.k is not None:
+        rows = [list(p) for p in enumerate_partitions(args.k, args.max_length)]
+    elif pairs:
+        rows = [t.to_json() for t in enumerate_bitableaux(args.shape, args.n, args.m)]
     else:
-        print(_dump([t.to_json() for t in enumerate_ssyt(args.shape, args.n)]))
+        rows = [t.to_json() for t in enumerate_ssyt(args.shape, args.n)]
+    print(_dump(rows))
     return 0
 
 

@@ -20,8 +20,10 @@ keyed by b-content and run, and one DP serves every nu.  The w state (inner
 shape left, content read so far, floor) holds no lam either, so one memo
 serves every shape.  The w' state (inner shape grown, content read so far,
 ceiling) is pushed from () out to one lam, a number of cells at a time, and
-dropped when that lam is done; the layer fillings are cached for the
-counter's life under both conventions.
+dropped when that lam is done; its runs are kept keyed by lam, one lam at a
+time, so a call for another lam made while grow runs cannot swap them.  The
+layer fillings are cached for the counter's life under both conventions, and
+the layers' shapes come from partitions.partitions_between.
 
 Empty layers add nothing to the word, so the DP counts by run: the sizes of
 the nonempty layers, a ascending.  A run's length is its number of top
@@ -42,9 +44,9 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .partitions import check_int, check_partition, is_int, trim
+from .partitions import check_int, check_partition, is_int, partitions_between, trim
 from .words import CONVENTIONS
 
 Shape = tuple[int, ...]
@@ -87,28 +89,6 @@ def _lattice_fillings(outer: Shape, inner: Shape, start: Content) -> dict[Conten
     return ends
 
 
-def _partitions_between(lo: Shape, hi: Shape, least: int, most: int) -> Iterator[Shape]:
-    """Partitions p with lo <= p <= hi entrywise and least <= |p| <= most, all of len(hi)."""
-    n = len(hi)
-    p = [0] * n
-    rest_lo = [sum(lo[r:]) for r in range(n + 1)]
-    rest_hi = [sum(hi[r:]) for r in range(n + 1)]
-
-    def rec(r: int, filled: int):
-        if r == n:
-            if filled >= least:
-                yield tuple(p)
-            return
-        top = min(hi[r], p[r - 1]) if r else hi[r]
-        for x in range(lo[r], min(top, most - filled - rest_lo[r + 1]) + 1):
-            # the rows below hold at most x each, and at most hi
-            if filled + x + min(rest_hi[r + 1], x * (n - r - 1)) >= least:
-                p[r] = x
-                yield from rec(r + 1, filled + x)
-
-    return rec(0, 0)
-
-
 def layer_runs(conv: str = "w") -> Callable[..., Runs]:
     """Counter of the Yamanouchi bitableaux by run and b-content.
 
@@ -118,15 +98,14 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
     runs(shape, partitions=True) keeps only the weakly decreasing runs, the
     keys count_d and monomial_expansion_sweep read, and builds no other.
     Nothing in the DP depends on nu.  Under w the memo serves every shape;
-    under w' the counter keeps the last shape's runs.  The maps returned are
-    the counter's own, to be read and not changed.
+    under w' the counter keeps one shape's runs, keyed by that shape.  The
+    maps returned are the counter's own, to be read and not changed.
     """
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
     fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}
     memo: dict[tuple[Shape, Content, int], Runs] = {}  # w
-    grown: dict[bool, Runs] = {}  # w': the runs of the shape lam
-    lam: Shape = ()
+    grown: dict[tuple[Shape, bool], Runs] = {}  # w': the runs of one shape
 
     def layer(outer: Shape, inner: Shape, start: Content) -> dict[Content, int]:
         ends = fillings.get((outer, inner, start))
@@ -152,9 +131,9 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
         zero = (0,) * len(state)
         if floor:  # the inner shape is empty or holds layers no smaller than this one
             last = [zero] if total >= floor else []
-            inners = chain(last, _partitions_between(zero, state, (total + 1) // 2, total - floor))
+            inners = chain(last, partitions_between(zero, state, (total + 1) // 2, total - floor))
         else:
-            inners = _partitions_between(zero, state, 0, total - 1)
+            inners = partitions_between(zero, state, 0, total - 1)
         for inner in inners:
             size = total - sum(inner)
             nxt = trim(inner)
@@ -184,7 +163,7 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
         for filled in range(total):
             for (inner, start, ceiling), before in levels[filled].items():
                 most = min(total, filled + ceiling) if ceiling else total
-                for outer in _partitions_between(inner, shape, filled + 1, most):
+                for outer in partitions_between(inner, shape, filled + 1, most):
                     size = sum(outer) - filled
                     cut = trim(outer)
                     level = levels[filled + size]
@@ -200,16 +179,16 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
         return out
 
     def runs(shape: Sequence[int], partitions: bool = False) -> Runs:
-        nonlocal lam
         shape = check_partition(shape)
         if conv == "w":
             return peel(shape, (), 1 if partitions else 0)
-        if shape != lam:
-            grown.clear()
-            lam = shape
-        if partitions not in grown:
-            grown[partitions] = grow(shape, partitions)
-        return grown[partitions]
+        out = grown.get((shape, partitions))
+        if out is None:
+            out = grow(shape, partitions)
+            for key in [key for key in list(grown) if key[0] != shape]:
+                grown.pop(key, None)  # keep one shape's runs
+            grown[shape, partitions] = out
+        return out
 
     return runs
 
@@ -221,9 +200,7 @@ def shared_runs(conv: str) -> Callable[..., Runs]:
     """The process-wide counter of one convention, which count_d and count_d_table read."""
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
-    if conv not in _SHARED:
-        _SHARED[conv] = layer_runs(conv)
-    return _SHARED[conv]
+    return _SHARED.get(conv) or _SHARED.setdefault(conv, layer_runs(conv))
 
 
 def count_d_table(

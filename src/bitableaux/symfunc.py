@@ -2,10 +2,12 @@
 
 The oracle is characters (the Murnaghan-Nakayama recursion over exact
 integers), Kronecker coefficients g (the character triple sum), Kostka
-numbers (horizontal-strip counting) and the monomial coefficient
-d(lam,mu,nu) = <s_lam * s_nu, h_mu>; none of these shares code with the
-crystal side, so they can serve as the oracle the crystal counts are
-checked against.
+numbers (horizontal-strip counting: lam/mu is a strip exactly when
+lam[i+1] <= mu[i] <= lam[i], so partitions_between lists the mu) and the
+monomial coefficient d(lam,mu,nu) = <s_lam * s_nu, h_mu>.  None of these
+shares code with the crystal side but that enumerator, which the tests
+check against a brute-force filter, so they can serve as the oracle the
+crystal counts are checked against.
 
 character_table(k) stores each character chi^lam as a row of values over
 the classes of S_k, next to the class sizes; g and d read these rows only.
@@ -33,7 +35,9 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .bitableau import iter_bitableau_rows
-from .partitions import Partition, check_int, check_partition, check_triple, enumerate_partitions, is_int, trim
+from .partitions import (
+    Partition, check_int, check_partition, check_triple, enumerate_partitions, is_int, partitions_between, trim
+)
 
 Exponents = tuple[int, ...]
 
@@ -148,38 +152,14 @@ def kronecker_coefficient(lam: Sequence[int], mu: Sequence[int], nu: Sequence[in
 # --- Kostka numbers ---------------------------------------------------------
 
 
-def _horizontal_strip_removals(lam: Partition, size: int) -> Iterator[Partition]:
-    """Partitions mu inside lam with lam/mu a horizontal strip of the size."""
-
-    def rec(i: int, left: int, prefix: list[int]) -> Iterator[Partition]:
-        if i == len(lam):
-            if left == 0:
-                yield trim(tuple(prefix))
-            return
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        hi = lam[i]
-        cap = prefix[i - 1] if i else hi
-        for mu_i in range(min(hi, cap), below - 1, -1):
-            removed = hi - mu_i
-            if removed > left:
-                continue
-            prefix.append(mu_i)
-            yield from rec(i + 1, left - removed, prefix)
-            prefix.pop()
-
-    yield from rec(0, size, [])
-
-
 @lru_cache(maxsize=None)
 def _kostka(lam: Partition, content: tuple[int, ...]) -> int:
+    """K_{lam,content}, summed over the horizontal strips lam/mu the last letter fills."""
     if not content:
         return 1 if not lam else 0
-    last = content[-1]
-    if last == 0:
-        return _kostka(lam, content[:-1])
-    return sum(
-        _kostka(mu, content[:-1]) for mu in _horizontal_strip_removals(lam, last)
-    )
+    size = sum(lam) - content[-1]
+    strips = partitions_between(lam[1:] + (0,), lam, size, size)
+    return sum(_kostka(trim(mu), content[:-1]) for mu in strips)
 
 
 def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:

@@ -249,6 +249,13 @@ def test_count_only_counts_the_listing(capsys):
     for sizes in (["--n", "0"], ["--n", "-1"], ["--n", "2", "--m", "0"], ["--n", "0", "--m", "2"]):
         code, out, err = run(capsys, "enumerate", "--shape", "2,1", *sizes, "--count-only")
         assert code == 1 and out == "" and err.startswith("error: "), sizes
+    for k in range(7):
+        for lengths in ([], *(["--max-length", str(n)] for n in range(k + 1))):
+            code, out, _ = run(capsys, "enumerate", "--k", str(k), *lengths)
+            assert code == 0
+            listed = len(json.loads(out))
+            code, out, _ = run(capsys, "enumerate", "--k", str(k), *lengths, "--count-only")
+            assert code == 0 and out == f"{listed}\n", (k, lengths)
 
 
 def test_enumerate_cap_refuses_before_filling(capsys, monkeypatch):
@@ -276,6 +283,8 @@ def test_enumerate_cap_refuses_before_filling(capsys, monkeypatch):
     assert code == 3 and out == "" and err == "error: 1812096 tableaux exceed the cap 1000000\n"
     code, out, _ = run(capsys, "enumerate", "--shape", "4,3,2,1", "--n", "10", "--count-only", "--cap", "0")
     assert code == 0 and out == "1812096\n"
+    code, out, _ = run(capsys, "enumerate", "--k", "30", "--count-only", "--cap", "0")
+    assert code == 0 and out == "5604\n"
 
 
 def test_mismatch_exit_code(capsys, monkeypatch):
@@ -342,6 +351,9 @@ def test_crystal_on_an_empty_alphabet_is_a_usage_error(capsys, n):
     "argv",
     [
         ["enumerate", "--shape", "2", "--n", "2"],
+        ["enumerate", "--shape", "2", "--n", "1", "--count-only"],
+        ["enumerate", "--k", "4"],
+        ["enumerate", "--k", "4", "--count-only"],
         ["crystal", "--shape", "2", "--n", "2", "--m", "2"],
         ["completions", "--shape", "2"],
     ],

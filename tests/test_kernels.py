@@ -97,6 +97,66 @@ def test_the_process_wide_memo_answers_as_a_fresh_counter():
     assert cases == 2 * 2 * sum(len(enumerate_partitions(k)) ** 3 for k in range(1, 8))
 
 
+@pytest.mark.parametrize("partitions", [False, True])
+def test_a_wprime_call_made_while_grow_runs_keeps_each_shape_its_own_runs(monkeypatch, partitions):
+    # the w' counter keeps one shape's runs; a call for a second shape made from
+    # inside grow (as another thread may make it) must not file either shape's
+    # runs under the other
+    import bitableaux.kernels as kernels
+
+    first, second = (3, 3, 1), (5, 1, 1)
+    expected = {shape: layer_runs("w_prime")(shape, partitions) for shape in (first, second)}
+    assert expected[first] != expected[second]
+    runs = layer_runs("w_prime")
+    between = kernels.partitions_between
+    pending, nested = [second], []
+
+    def between_once_calling_second(*args):
+        if pending:
+            nested.append(runs(pending.pop(), partitions))
+        return between(*args)
+
+    monkeypatch.setattr(kernels, "partitions_between", between_once_calling_second)
+    assert runs(first, partitions) == expected[first]
+    assert nested == [expected[second]]
+    assert runs(second, partitions) == expected[second]
+    assert runs(first, partitions) == expected[first]
+
+
+def test_the_process_wide_wprime_counter_is_right_under_threads(monkeypatch):
+    # four threads ask d at k = 7 under w', each from another lam first, with a
+    # thread switch about every microsecond; every answer must match the oracle
+    import threading
+
+    import bitableaux.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_SHARED", {})  # a cold process-wide counter
+    parts = enumerate_partitions(7)
+    oracle = {(lam, nu): monomial_coefficient_row(lam, nu) for lam in parts for nu in parts}
+    wrong, done = [], []
+
+    def ask(offset):
+        for lam in parts[offset:] + parts[:offset]:
+            for nu in parts:
+                for mu in parts:
+                    if count_d(lam, mu, nu, "w_prime") != oracle[lam, nu][mu]:
+                        wrong.append((lam, mu, nu))
+        done.append(offset)  # a thread that raised or hung never gets here
+
+    offsets = [0, 4, 8, 12]
+    threads = [threading.Thread(target=ask, args=(offset,), daemon=True) for offset in offsets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == offsets and wrong == []
+
+
 @pytest.mark.parametrize(
     "call",
     [

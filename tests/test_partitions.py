@@ -28,6 +28,7 @@ from bitableaux.partitions import (
     count_partitions,
     enumerate_partitions,
     pad,
+    partitions_between,
     trim,
 )
 from bitableaux.symfunc import expand_in_schur_schur, make_sympoly
@@ -41,6 +42,21 @@ def brute_force_partitions(k: int) -> set[tuple[int, ...]]:
             if sum(parts) == k and all(a >= b for a, b in zip(parts, parts[1:])):
                 found.add(parts)
     return found
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_partitions_between_against_a_brute_force_filter(k):
+    # every hi of size k, every lo <= hi entrywise, every size range in [-1, k + 1], empty ones included
+    for hi in enumerate_partitions(k):
+        tuples = list(itertools.product(*(range(h + 1) for h in hi)))
+        below = [p for p in tuples if all(a >= b for a, b in zip(p, p[1:]))]
+        for lo in tuples:
+            between = [p for p in below if all(a >= b for a, b in zip(p, lo))]
+            for least in range(-1, k + 2):
+                for most in range(least - 1, k + 2):
+                    found = list(partitions_between(lo, hi, least, most))
+                    expected = {p for p in between if least <= sum(p) <= most}
+                    assert len(found) == len(set(found)) and set(found) == expected, (lo, hi, least, most)
 
 
 def test_partitions_of_zero():

@@ -92,6 +92,18 @@ def test_kostka_examples():
     assert kostka((1, 1), (2, 0)) == 0
 
 
+def test_kostka_edge_cases():
+    from bitableaux.symfunc import _kostka
+
+    assert kostka((), ()) == 1
+    assert kostka((), (0, 0)) == 1
+    # kostka refuses a content of another size; the recursion must count 0 there,
+    # as the strip of size |lam| - content[-1] < 0 is an empty range
+    assert _kostka((), (1,)) == 0
+    assert _kostka((1,), (2,)) == 0
+    assert kostka((2, 1), (1, 0, 1, 0, 1)) == 2
+
+
 def test_non_integer_input_is_refused():
     from bitableaux.bitableau import int_to_pair, pair_to_int
     from bitableaux.crystal import count_d
@@ -122,11 +134,14 @@ def test_kostka_matches_enumeration():
     from bitableaux.tableaux import iter_ssyt_rows
 
     for k in range(1, 7):
+        contents = list(enumerate_partitions(k))
+        if k <= 5:  # every content of length k, zeros included
+            contents = [c for c in itertools.product(range(k + 1), repeat=k) if sum(c) == k]
         for lam in enumerate_partitions(k):
-            for mu in enumerate_partitions(k):
+            for mu in contents:
                 n = len(mu)
                 direct = sum(1 for _ in iter_ssyt_rows(lam, n, [(range(n), mu)]))
-                assert kostka(lam, mu) == direct
+                assert kostka(lam, mu) == direct, (lam, mu)
 
 
 def test_schur_poly_examples():
