@@ -12,7 +12,15 @@ from typing import Iterator, Sequence
 from .bitableau import Bitableau, PairRows, iter_bitableau_rows, weights
 from .graphs import CrystalGraph, CrystalVertex
 from .kernels import count_d_table, layer_runs, shared_runs  # count_d_table is re-exported here
-from .partitions import Partition, check_int, check_partition, check_triple, enumerate_partitions, trim
+from .partitions import (
+    Partition,
+    check_int,
+    check_partition,
+    check_triple,
+    conjugate,
+    enumerate_partitions,
+    trim,
+)
 from .symfunc import monomial_coefficient_row
 from .tableaux import SkewSSYT, count_ssyt
 from .words import (
@@ -105,7 +113,7 @@ def count_d(
     The partition mu is its own run, so the counter builds partition runs
     only.  It is the process-wide counter of conv (kernels.shared_runs):
     its DP holds no nu, and under w no lam either, so queries share its
-    memo; under w' they share its layer fillings and the last lam's runs.
+    memo; under w' each lam is one push, and queries share the last lam's runs.
     """
     lam, mu, nu = check_triple(lam, mu, nu)
     return shared_runs(conv)(lam, partitions=True).get(nu, {}).get(mu, 0)
@@ -118,19 +126,28 @@ def monomial_expansion_sweep(k: int, conv: str = "w") -> list[tuple[Partition, P
     layer_runs counter per call, read once per lam: its partition runs hold
     every (mu, nu) of that lam at once, since the DP holds no nu, and the
     count is symmetric in the a-content, so no other run is read.  Under w
-    its memo serves every lam; under w' its states go with each lam.  The
-    oracle side is monomial_coefficient_row, the permutation-character
-    route, once per (lam, nu).  The d point query keeps the other route,
+    its memo serves every lam; under w' one push inside the bound
+    (k, k // 2, ..., 1) grows every lam.  The oracle side is
+    monomial_coefficient_row, the permutation-character route, once per
+    orbit {(lam, nu), (nu, lam), (lam', nu'), (nu', lam')}: chi^{lam'} is
+    sgn * chi^lam, so the weights sizes * chi^lam * chi^nu, and the row, are
+    the orbit's.  The d point query keeps the other route,
     monomial_coefficient_d.
     """
     parts = enumerate_partitions(k)
     runs = layer_runs(conv)
+    bound = tuple(k // i for i in range(1, k + 1))  # i * lam_i <= k: every lam of k lies inside
+    conj = {p: conjugate(p) for p in parts}
+    oracle: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
     rows = []
     for lam in parts:
-        tables = runs(lam, partitions=True)
+        tables = runs(lam, partitions=True, bound=bound)
         for nu in parts:
-            table, oracle = tables.get(nu, {}), monomial_coefficient_row(lam, nu)
-            rows += [(lam, mu, nu, table.get(mu, 0), oracle[mu]) for mu in parts]
+            pair = min((lam, nu), (nu, lam), (conj[lam], conj[nu]), (conj[nu], conj[lam]))  # names the orbit
+            if pair not in oracle:
+                oracle[pair] = monomial_coefficient_row(*pair)
+            table, row = tables.get(nu, {}), oracle[pair]
+            rows += [(lam, mu, nu, table.get(mu, 0), row[mu]) for mu in parts]
     return rows
 
 

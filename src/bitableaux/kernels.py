@@ -18,12 +18,16 @@ No b-content enters the DP.  Column strictness and the lattice test bound
 the letters, and the content read at the end is b(T), so every count is
 keyed by b-content and run, and one DP serves every nu.  The w state (inner
 shape left, content read so far, floor) holds no lam either, so one memo
-serves every shape.  The w' state (inner shape grown, content read so far,
-ceiling) is pushed from () out to one lam, a number of cells at a time, and
-dropped when that lam is done; its runs are kept keyed by lam, one lam at a
-time, so a call for another lam made while grow runs cannot swap them.  The
-layer fillings are cached for the counter's life under both conventions, and
-the layers' shapes come from partitions.partitions_between.
+serves every shape, and so do its layer fillings, cached for the counter's
+life.  The w' state (inner shape grown, ceiling), with the contents read so
+far under it, holds no lam: one push grows every state from () out to every
+partition of one size inside a bound, a number of cells at a time.
+count_d and count_d_table push with the bound lam, the Theorem-2 sweep once
+with a bound that holds every lam of its size.  Each level's states and
+layer fillings are dropped once passed on, and the counter keeps the runs
+of one bound and size, keyed by (bound, size, partitions), so a call for
+another lam made while a push runs cannot swap them.  The layers' shapes come from
+partitions.partitions_between.
 
 Empty layers add nothing to the word, so the DP counts by run: the sizes of
 the nonempty layers, a ascending.  A run's length is its number of top
@@ -46,7 +50,7 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .partitions import check_int, check_partition, is_int, partitions_between, trim
+from .partitions import check_int, check_partition, contains, is_int, partitions_between, trim
 from .words import CONVENTIONS
 
 Shape = tuple[int, ...]
@@ -97,15 +101,18 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
     it counts over every top and bottom alphabet.
     runs(shape, partitions=True) keeps only the weakly decreasing runs, the
     keys count_d and monomial_expansion_sweep read, and builds no other.
-    Nothing in the DP depends on nu.  Under w the memo serves every shape;
-    under w' the counter keeps one shape's runs, keyed by that shape.  The
-    maps returned are the counter's own, to be read and not changed.
+    runs(shape, partitions, bound) reads shape from a w' push over every
+    partition of its size inside bound (shape by default), kept until a call
+    asks for another bound or size; under w, which peels each shape from one
+    memo, the bound is only checked to hold shape.  Nothing in the DP
+    depends on nu.  The maps returned are the counter's own, to be read and
+    not changed.
     """
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
-    fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}
+    fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}  # w
     memo: dict[tuple[Shape, Content, int], Runs] = {}  # w
-    grown: dict[tuple[Shape, bool], Runs] = {}  # w': the runs of one shape
+    grown: dict[tuple[Shape, int, bool], dict[Shape, Runs]] = {}  # w': one push's runs of every shape
 
     def layer(outer: Shape, inner: Shape, start: Content) -> dict[Content, int]:
         ends = fillings.get((outer, inner, start))
@@ -146,49 +153,62 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
         memo[key] = out
         return out
 
-    def grow(shape: Shape, partitions: bool) -> Runs:
-        """w': the layers from () out to shape, the innermost first.
+    def grow(bound: Shape, total: int, partitions: bool) -> dict[Shape, Runs]:
+        """w': the layers from () out to every partition of total inside bound, the innermost first.
 
-        A state (inner shape, content read, ceiling) holds the count of each
-        run of the layers inside it, and passes them on to the states one
-        layer out; states are taken by their number of cells, so each is
-        complete before it is passed on.  ceiling 0 counts every run.  A
-        ceiling c >= 1 counts only the runs whose layers all hold at most c
-        cells and weakly decrease, a ascending: each layer grown is the
-        ceiling of the layers outside it.
+        A state (inner shape, ceiling) holds, for each content read, the count
+        of each run of the layers inside it, and passes them on to the states
+        one layer out; states are taken by their number of cells, so each is
+        complete before it is passed on.  The start contents sit under their
+        state, so one enumeration of the outer shapes serves them all.
+        ceiling 0 counts every run.  A ceiling c >= 1 counts only the runs
+        whose layers all hold at most c cells and weakly decrease, a
+        ascending: each layer grown is the ceiling of the layers outside it.
+        A layer's fillings are kept for one level only: its inner shape has
+        that level's number of cells, so no later level reads them.
         """
-        total = sum(shape)
-        levels: list = [{} for _ in range(total + 1)]  # (inner, start, ceiling) -> run -> count
-        levels[0][(0,) * len(shape), (), total if partitions else 0] = {(): 1}
+        levels: list = [{} for _ in range(total + 1)]  # (inner, ceiling) -> start -> run -> count
+        levels[0][(0,) * len(bound), total if partitions else 0] = {(): {(): 1}}
         for filled in range(total):
-            for (inner, start, ceiling), before in levels[filled].items():
+            level: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}  # this level's fillings
+            for (inner, ceiling), starts in levels[filled].items():
                 most = min(total, filled + ceiling) if ceiling else total
-                for outer in partitions_between(inner, shape, filled + 1, most):
+                for outer in partitions_between(inner, bound, filled + 1, most):
                     size = sum(outer) - filled
                     cut = trim(outer)
-                    level = levels[filled + size]
-                    for end, ways in layer(cut, inner[: len(cut)], start).items():
-                        after = level.setdefault((outer, end, ceiling and size), {})
-                        for sizes, count in before.items():
-                            sizes += (size,)
-                            after[sizes] = after.get(sizes, 0) + ways * count
+                    state = levels[filled + size].setdefault((outer, ceiling and size), {})
+                    for start, before in starts.items():
+                        ends = level.get((outer, inner, start))
+                        if ends is None:
+                            ends = level[outer, inner, start] = _lattice_fillings(cut, inner[: len(cut)], start)
+                        for end, ways in ends.items():
+                            after = state.setdefault(end, {})
+                            for sizes, count in before.items():
+                                sizes += (size,)
+                                after[sizes] = after.get(sizes, 0) + ways * count
             levels[filled] = None  # every state of this size has passed its counts on
-        out: Runs = {}
-        for (_, end, _), after in levels[total].items():
-            out.setdefault(end, {}).update(after)  # states of one end differ in ceiling, the last size
+        out: dict[Shape, Runs] = {}
+        for (outer, _), ends in levels[total].items():
+            shape = out.setdefault(trim(outer), {})
+            for end, after in ends.items():
+                shape.setdefault(end, {}).update(after)  # states of one shape differ in ceiling, the last size
         return out
 
-    def runs(shape: Sequence[int], partitions: bool = False) -> Runs:
+    def runs(shape: Sequence[int], partitions: bool = False, bound: Sequence[int] | None = None) -> Runs:
         shape = check_partition(shape)
+        bound = shape if bound is None else check_partition(bound)
+        if not contains(bound, shape):
+            raise ValueError(f"shape {shape!r} is not inside the bound {bound!r}")
         if conv == "w":
             return peel(shape, (), 1 if partitions else 0)
-        out = grown.get((shape, partitions))
+        key = (bound, sum(shape), partitions)
+        out = grown.get(key)
         if out is None:
-            out = grow(shape, partitions)
-            for key in [key for key in list(grown) if key[0] != shape]:
-                grown.pop(key, None)  # keep one shape's runs
-            grown[shape, partitions] = out
-        return out
+            out = grow(*key)
+            for old in [old for old in list(grown) if old[:2] != key[:2]]:
+                grown.pop(old, None)  # keep the runs of one bound and size
+            grown[key] = out
+        return out[shape]
 
     return runs
 

@@ -314,3 +314,15 @@ def test_criterion_10_sweep_k10_both_conventions():
             assert crystal == oracle, (conv, lam, mu, nu, crystal, oracle)
         assert sum(row[4] for row in rows) == 220_874_588
     _report(10, "crystal count equals the character-side count on 74088 triples (k = 10), w and w'")
+
+
+def test_criterion_11_sweep_k11_both_conventions():
+    # every triple of k = 11 through monomial_expansion_sweep under w and w',
+    # w' in one push over every lam and the oracle in one row per conjugate orbit
+    for conv in ("w", "w_prime"):
+        rows = monomial_expansion_sweep(11, conv)
+        assert len(rows) == 56**3
+        for lam, mu, nu, crystal, oracle in rows:
+            assert crystal == oracle, (conv, lam, mu, nu, crystal, oracle)
+        assert sum(row[4] for row in rows) == 3_141_222_926
+    _report(11, "crystal count equals the character-side count on 175616 triples (k = 11), w and w'")

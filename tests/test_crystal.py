@@ -19,7 +19,13 @@ from bitableaux.graphs import CrystalGraph, CrystalVertex, export_crystal
 from bitableaux.insertion import Biword, rsk
 from bitableaux.kron_tableaux import KroneckerVerdict
 from bitableaux.partitions import enumerate_partitions, trim
-from bitableaux.symfunc import CharacterTable, character_table, monomial_coefficient_d, schur_poly
+from bitableaux.symfunc import (
+    CharacterTable,
+    character_table,
+    monomial_coefficient_d,
+    monomial_coefficient_row,
+    schur_poly,
+)
 from bitableaux.tableaux import SSYT, SkewSSYT, reading_word
 from bitableaux.words import bitableau_reading_word, crystal_op_word, word_crystal_component
 
@@ -108,6 +114,53 @@ def test_monomial_expansion_sweep_small():
             assert [row[:3] for row in rows] == triples
             for lam, mu, nu, crystal, oracle in rows:
                 assert crystal == oracle == monomial_coefficient_d(lam, mu, nu), (conv, lam, mu, nu)
+
+
+def test_every_sweep_oracle_is_its_own_row():
+    # the sweep forms one oracle row per conjugate orbit; each row it returns
+    # must still carry monomial_coefficient_row(lam, nu)[mu] of its own triple
+    for k in range(8):
+        parts = enumerate_partitions(k)
+        rows = {(lam, nu): monomial_coefficient_row(lam, nu) for lam in parts for nu in parts}
+        for conv in ("w", "w_prime"):
+            for lam, mu, nu, _, oracle in monomial_expansion_sweep(k, conv):
+                assert oracle == rows[lam, nu][mu], (conv, lam, mu, nu)
+
+
+@pytest.mark.parametrize("conv", ["w", "w_prime"])
+def test_sweep_work_counters_at_k8(monkeypatch, conv):
+    # exact work of one sweep at k = 8: one oracle row per conjugate orbit of
+    # (lam, nu) (133 of 484 pairs), the layer fillings the DP computes, and
+    # under w' one push for every lam (a push asks once for the outer shapes
+    # of at least one cell around the empty shape)
+    import bitableaux.crystal as crystal
+    import bitableaux.kernels as kernels
+
+    calls = {"rows": 0, "fillings": 0, "pushes": 0}
+    oracle_row, fillings = crystal.monomial_coefficient_row, kernels._lattice_fillings
+    between = kernels.partitions_between
+
+    def counted_row(*args):
+        calls["rows"] += 1
+        return oracle_row(*args)
+
+    def counted_fillings(*args):
+        calls["fillings"] += 1
+        return fillings(*args)
+
+    def counted_between(lo, hi, least, most):
+        calls["pushes"] += least == 1 and not any(lo)
+        return between(lo, hi, least, most)
+
+    monkeypatch.setattr(crystal, "monomial_coefficient_row", counted_row)
+    monkeypatch.setattr(kernels, "_lattice_fillings", counted_fillings)
+    monkeypatch.setattr(kernels, "partitions_between", counted_between)
+    rows = monomial_expansion_sweep(8, conv)
+    assert len(rows) == 22**3 and all(row[3] == row[4] for row in rows)
+    assert calls["rows"] == 133
+    assert calls["fillings"] == {"w": 859, "w_prime": 2451}[conv]
+    if conv == "w_prime":
+        assert calls["pushes"] == 1
 
 
 def test_count_d_convention_agnostic():

@@ -97,6 +97,22 @@ def test_the_process_wide_memo_answers_as_a_fresh_counter():
     assert cases == 2 * 2 * sum(len(enumerate_partitions(k)) ** 3 for k in range(1, 8))
 
 
+
+@pytest.mark.parametrize("partitions", [False, True])
+def test_one_wprime_push_over_every_shape_gives_each_shape_its_own_runs(partitions):
+    # the sweep's push over every partition of k (bound (k, k // 2, ..., 1))
+    # against one push per shape (bound lam, as count_d and count_d_table
+    # push), every lam of k <= 8, k = 0 and 1 included
+    cases = 0
+    for k in range(9):
+        bound = tuple(k // i for i in range(1, k + 1))
+        every, each = layer_runs("w_prime"), layer_runs("w_prime")
+        for lam in enumerate_partitions(k):
+            assert every(lam, partitions, bound) == each(lam, partitions), (lam, partitions)
+            cases += 1
+    assert cases == sum(len(enumerate_partitions(k)) for k in range(9))
+
+
 @pytest.mark.parametrize("partitions", [False, True])
 def test_a_wprime_call_made_while_grow_runs_keeps_each_shape_its_own_runs(monkeypatch, partitions):
     # the w' counter keeps one shape's runs; a call for a second shape made from
@@ -169,9 +185,13 @@ def test_the_process_wide_wprime_counter_is_right_under_threads(monkeypatch):
         lambda: layer_runs("u"),
         lambda: layer_runs()((2, 1.0)),
         lambda: count_d((1,), (1,), (1,), ["w"]),
+        lambda: layer_runs("w")((2, 1), bound=(3,)),
+        lambda: layer_runs("w_prime")((2, 1), bound=(3,)),
+        lambda: layer_runs("w_prime")((2, 1), bound=(2, 1.0)),
     ],
     ids=["float-n", "float-n-w_prime", "bool-n", "negative-n-empty", "float-bcontent",
-         "negative-n", "unknown-conv-counter", "float-shape-counter", "list-conv-count_d"],
+         "negative-n", "unknown-conv-counter", "float-shape-counter", "list-conv-count_d",
+         "shape-outside-bound-w", "shape-outside-bound-w_prime", "float-bound"],
 )
 def test_kernel_refuses_a_bad_n_or_bcontent(call):
     with pytest.raises(ValueError):

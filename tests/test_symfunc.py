@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bitableaux.partitions import enumerate_partitions
+from bitableaux.partitions import conjugate, enumerate_partitions
 from bitableaux.symfunc import (
     SymPoly,
     character_table,
@@ -286,6 +286,20 @@ def test_monomial_coefficient_row_matches_tau_sum_up_to_eight():
         monomial_coefficient_row((2,), (1,))
     with pytest.raises(ValueError):
         monomial_coefficient_row((1, 2), (2, 1))
+
+
+
+def test_monomial_coefficient_row_is_one_row_per_conjugate_orbit():
+    # chi^{lam'} = sgn * chi^lam, so sizes * chi^lam * chi^nu, and with it the
+    # row, is the same for (lam, nu), (nu, lam), (lam', nu') and (nu', lam');
+    # the Theorem-2 sweep forms one row per orbit on the strength of this
+    for k in range(9):
+        parts = enumerate_partitions(k)
+        for lam, nu in itertools.product(parts, repeat=2):
+            row = monomial_coefficient_row(lam, nu)
+            lc, nc = conjugate(lam), conjugate(nu)
+            for other in ((nu, lam), (lc, nc), (nc, lc)):
+                assert monomial_coefficient_row(*other) == row, (lam, nu, other)
 
 
 @pytest.mark.parametrize(
