@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .partitions import Partition, check_int, check_partition, is_int
+from .partitions import Partition, check_content, check_int, check_partition, is_int
 from .tableaux import SSYT, check_semistandard, grid_rows, iter_ssyt_rows, json_shape
 
 Pair = tuple[int, int]
@@ -111,10 +111,12 @@ def iter_bitableau_rows(
 
     A bitableau is a semistandard filling over the pair alphabet [n]x[m] in
     lexicographic order.  bcontent and acontent, when given, keep only the
-    fillings with exactly that b- and a-content.
+    fillings with exactly that b- and a-content (partitions.check_content).
     """
     check_int(n, "n", 1)
     check_int(m, "m", 1)
+    bcontent = check_content(bcontent, m, "b-content")
+    acontent = check_content(acontent, n, "a-content")
     pairs = [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)]
     budgets = []
     if bcontent is not None:

@@ -12,7 +12,7 @@ import csv
 import itertools
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bitableau import Bitableau, enumerate_bitableaux, weights
 from .completion import (
@@ -99,7 +99,7 @@ def _print_word(word: Sequence[int]) -> None:
         print("".join(map(str, word)))
 
 
-def _csv_out(header: list[str], rows: list[list]) -> None:
+def _csv_out(header: list[str], rows: Iterable[list]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -273,17 +273,17 @@ def _cmd_d(args) -> int:
 
 def _cmd_verify_thm2(args) -> int:
     rows = monomial_expansion_sweep(args.k, args.conv)
-    mismatches = [r for r in rows if r[3] != r[4]]
     if not args.quiet:
         _csv_out(
             ["lam", "mu", "nu", "crystal", "oracle"],
-            [
+            (
                 [_fmt_partition(lam), _fmt_partition(mu), _fmt_partition(nu), c, o]
                 for lam, mu, nu, c, o in rows
-            ],
+            ),
         )
-    if mismatches:
-        lam, mu, nu, c, o = mismatches[0]
+    mismatch = next((r for r in rows if r[3] != r[4]), None)
+    if mismatch is not None:
+        lam, mu, nu, c, o = mismatch
         _report_mismatch(lam, mu, nu, args.conv, c, o)
         return MISMATCH
     print(f"OK k={args.k} triples={len(rows)}")

@@ -11,9 +11,10 @@ from typing import Iterator, Sequence
 
 from .bitableau import Bitableau, PairRows, iter_bitableau_rows, weights
 from .graphs import CrystalGraph, CrystalVertex
-from .kernels import count_d_table, layer_runs, shared_runs  # count_d_table is re-exported here
+from .kernels import count_d_table, highest_weight_rows, layer_runs, shared_runs  # count_d_table is re-exported here
 from .partitions import (
     Partition,
+    check_content,
     check_int,
     check_partition,
     check_triple,
@@ -96,13 +97,21 @@ def highest_weight_bitableaux(
 ) -> Iterator[Bitableau]:
     """The highest-weight bitableaux of B_lam(n,m) under conv, in filler order.
 
-    bcontent and acontent, when given, keep only the fillings with exactly
-    that b- and a-content.
+    bcontent and acontent, when given, keep only the bitableaux with exactly
+    that b- and a-content (partitions.check_content).  The rows are built
+    layer by layer by the kernel's lattice backtracker
+    (kernels.highest_weight_rows), not filtered from every filling, and each
+    row set is validated as a Bitableau.
     """
     lam = check_partition(lam)
-    for rows in iter_bitableau_rows(lam, n, m, bcontent, acontent):
-        if is_yamanouchi(bitableau_reading_cells(rows, conv)[0]):
-            yield Bitableau(lam, rows, n, m)
+    check_int(n, "n", 1)
+    check_int(m, "m", 1)
+    if conv not in CONVENTIONS:
+        raise ValueError(f"unknown convention {conv!r}")
+    nu = check_content(bcontent, m, "b-content")
+    mu = check_content(acontent, n, "a-content")
+    for rows in highest_weight_rows(lam, n, m, None if nu is None else trim(nu), mu, conv):
+        yield Bitableau(lam, rows, n, m)
 
 
 def count_d(

@@ -39,46 +39,66 @@ a-contents, and d(lam, mu, nu) is symmetric in mu, so they ask the counter
 for partition runs alone: the DP then builds only layers no smaller than
 the next one out.  count_d_table keeps every composition run, so that its
 symmetry in the a-content is checked, not assumed.
-_tally_python_dict is the naive reference: it tallies the crystal's
-highest-weight bitableaux (crystal.highest_weight_bitableaux), so the kernel
-is checked against the reading word the crystal itself uses.
+highest_weight_rows lists what the DP counts: it chains the lattice
+fillings of one shape and its contents, layer by layer in the same order,
+and builds the bitableaux crystal.highest_weight_bitableaux returns.
+_tally_python_dict is the naive reference: it filters the filler's
+bitableaux (bitableau.iter_bitableau_rows) by the Yamanouchi test on their
+reading word, so the kernel is checked against the reading word the crystal
+itself uses, not against its own backtracker.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .partitions import check_int, check_partition, contains, is_int, partitions_between, trim
-from .words import CONVENTIONS
+from .bitableau import PairRows, iter_bitableau_rows
+from .partitions import check_content, check_int, check_partition, contains, partitions_between, trim
+from .words import CONVENTIONS, bitableau_reading_cells, is_yamanouchi
 
 Shape = tuple[int, ...]
 Content = tuple[int, ...]
 Runs = dict[Content, dict[tuple[int, ...], int]]  # b-content -> run -> count
 
 
-def _lattice_fillings(outer: Shape, inner: Shape, start: Content) -> dict[Content, int]:
+def _layer_cells(outer: Shape, inner: Shape) -> list[tuple[int, int]]:
+    """The cells of outer/inner in the order the word is read back: top row first, right to left."""
+    return [(r, c) for r in range(len(outer)) for c in range(outer[r] - 1, inner[r] - 1, -1)]
+
+
+def _lattice_fillings(
+    outer: Shape, inner: Shape, start: Content, letters: int | None = None, listed: bool = False
+) -> dict[Content, int] | dict[Content, list[tuple[int, ...]]]:
     """Lattice fillings of outer/inner that extend a word of content start.
 
     The layer is read backward, top row first and right to left, and the
     content read must stay a partition: a letter x > 0 is placed only after
     more x-1's than x's.  inner has the length of outer, and start is a
-    partition.  Returns the number of fillings by the content they end at.
+    partition.  Letters are 0, 1, ...; letters, when given, is how many
+    may be used, and start uses no more.  Returns, by the content they end
+    at, the number of fillings, or with listed the fillings themselves: each
+    one's letters in the order of _layer_cells.
     """
-    cells = [(r, c) for r in range(len(outer)) for c in range(outer[r] - 1, inner[r] - 1, -1)]
+    cells = _layer_cells(outer, inner)
     index = {cell: i for i, cell in enumerate(cells)}
     right = [index.get((r, c + 1), -1) for r, c in cells]  # placed earlier: no smaller
     above = [index.get((r - 1, c), -1) for r, c in cells]  # placed earlier: strictly smaller
     size = len(cells)
     vals = [0] * size
     cnt = list(start) + [0] * size
-    ends: dict[Content, int] = {}
+    if letters is not None and letters < len(cnt):  # else no word reaches that letter
+        cnt[letters] = sum(start) + size + 1  # more than any letter's count: the lattice test bars it
+    ends: dict = {}
 
     def fill(i: int, width: int) -> None:
         if i == size:
             key = tuple(cnt[:width])
-            ends[key] = ends.get(key, 0) + 1
+            if listed:
+                ends.setdefault(key, []).append(tuple(vals))
+            else:
+                ends[key] = ends.get(key, 0) + 1
             return
         lo = vals[above[i]] + 1 if above[i] >= 0 else 0
         hi = vals[right[i]] if right[i] >= 0 else width  # width: the first letter not yet read
@@ -235,9 +255,7 @@ def count_d_table(
     has no Yamanouchi word.
     """
     shape = check_partition(shape)
-    nu = tuple(bcontent)
-    if not all(is_int(x) for x in nu):
-        raise ValueError(f"b-content entries must be integers, got {nu!r}")
+    nu = check_content(bcontent, 0, "b-content")
     check_int(n, "n")
     return _table(shared_runs(conv)(shape), trim(nu), n)
 
@@ -269,15 +287,88 @@ def _spread(runs: dict[tuple[int, ...], int], n: int) -> dict[tuple[int, ...], i
     return result
 
 
+def highest_weight_rows(
+    lam: Shape, n: int, m: int, nu: Content | None = None, mu: Sequence[int] | None = None, conv: str = "w"
+) -> list[PairRows]:
+    """The rows of every bitableau of shape lam over [n] x [m] with a Yamanouchi conv word, sorted.
+
+    The layers come in the DP's order, w' growing a = 1..n out from (), w
+    peeling a = n..1 in from lam, and each layer's bottom entries are the
+    lattice fillings (listed, letters at most m) that extend the content
+    read so far.  nu, a trimmed b-content, keeps the rows whose word ends at
+    content nu; mu, an a-content of at least n entries, sizes the layers.
+    Sorting gives the filler's row-major lexicographic order.
+    """
+    total, zero = sum(lam), (0,) * len(lam)
+    if mu is not None and (sum(mu) != total or any(mu[n:])):
+        return []
+    letters = m if nu is None else min(m, len(nu))
+    layers: dict[tuple[Shape, Shape, Content], dict[Content, list[tuple[int, ...]]]] = {}
+    placed: list[tuple[int, list[tuple[int, int]], list[tuple[int, ...]]]] = []  # (top, cells, fillings)
+    grid: list[list] = [[None] * length for length in lam]
+    found = []
+
+    def layer(a: int, outer: Shape, inner: Shape, start: Content) -> Iterator[Content]:
+        """Place each filling of layer a = outer/inner after start; yield the content each ends at."""
+        key = (outer, inner, start)
+        ends = layers.get(key)
+        if ends is None:
+            ends = _lattice_fillings(outer, inner, start, letters, True)
+            if nu is not None:  # the content read only grows: keep what stays inside nu
+                ends = {end: fills for end, fills in ends.items() if all(map(int.__le__, end, nu))}
+            layers[key] = ends
+        cells = _layer_cells(outer, inner)
+        for end, fills in ends.items():
+            placed.append((a, cells, fills))
+            yield end
+            placed.pop()
+
+    def finish(end: Content) -> None:
+        if nu is not None and end != nu:
+            return
+        for choice in product(*(fills for _, _, fills in placed)):
+            for (a, cells, _), vals in zip(placed, choice):
+                for (r, c), v in zip(cells, vals):
+                    grid[r][c] = (a, v + 1)
+            found.append(tuple(map(tuple, grid)))
+
+    def grow(a: int, inner: Shape, start: Content) -> None:
+        if a > n:
+            return finish(start)
+        filled = sum(inner)
+        least, most = (filled + mu[a - 1],) * 2 if mu is not None else (total if a == n else filled, total)
+        for outer in partitions_between(inner, lam, least, most):
+            for end in layer(a, outer, inner, start):
+                grow(a + 1, outer, end)
+
+    def peel(a: int, outer: Shape, start: Content) -> None:
+        if a == 0:
+            return finish(start)
+        filled = sum(outer)
+        least, most = (filled - mu[a - 1],) * 2 if mu is not None else (0, 0 if a == 1 else filled)
+        for inner in partitions_between(zero, outer, least, most):
+            for end in layer(a, outer, inner, start):
+                peel(a - 1, inner, end)
+
+    if conv == "w":
+        peel(n, lam, ())
+    else:
+        grow(1, zero, ())
+    found.sort()
+    return found
+
+
 def _tally_python_dict(
     shape: Sequence[int], n: int, bcontent: Sequence[int], conv: str
 ) -> dict[tuple[int, ...], int]:
-    """Naive reference: the crystal's highest-weight bitableaux, tallied by a-content."""
-    from .bitableau import weights
-    from .crystal import highest_weight_bitableaux
-
+    """Naive reference: the filler's bitableaux whose conv word is Yamanouchi, tallied by a-content."""
     result: dict[tuple[int, ...], int] = {}
-    for t in highest_weight_bitableaux(shape, n, len(bcontent), bcontent, conv=conv):
-        key = weights(t)[0]
-        result[key] = result.get(key, 0) + 1
+    for rows in iter_bitableau_rows(shape, n, len(bcontent), bcontent):
+        if is_yamanouchi(bitableau_reading_cells(rows, conv)[0]):
+            tops = [0] * n
+            for row in rows:
+                for a, _ in row:
+                    tops[a - 1] += 1
+            key = tuple(tops)
+            result[key] = result.get(key, 0) + 1
     return result

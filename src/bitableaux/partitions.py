@@ -15,13 +15,15 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def check_int(value: object, name: str, least: int = 0) -> int:
+def check_int(value: object, name: str, least: int | None = 0) -> int:
     """value, if it is an int (not a bool) of at least least; otherwise ValueError.
 
-    This is the one integer rule for scalar arguments, caps and cells.
+    least None bounds nothing.  This is the one integer rule for scalar
+    arguments, caps, cells and content entries.
     """
-    if not is_int(value) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if not is_int(value) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -49,6 +51,20 @@ def check_triple(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> tu
     if not sum(lam) == sum(mu) == sum(nu):
         raise ValueError("all three partitions must have the same size")
     return lam, mu, nu
+
+
+def check_content(content: Iterable[int] | None, letters: int, name: str) -> tuple[int, ...] | None:
+    """content as a tuple of ints (the integer rule, unbounded), or None for None.
+
+    A content counts each of letters letters, so one with fewer entries is a
+    ValueError.  A negative entry or a wrong sum is left to match nothing.
+    """
+    if content is None:
+        return None
+    content = tuple(check_int(x, f"{name} entry", None) for x in content)
+    if len(content) < letters:
+        raise ValueError(f"{name} {content!r} has fewer than {letters} entries")
+    return content
 
 
 def trim(vec: Sequence[int]) -> Partition:

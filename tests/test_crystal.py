@@ -11,6 +11,7 @@ from bitableaux.crystal import (
     count_d,
     crystal_op_bitableau,
     full_crystal,
+    highest_weight_bitableaux,
     is_highest_weight,
     skew_decomposition,
     monomial_expansion_sweep,
@@ -27,7 +28,13 @@ from bitableaux.symfunc import (
     schur_poly,
 )
 from bitableaux.tableaux import SSYT, SkewSSYT, reading_word
-from bitableaux.words import bitableau_reading_word, crystal_op_word, word_crystal_component
+from bitableaux.words import (
+    bitableau_reading_cells,
+    bitableau_reading_word,
+    crystal_op_word,
+    is_yamanouchi,
+    word_crystal_component,
+)
 
 
 def test_lowering_on_the_worked_example():
@@ -62,6 +69,83 @@ def test_is_highest_weight_examples():
     assert is_highest_weight(EIGHTEEN_BOX, "w")
     assert not is_highest_weight(FIVE_BOX, "w")
     assert is_highest_weight(Bitableau.from_rows([[(1, 1)]], 1, 1))
+
+
+# malformed contents: a content shorter than its alphabet (m for the
+# b-content, n for the a-content) or an unknown convention is a ValueError; a
+# wrong sum, a negative entry or a b-content that is not a partition yields
+# nothing; trailing zeros are accepted
+HIGHEST_WEIGHT_EDGES = [
+    # (lam, n, m, bcontent, acontent, conv, count or ValueError)
+    ((2, 1), 2, 3, (2, 1), None, "w", ValueError),
+    ((3,), 2, 1, None, (3,), "w", ValueError),
+    ((), 1, 2, (), None, "w", ValueError),
+    ((), 2, 1, None, (), "w_prime", ValueError),
+    ((2, 1), 2, 2, (2, 2), None, "w", 0),
+    ((2, 1), 2, 2, None, (2, 2), "w", 0),
+    ((2, 1), 2, 2, (4, -1), None, "w", 0),
+    ((2, 1), 2, 2, None, (4, -1), "w_prime", 0),
+    ((), 1, 1, None, (0, -1), "w", 0),
+    ((2, 1), 2, 2, None, (3, 1, -1), "w", 0),
+    ((2, 1), 2, 2, (1, 2), None, "w", 0),
+    ((2, 1), 2, 2, (2, 1, 1), None, "w", 0),
+    ((2, 1), 2, 2, None, (1, 1, 1), "w_prime", 0),
+    ((2, 1), 2, 2, (2, 1, 0), None, "w", 6),
+    ((2, 1), 2, 2, None, (1, 2, 0), "w_prime", 3),
+    ((2, 1), 2, 2, (2, 1, 0), (1, 2, 0, 0), "w", 2),
+    ((), 2, 2, (0, 0), (0, 0), "w", 1),
+    ((), 2, 2, None, None, "w_prime", 1),
+    ((1, 1, 1), 1, 2, None, None, "w", 0),
+    ((2, 1), 2, 2, None, None, "x", ValueError),
+    ((2, 1), 2, 2, (2, 1), None, "row", ValueError),
+]
+
+
+@pytest.mark.parametrize("lam, n, m, bcontent, acontent, conv, expected", HIGHEST_WEIGHT_EDGES)
+def test_highest_weight_bitableaux_on_malformed_contents(lam, n, m, bcontent, acontent, conv, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            list(highest_weight_bitableaux(lam, n, m, bcontent, acontent, conv))
+        return
+    got = [t.rows for t in highest_weight_bitableaux(lam, n, m, bcontent, acontent, conv)]
+    assert len(got) == expected
+    # trailing zeros change nothing
+    cut = [c if c is None or any(c[size:]) else c[:size] for c, size in ((bcontent, m), (acontent, n))]
+    assert [t.rows for t in highest_weight_bitableaux(lam, n, m, *cut, conv)] == got
+
+
+def test_a_short_content_or_an_unknown_convention_is_refused_before_any_filling():
+    # a content shorter than its alphabet is refused whatever the other
+    # content, and only the crystal's two conventions are taken
+    for call in (
+        lambda: iter_bitableau_rows((2, 1), 2, 2, (2, 2), (2,)),
+        lambda: list(highest_weight_bitableaux((2, 1), 2, 2, (2, 2), (2,))),
+        lambda: list(highest_weight_bitableaux((2, 1), 2, 2, (3, 1), None, "u")),
+        lambda: list(highest_weight_bitableaux((2, 1), 2, 2, (2, 1), None, "u_prime")),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_highest_weight_bitableaux_match_the_filtered_filler():
+    # the layer-by-layer build against the plain filter, row for row and in
+    # order: no content, every partition b-content, and with it every a-content
+    def weak_compositions(k, parts):
+        return [c for c in itertools.product(range(k + 1), repeat=parts) if sum(c) == k]
+
+    for shape in small_shapes(5):
+        k = sum(shape)
+        for n, m in nm_pairs(3):
+            bs = [b for b in weak_compositions(k, m) if list(b) == sorted(b, reverse=True)]
+            contents = [(None, None)] + [(b, None) for b in bs] + [(b, a) for b in bs for a in weak_compositions(k, n)]
+            for conv, (b, a) in itertools.product(("w", "w_prime"), contents):
+                want = [
+                    rows
+                    for rows in iter_bitableau_rows(shape, n, m, b, a)
+                    if is_yamanouchi(bitableau_reading_cells(rows, conv)[0])
+                ]
+                got = [t.rows for t in highest_weight_bitableaux(shape, n, m, b, a, conv)]
+                assert got == want, (shape, n, m, b, a, conv)
 
 
 def test_crystal_property_suite():

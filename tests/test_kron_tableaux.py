@@ -169,3 +169,28 @@ def test_csv_row():
     assert (count, g, regime) == (2, 1, False)
     with pytest.raises(ValueError):
         kronecker_count_row((2, 1), 2, (2, 1))
+
+
+def test_kronecker_grid_work_counters(monkeypatch):
+    # exact work of the Kronecker grid of every two-row lam |- 8, p = 0..4 and
+    # every nu: the members of B'_lam(2,m) are built layer by layer, one
+    # listing of lattice fillings per (outer, inner, start) of a call, not
+    # filtered from every filling (which would list none)
+    import bitableaux.kernels as kernels
+
+    work = {"calls": 0, "fillings": 0}
+    fillings = kernels._lattice_fillings
+
+    def counted_fillings(*args):
+        ends = fillings(*args)
+        work["calls"] += 1
+        work["fillings"] += sum(map(len, ends.values()))
+        return ends
+
+    monkeypatch.setattr(kernels, "_lattice_fillings", counted_fillings)
+    shapes = [lam for lam in enumerate_partitions(8) if len(lam) <= 2]
+    total = sum(
+        count_kronecker_tableaux(lam, p, nu) for lam in shapes for p in range(5) for nu in enumerate_partitions(8)
+    )
+    assert total == 140
+    assert work == {"calls": 1620, "fillings": 5443}

@@ -9,17 +9,20 @@ from bitableaux import (
     SSYT,
     SkewSSYT,
     column_top_operator,
+    count_d_table,
     crystal_op_bitableau,
     crystal_op_word,
     enumerate_bitableaux,
     enumerate_completions,
     enumerate_ssyt,
     full_crystal,
+    highest_weight_bitableaux,
     kronecker_tableaux,
     row_top_operator,
     skeleton,
     word_weight,
 )
+from bitableaux.bitableau import iter_bitableau_rows
 from bitableaux.partitions import (
     check_partition,
     check_triple,
@@ -152,8 +155,10 @@ def test_contains():
 ONE_ROW = Bitableau.from_rows([[(1, 1), (2, 1)]], 2, 2)
 ONE_COLUMN = Bitableau.from_rows([[(1, 1)], [(2, 1)]], 2, 2)
 
-# each site: the name and least value of the integer it checks, and a call
-# taking that integer; every site is refused through the one integer rule
+# each site: the name and least value of the integer it checks (None: no
+# least value, as for a content entry, where a negative one matches nothing),
+# and a call taking that integer; every site is refused through the one
+# integer rule
 INTEGER_SITES = {
     "enumerate_ssyt": ("n", 1, lambda v: enumerate_ssyt((2, 1), v)),
     "enumerate_bitableaux": ("n", 1, lambda v: enumerate_bitableaux((1, 1, 1), v, 2)),
@@ -176,13 +181,34 @@ INTEGER_SITES = {
     "count_partitions": ("k", 0, lambda v: count_partitions(v)),
     "count_partitions-max_length": ("max_length", 0, lambda v: count_partitions(3, v)),
     "expand_in_schur_schur": ("degree", 0, lambda v: expand_in_schur_schur(make_sympoly(("x1", "y1"), {}), v)),
+    "iter_bitableau_rows-bcontent": ("b-content entry", None, lambda v: iter_bitableau_rows((2, 1), 2, 2, (v, 1))),
+    "iter_bitableau_rows-acontent": ("a-content entry", None, lambda v: iter_bitableau_rows((2, 1), 2, 2, None, (v, 1))),
+    "highest_weight_bitableaux-bcontent": (
+        "b-content entry", None, lambda v: list(highest_weight_bitableaux((2, 1), 2, 2, (v, 1)))
+    ),
+    "highest_weight_bitableaux-acontent": (
+        "a-content entry", None, lambda v: list(highest_weight_bitableaux((2, 1), 2, 2, None, (1, v)))
+    ),
+    "count_d_table-bcontent": ("b-content entry", None, lambda v: count_d_table((2, 1), (v, 1), 2)),
 }
 
 
-@pytest.mark.parametrize("kind", ["float", "bool", "below"])
-@pytest.mark.parametrize("site", list(INTEGER_SITES))
+@pytest.mark.parametrize(
+    "site, kind",
+    [
+        (site, kind)
+        for site, (_, least, _) in INTEGER_SITES.items()
+        for kind in ["float", "bool", "below"]
+        if least is not None or kind != "below"
+    ],
+)
 def test_the_integer_rule_refuses_a_float_a_bool_and_a_value_below_range(site, kind):
     name, least, call = INTEGER_SITES[site]
-    value = {"float": least + 0.5, "bool": True, "below": least - 1}[kind]
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {least}, got {value!r}")):
+    if least is None:  # a whole float, which int() would take as 2
+        value = {"float": 2.0, "bool": True}[kind]
+        expected = f"{name} must be an integer, got {value!r}"
+    else:
+        value = {"float": least + 0.5, "bool": True, "below": least - 1}[kind]
+        expected = f"{name} must be an integer >= {least}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
         call(value)
