@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .partitions import Partition, check_content, check_int, check_partition, is_int
+from .partitions import Partition, check_int, check_partition, is_int
 from .tableaux import SSYT, check_semistandard, grid_rows, iter_ssyt_rows, json_shape
 
 Pair = tuple[int, int]
@@ -100,30 +100,17 @@ def int_to_pair(value: int, m: int) -> Pair:
     return ((value - 1) // m + 1, (value - 1) % m + 1)
 
 
-def iter_bitableau_rows(
-    shape: Sequence[int],
-    n: int,
-    m: int,
-    bcontent: Sequence[int] | None = None,
-    acontent: Sequence[int] | None = None,
-) -> Iterator[PairRows]:
-    """Yield raw pair-row tuples of bitableaux, row-major lex order.
+def iter_bitableau_rows(shape: Sequence[int], n: int, m: int) -> Iterator[PairRows]:
+    """Yield raw pair-row tuples of every bitableau, row-major lex order.
 
     A bitableau is a semistandard filling over the pair alphabet [n]x[m] in
-    lexicographic order.  bcontent and acontent, when given, keep only the
-    fillings with exactly that b- and a-content (partitions.check_content).
+    lexicographic order, so this is the plain filler (tableaux.iter_ssyt_rows)
+    over that alphabet.  Listing by b- or a-content is
+    crystal.highest_weight_bitableaux, for the Yamanouchi ones only.
     """
     check_int(n, "n", 1)
     check_int(m, "m", 1)
-    bcontent = check_content(bcontent, m, "b-content")
-    acontent = check_content(acontent, n, "a-content")
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)]
-    budgets = []
-    if bcontent is not None:
-        budgets.append(([b - 1 for _, b in pairs], bcontent))
-    if acontent is not None:
-        budgets.append(([a - 1 for a, _ in pairs], acontent))
-    return iter_ssyt_rows(shape, pairs, budgets)
+    return iter_ssyt_rows(shape, [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)])
 
 
 def enumerate_bitableaux(shape: Sequence[int], n: int, m: int) -> list[Bitableau]:

@@ -354,7 +354,7 @@ def _cmd_g(args) -> int:
         parts = enumerate_partitions(args.sweep_k)
         _csv_out(
             ["lam", "mu", "nu", "g"],
-            [
+            (
                 [
                     _fmt_partition(lam),
                     _fmt_partition(mu),
@@ -362,7 +362,7 @@ def _cmd_g(args) -> int:
                     kronecker_coefficient(lam, mu, nu),
                 ]
                 for lam, mu, nu in itertools.product(parts, repeat=3)
-            ],
+            ),
         )
         return 0
     if args.lam is None or args.mu is None or args.nu is None:

@@ -84,6 +84,8 @@ def crystal_op_bitableau(
 
 
 def is_highest_weight(t: Bitableau, conv: str = "w") -> bool:
+    if conv not in CONVENTIONS:
+        raise ValueError(f"unknown convention {conv!r}")
     return is_yamanouchi(bitableau_reading_cells(t.rows, conv)[0])
 
 

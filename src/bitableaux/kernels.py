@@ -41,11 +41,11 @@ the next one out.  count_d_table keeps every composition run, so that its
 symmetry in the a-content is checked, not assumed.
 highest_weight_rows lists what the DP counts: it chains the lattice
 fillings of one shape and its contents, layer by layer in the same order,
-and builds the bitableaux crystal.highest_weight_bitableaux returns.
-_tally_python_dict is the naive reference: it filters the filler's
-bitableaux (bitableau.iter_bitableau_rows) by the Yamanouchi test on their
-reading word, so the kernel is checked against the reading word the crystal
-itself uses, not against its own backtracker.
+and builds the bitableaux crystal.highest_weight_bitableaux returns, the only
+listing by content: the one filler (bitableau.iter_bitableau_rows) has none.
+_tally_python_dict is the naive reference: it filters one plain enumeration by
+the Yamanouchi test on the reading word the crystal itself uses, not the
+kernel's own backtracker, and tallies every b-content's a-contents from it.
 """
 
 from __future__ import annotations
@@ -358,17 +358,19 @@ def highest_weight_rows(
     return found
 
 
-def _tally_python_dict(
-    shape: Sequence[int], n: int, bcontent: Sequence[int], conv: str
-) -> dict[tuple[int, ...], int]:
-    """Naive reference: the filler's bitableaux whose conv word is Yamanouchi, tallied by a-content."""
-    result: dict[tuple[int, ...], int] = {}
-    for rows in iter_bitableau_rows(shape, n, len(bcontent), bcontent):
+def _tally_python_dict(shape: Sequence[int], n: int, m: int, conv: str) -> dict[Content, dict[Content, int]]:
+    """Naive reference: {b-content: {a-content: count}} of the bitableaux whose conv word is Yamanouchi.
+
+    The contents are full vectors of m and n entries, all from one plain enumeration.
+    """
+    result: dict[Content, dict[Content, int]] = {}
+    for rows in iter_bitableau_rows(shape, n, m):
         if is_yamanouchi(bitableau_reading_cells(rows, conv)[0]):
-            tops = [0] * n
+            tops, bottoms = [0] * n, [0] * m
             for row in rows:
-                for a, _ in row:
+                for a, b in row:
                     tops[a - 1] += 1
-            key = tuple(tops)
-            result[key] = result.get(key, 0) + 1
+                    bottoms[b - 1] += 1
+            key, table = tuple(tops), result.setdefault(tuple(bottoms), {})
+            table[key] = table.get(key, 0) + 1
     return result

@@ -75,13 +75,6 @@ def trim(vec: Sequence[int]) -> Partition:
     return tuple(vec[:end])
 
 
-def pad(parts: Sequence[int], length: int) -> tuple[int, ...]:
-    """Extend with zeros to the requested length."""
-    if len(parts) > check_int(length, "length"):
-        raise ValueError(f"cannot pad {parts} to shorter length {length}")
-    return tuple(parts) + (0,) * (length - len(parts))
-
-
 def partitions_between(lo: Sequence[int], hi: Sequence[int], least: int, most: int) -> Iterator[Partition]:
     """Partitions p with lo <= p <= hi entrywise and least <= |p| <= most, all of len(hi).
 

@@ -165,9 +165,7 @@ def _kostka(lam: Partition, content: tuple[int, ...]) -> int:
 def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
     """Number of SSYT of shape lam and content mu (mu may be a composition)."""
     lam = check_partition(lam)
-    mu = tuple(mu)
-    if not all(is_int(x) and x >= 0 for x in mu):
-        raise ValueError(f"content entries must be nonnegative integers, got {mu!r}")
+    mu = tuple(check_int(x, "content entry") for x in mu)
     if sum(lam) != sum(mu):
         raise ValueError("content must sum to the shape size")
     return _kostka(lam, mu)

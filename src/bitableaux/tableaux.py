@@ -119,35 +119,20 @@ def check_semistandard(rows: Sequence[Sequence], inner: Sequence[int] = ()) -> N
                 raise ValueError("columns must strictly increase")
 
 
-def iter_ssyt_rows(
-    shape: Sequence[int],
-    letters: int | Sequence,
-    budgets: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
-) -> Iterator[tuple[tuple, ...]]:
+def iter_ssyt_rows(shape: Sequence[int], letters: int | Sequence) -> Iterator[tuple[tuple, ...]]:
     """Yield the row tuples of every semistandard filling of the shape.
 
-    letters is the alphabet in increasing order; an int n means 1..n.  Each
-    budget (classes, content) keeps only the fillings that hold exactly
-    content[j] letters of class j, where classes[i] is the class of
-    letters[i].  Row-major lexicographic order: cells are filled left to
-    right, top to bottom, smallest feasible letter first.  This is the one
-    backtracking filler; bitableaux are its fillings over the pair alphabet.
+    letters is the alphabet in increasing order; an int n means 1..n.
+    Row-major lexicographic order: cells are filled left to right, top to
+    bottom, smallest feasible letter first.  This is the one backtracking
+    filler, with no content constraint; bitableaux are its fillings over the
+    pair alphabet.
     """
     if isinstance(letters, int):
         letters = range(1, letters + 1)
     letters = tuple(letters)
     shape = tuple(shape)
     size = len(letters)
-    # all budgets share one counter list; slots[v] lists letter v's counters
-    left: list[int] = []
-    slots: list[tuple[int, ...]] = [()] * size
-    for classes, content in budgets:
-        if len(classes) != size or not set(classes) <= set(range(len(content))):
-            raise ValueError("a budget needs one class in range(len(content)) per letter")
-        if sum(content) != sum(shape) or min(content, default=0) < 0:
-            return
-        slots = [slot + (len(left) + cls,) for slot, cls in zip(slots, classes)]
-        left.extend(content)
     if not shape:
         yield ()
         return
@@ -155,7 +140,7 @@ def iter_ssyt_rows(
         return
     cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
     last = len(cells) - 1
-    # letter indices drive the row/column and budget checks; the letters
+    # letter indices drive the row and column checks; the letters
     # themselves go straight into the output grid
     index = [[0] * length for length in shape]
     grid: list[list] = [[None] * length for length in shape]
@@ -167,21 +152,12 @@ def iter_ssyt_rows(
         if r:
             lo = max(lo, index[r - 1][c] + 1)
         for v in range(lo, size):
-            slot = slots[v]
-            for j in slot:
-                if not left[j]:
-                    break
+            index_row[c] = v
+            grid_row[c] = letters[v]
+            if pos == last:
+                yield tuple(tuple(row) for row in grid)
             else:
-                for j in slot:
-                    left[j] -= 1
-                index_row[c] = v
-                grid_row[c] = letters[v]
-                if pos == last:
-                    yield tuple(tuple(row) for row in grid)
-                else:
-                    yield from rec(pos + 1)
-                for j in slot:
-                    left[j] += 1
+                yield from rec(pos + 1)
 
     yield from rec(0)
 

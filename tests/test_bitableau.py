@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from conftest import EIGHTEEN_BOX, FIVE_BOX, SEVEN_BOX_COLUMN, nm_pairs, small_shapes
@@ -36,10 +34,6 @@ def test_enumerate_examples():
     assert enumerate_bitableaux((1, 1, 1), 1, 2) == []
 
 
-def compositions(k, length):
-    return [c for c in itertools.product(range(k + 1), repeat=length) if sum(c) == k]
-
-
 def test_cardinality_matches_ssyt_over_nm():
     # the pair filler against the integer filler through (i,j) -> (i-1)m + j,
     # in order; both against the hook-content formula
@@ -51,25 +45,6 @@ def test_cardinality_matches_ssyt_over_nm():
             ]
             assert encoded == [t.rows for t in enumerate_ssyt(shape, n * m)], (shape, n, m)
             assert len(pair_rows) == hook_content_count(shape, n * m)
-    # the budgets against filtering the unbudgeted enumeration by weights
-    cases = 0
-    for shape in small_shapes(4):
-        k = sum(shape)
-        for n, m in nm_pairs(3):
-            everything = enumerate_bitableaux(shape, n, m)
-            for b in compositions(k, m):
-                for a in (None, *compositions(k, n)):
-                    expected = [
-                        t.rows
-                        for t in everything
-                        if weights(t)[1] == b and a in (None, weights(t)[0])
-                    ]
-                    assert list(iter_bitableau_rows(shape, n, m, b, a)) == expected, (shape, b, a)
-                    cases += 1
-            for a in compositions(k, n):
-                expected = [t.rows for t in everything if weights(t)[0] == a]
-                assert list(iter_bitableau_rows(shape, n, m, acontent=a)) == expected
-    assert cases == 3662
 
 
 def test_enumeration_deterministic():

@@ -118,10 +118,11 @@ def test_a_short_content_or_an_unknown_convention_is_refused_before_any_filling(
     # a content shorter than its alphabet is refused whatever the other
     # content, and only the crystal's two conventions are taken
     for call in (
-        lambda: iter_bitableau_rows((2, 1), 2, 2, (2, 2), (2,)),
         lambda: list(highest_weight_bitableaux((2, 1), 2, 2, (2, 2), (2,))),
         lambda: list(highest_weight_bitableaux((2, 1), 2, 2, (3, 1), None, "u")),
         lambda: list(highest_weight_bitableaux((2, 1), 2, 2, (2, 1), None, "u_prime")),
+        lambda: is_highest_weight(EIGHTEEN_BOX, "u"),
+        lambda: is_highest_weight(EIGHTEEN_BOX, "u_prime"),
     ):
         with pytest.raises(ValueError):
             call()
@@ -138,14 +139,17 @@ def test_highest_weight_bitableaux_match_the_filtered_filler():
         for n, m in nm_pairs(3):
             bs = [b for b in weak_compositions(k, m) if list(b) == sorted(b, reverse=True)]
             contents = [(None, None)] + [(b, None) for b in bs] + [(b, a) for b in bs for a in weak_compositions(k, n)]
-            for conv, (b, a) in itertools.product(("w", "w_prime"), contents):
-                want = [
-                    rows
-                    for rows in iter_bitableau_rows(shape, n, m, b, a)
-                    if is_yamanouchi(bitableau_reading_cells(rows, conv)[0])
+            for conv in ("w", "w_prime"):
+                # one plain enumeration per (shape, n, m, conv), filtered by weights below
+                highest = [
+                    (t.rows, *weights(t))
+                    for t in enumerate_bitableaux(shape, n, m)
+                    if is_yamanouchi(bitableau_reading_cells(t.rows, conv)[0])
                 ]
-                got = [t.rows for t in highest_weight_bitableaux(shape, n, m, b, a, conv)]
-                assert got == want, (shape, n, m, b, a, conv)
+                for b, a in contents:
+                    want = [rows for rows, ta, tb in highest if b in (None, tb) and a in (None, ta)]
+                    got = [t.rows for t in highest_weight_bitableaux(shape, n, m, b, a, conv)]
+                    assert got == want, (shape, n, m, b, a, conv)
 
 
 def test_crystal_property_suite():

@@ -22,7 +22,6 @@ from bitableaux import (
     skeleton,
     word_weight,
 )
-from bitableaux.bitableau import iter_bitableau_rows
 from bitableaux.partitions import (
     check_partition,
     check_triple,
@@ -30,11 +29,10 @@ from bitableaux.partitions import (
     contains,
     count_partitions,
     enumerate_partitions,
-    pad,
     partitions_between,
     trim,
 )
-from bitableaux.symfunc import expand_in_schur_schur, make_sympoly
+from bitableaux.symfunc import expand_in_schur_schur, kostka, make_sympoly
 
 
 def brute_force_partitions(k: int) -> set[tuple[int, ...]]:
@@ -132,11 +130,8 @@ def test_check_triple_is_the_one_size_check():
                 f(*bad)
 
 
-def test_trim_and_pad():
+def test_trim():
     assert trim((2, 3, 0, 0)) == (2, 3)
-    assert pad((2, 1), 4) == (2, 1, 0, 0)
-    with pytest.raises(ValueError):
-        pad((2, 1, 1), 2)
 
 
 def test_count_partitions_counts_the_listing():
@@ -177,12 +172,10 @@ INTEGER_SITES = {
     "SSYT-cell": ("entry", 1, lambda v: SSYT((2,), ((v, 2),), 2)),
     "Bitableau-cell": ("bottom entry", 1, lambda v: Bitableau((1,), (((1, v),),), 2, 2)),
     "SkewSSYT-cell": ("entry", 1, lambda v: SkewSSYT((2,), (), ((v, 2),))),
-    "pad": ("length", 0, lambda v: pad((), v)),
     "count_partitions": ("k", 0, lambda v: count_partitions(v)),
     "count_partitions-max_length": ("max_length", 0, lambda v: count_partitions(3, v)),
     "expand_in_schur_schur": ("degree", 0, lambda v: expand_in_schur_schur(make_sympoly(("x1", "y1"), {}), v)),
-    "iter_bitableau_rows-bcontent": ("b-content entry", None, lambda v: iter_bitableau_rows((2, 1), 2, 2, (v, 1))),
-    "iter_bitableau_rows-acontent": ("a-content entry", None, lambda v: iter_bitableau_rows((2, 1), 2, 2, None, (v, 1))),
+    "kostka": ("content entry", 0, lambda v: kostka((2, 1), (v, 1))),
     "highest_weight_bitableaux-bcontent": (
         "b-content entry", None, lambda v: list(highest_weight_bitableaux((2, 1), 2, 2, (v, 1)))
     ),

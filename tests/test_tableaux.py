@@ -128,20 +128,18 @@ def test_from_json_infers_max_entry_only_when_absent():
         SSYT((), (), 0)
 
 
-def test_filler_budgets():
-    # the filler over an arbitrary ordered alphabet, with one budget on the
-    # letter classes (vowel, consonant)
-    rows = list(iter_ssyt_rows((2, 1), "abe", [((0, 1, 0), (2, 1))]))
+def test_plain_filler_over_an_ordered_alphabet():
+    # the filler over an arbitrary ordered alphabet, in row-major
+    # lexicographic order: s_(2,1)(1^3) = 8 fillings
+    rows = list(iter_ssyt_rows((2, 1), "abe"))
     assert rows == [
         (("a", "a"), ("b",)),
+        (("a", "a"), ("e",)),
+        (("a", "b"), ("b",)),
         (("a", "b"), ("e",)),
         (("a", "e"), ("b",)),
+        (("a", "e"), ("e",)),
+        (("b", "b"), ("e",)),
         (("b", "e"), ("e",)),
     ]
-    assert list(iter_ssyt_rows((2, 1), "abe", [((0, 1, 0), (3, 1))])) == []
-    # a negative count has no filling, even when the counts sum to the size
-    assert list(iter_ssyt_rows((2, 1), "abe", [((0, 1, 0), (4, -1))])) == []
-    with pytest.raises(ValueError):
-        list(iter_ssyt_rows((1,), 3, [((0, 1), (1, 0))]))
-    with pytest.raises(ValueError):
-        list(iter_ssyt_rows((1,), 2, [((0, 2), (1, 0))]))
+    assert len(rows) == count_ssyt((2, 1), 3) == 8
