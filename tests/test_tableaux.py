@@ -143,3 +143,34 @@ def test_plain_filler_over_an_ordered_alphabet():
         (("b", "e"), ("e",)),
     ]
     assert len(rows) == count_ssyt((2, 1), 3) == 8
+
+
+@pytest.mark.parametrize("letters", ["abe", ((1, 1), (1, 2), (2, 1), (2, 2)), (10, 20, 30, 40, 50)])
+def test_plain_filler_is_the_integer_filler_relabelled(letters):
+    # the filler reads only the order of its alphabet: over letters it is
+    # the filler over 1..len(letters) with i replaced by letters[i - 1]
+    for size in range(6):
+        for shape in enumerate_partitions(size):
+            relabelled = [
+                tuple(tuple(letters[x - 1] for x in row) for row in rows)
+                for rows in iter_ssyt_rows(shape, len(letters))
+            ]
+            assert list(iter_ssyt_rows(shape, letters)) == relabelled, shape
+
+
+def test_plain_filler_edge_shapes():
+    # the empty shape has one (empty) filling over any alphabet, even an
+    # empty one; a shape taller than its alphabet has none, and a column as
+    # tall as its alphabet has one
+    for letters in (0, 2, "", "ab"):
+        assert list(iter_ssyt_rows((), letters)) == [()]
+    assert list(iter_ssyt_rows((1, 1, 1), "ab")) == []
+    assert list(iter_ssyt_rows((1,), "")) == []
+    assert list(iter_ssyt_rows((1, 1, 1), "abc")) == [(("a",), ("b",), ("c",))]
+
+
+def test_plain_filler_streams():
+    # a generator: the least filling comes first without the rest being
+    # built (s_(6,5,4,3,2,1)(1^30) is far too many to list)
+    rows = next(iter_ssyt_rows((6, 5, 4, 3, 2, 1), 30))
+    assert rows == tuple(tuple([r + 1] * length) for r, length in enumerate((6, 5, 4, 3, 2, 1)))
