@@ -51,8 +51,8 @@ class CrystalGraph:
     def operator_indices(self) -> tuple[int, ...]:
         return tuple(sorted({i for _, i in self.edges}))
 
-    def highest_weight_ids(self, indices: Iterable[int] | None = None) -> list[int]:
-        idx = tuple(indices) if indices is not None else self.operator_indices()
+    def highest_weight_ids(self) -> list[int]:
+        idx = self.operator_indices()
         return [
             v.id
             for v in self.vertices

@@ -31,9 +31,9 @@ partitions.partitions_between.
 
 Empty layers add nothing to the word, so the DP counts by run: the sizes of
 the nonempty layers, a ascending.  A run's length is its number of top
-values used.  A partition a-content without zeros is its own run; _spread
-places each run of at most n layers over the n top values for the full
-table.
+values used.  A partition a-content without zeros is its own run; the full
+table places each run in one loop, its j layers on each j of the n top
+values in increasing order.
 crystal.count_d and crystal.monomial_expansion_sweep read only partition
 a-contents, and d(lam, mu, nu) is symmetric in mu, so they ask the counter
 for partition runs alone: the DP then builds only layers no smaller than
@@ -51,7 +51,6 @@ kernel's own backtracker, and tallies every b-content's a-contents from it.
 from __future__ import annotations
 
 from itertools import chain, combinations, product
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .bitableau import PairRows, iter_bitableau_rows
@@ -157,8 +156,7 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
         total = sum(state)
         zero = (0,) * len(state)
         if floor:  # the inner shape is empty or holds layers no smaller than this one
-            last = [zero] if total >= floor else []
-            inners = chain(last, partitions_between(zero, state, (total + 1) // 2, total - floor))
+            inners = chain([zero], partitions_between(zero, state, (total + 1) // 2, total - floor))
         else:
             inners = partitions_between(zero, state, 0, total - 1)
         for inner in inners:
@@ -261,30 +259,19 @@ def count_d_table(
 
 
 def _table(runs: Runs, nu: Content, n: int) -> dict[tuple[int, ...], int]:
-    """The a-content table over n top values of one shape's runs that end at b-content nu."""
-    kept = {sizes: count for sizes, count in runs.get(nu, {}).items() if len(sizes) <= n}
-    if () in kept:  # the empty bitableau
-        return {(0,) * n: kept[()]}
-    return _spread(kept, n)
+    """The a-content table over n top values of one shape's runs that end at b-content nu.
 
-
-def _spread(runs: dict[tuple[int, ...], int], n: int) -> dict[tuple[int, ...], int]:
-    """Every a-content of length n whose nonzero entries, in order, form a run."""
-    if n == 1:
-        return runs  # a single layer: its size is the a-content
-    result: dict[tuple[int, ...], int] = {}
-    placements: dict[int, list[itemgetter]] = {}
-    for sizes, count in runs.items():
-        j = len(sizes)
-        if j not in placements:
-            # read each slot from sizes + (0,): its layer's size, or the 0 at index j
-            placements[j] = [
-                itemgetter(*(slots.index(i) if i in slots else j for i in range(n)))
-                for slots in combinations(range(n), j)
-            ]
-        padded = sizes + (0,)
-        result.update(dict.fromkeys([place(padded) for place in placements[j]], count))
-    return result
+    A run of j layers gives its sizes, in order, to each j of the n top values;
+    the other top values are unused.
+    """
+    table: dict[tuple[int, ...], int] = {}
+    for sizes, count in runs.get(nu, {}).items():
+        for slots in combinations(range(n), len(sizes)):
+            acontent = [0] * n
+            for a, size in zip(slots, sizes):
+                acontent[a] = size
+            table[tuple(acontent)] = count
+    return table
 
 
 def highest_weight_rows(

@@ -91,6 +91,7 @@ def iter_b_prime_content(
 ) -> Iterator[Bitableau]:
     """Members of B'_lam(2,m) with a(T) = (p, k-p) and b(T) = nu."""
     k = sum(check_partition(lam))
+    nu = tuple(nu) or (0,)  # the lister needs a bottom letter, even for the empty shape
     return highest_weight_bitableaux(lam, 2, len(nu), nu, (p, k - p), "w_prime")
 
 

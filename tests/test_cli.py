@@ -26,18 +26,13 @@ def test_g_sweep_table(capsys):
     assert lines[1] == "3,3,3,1"
 
 
-def test_word_example(capsys):
-    code, out, _ = run(
-        capsys,
-        "word",
-        "--method",
-        "w",
-        "--shape",
-        "2,2,1",
-        "--tableau",
-        "[[[1,2],[2,1]],[[2,2],[2,2]],[[3,1]]]",
-    )
-    assert code == 0 and out.strip() == "22211"
+def test_word_example(tmp_path, capsys):
+    rows = "[[[1,2],[2,1]],[[2,2],[2,2]],[[3,1]]]"
+    path = tmp_path / "rows.json"
+    path.write_text(rows)
+    for tableau in (rows, f"@{path}"):
+        code, out, _ = run(capsys, "word", "--method", "w", "--shape", "2,2,1", "--tableau", tableau)
+        assert code == 0 and out.strip() == "22211"
 
 
 def test_verify_thm2(capsys):
@@ -114,6 +109,10 @@ def test_d_both_modes(capsys):
         capsys, "d", "--lam", "2", "--mu", "1,1", "--nu", "2", "--mode", "oracle"
     )
     assert code == 0 and out.strip() == "1"
+    code, out, _ = run(
+        capsys, "d", "--lam", "2,1", "--mu", "2,1", "--nu", "2,1", "--mode", "crystal"
+    )
+    assert code == 0 and out == "2\n"
 
 
 def test_kron_tableaux_csv(capsys):
@@ -124,6 +123,13 @@ def test_kron_tableaux_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "lam,p,nu,count,g,regime_flag"
     assert lines[1] == '"4,3",3,"3,2,2",2,1,0'
+    code, out, _ = run(
+        capsys, "kron-tableaux", "--lam", "4,3", "--p", "3", "--nu", "3,2,2", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out) == {"lam": [4, 3], "p": 3, "nu": [3, 2, 2], "count": 2, "g": 1, "regime": False}
+    code, out, _ = run(capsys, "kron-tableaux", "--lam", "-", "--p", "0", "--nu", "-")
+    assert code == 0 and out.strip().splitlines()[1] == "-,0,-,1,1,1"
 
 
 def test_skeleton_and_census(capsys):
@@ -180,6 +186,8 @@ def test_word_row_method(capsys):
         capsys, "word", "--method", "row", "--tableau", "[[1,1,1,2,2,3],[2,2,3],[3,4]]"
     )
     assert code == 0 and out.strip() == "34223111223"
+    code, out, _ = run(capsys, "word", "--method", "row", "--tableau", "[[1,10],[2]]")
+    assert code == 0 and out.strip() == "2,1,10"
     code, _, err = run(capsys, "word", "--method", "row")
     assert code == 1 and "error" in err
 

@@ -109,8 +109,9 @@ def test_count_examples():
     assert count_kronecker_tableaux((4, 3), 3, (3, 2, 2)) == 2
     found = kronecker_tableaux((4, 3), 3, (3, 2, 2))
     assert {t.rows for t in found} == {FIRST.rows, SECOND.rows}
-    for k in (1, 3, 5):
-        assert count_kronecker_tableaux((k,), 0, (k,)) == 1
+    for k in (0, 1, 3, 5):
+        row = trim((k,))  # the empty shape at k = 0
+        assert count_kronecker_tableaux(row, 0, row) == 1
 
 
 def test_regime_equality_five_two():

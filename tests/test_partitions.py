@@ -6,8 +6,11 @@ import pytest
 from bitableaux import (
     Biword,
     Bitableau,
+    CrystalGraph,
     SSYT,
     SkewSSYT,
+    SymPoly,
+    TableauPair,
     column_top_operator,
     count_d_table,
     crystal_op_bitableau,
@@ -15,13 +18,18 @@ from bitableaux import (
     enumerate_bitableaux,
     enumerate_completions,
     enumerate_ssyt,
+    export_crystal,
     full_crystal,
     highest_weight_bitableaux,
+    jdt_product,
     kronecker_tableaux,
+    phi,
     row_top_operator,
+    shape21_candidate_crystal,
     skeleton,
     word_weight,
 )
+from bitableaux.insertion import product_skew, transpose_rows
 from bitableaux.partitions import (
     check_partition,
     check_triple,
@@ -33,6 +41,7 @@ from bitableaux.partitions import (
     trim,
 )
 from bitableaux.symfunc import expand_in_schur_schur, kostka, make_sympoly
+from bitableaux.words import bitableau_reading_cells
 
 
 def brute_force_partitions(k: int) -> set[tuple[int, ...]]:
@@ -205,3 +214,66 @@ def test_the_integer_rule_refuses_a_float_a_bool_and_a_value_below_range(site, k
         expected = f"{name} must be an integer >= {least}, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(expected)):
         call(value)
+
+
+EMPTY = SSYT((), (), 1)
+ONE = SSYT.from_rows([[1]])
+
+# each site: a call and what it gives, either a value or the ValueError that
+# refuses it
+EDGE_SITES = {
+    "row_top_operator-shape": (
+        lambda: row_top_operator(ONE_COLUMN, 1, "lower"), ValueError("row operator requires a one-row shape")
+    ),
+    "column_top_operator-shape": (
+        lambda: column_top_operator(ONE_ROW, 1, "lower"), ValueError("column operator requires a one-column shape")
+    ),
+    "kronecker_tableaux-size": (
+        lambda: kronecker_tableaux((2, 1), 1, (2,)), ValueError("shape and b-weight must have the same size")
+    ),
+    "kronecker_tableaux-p": (lambda: kronecker_tableaux((2, 1), 4, (2, 1)), ValueError("p = 4 outside [0, 3]")),
+    "Biword-rows": (lambda: Biword((1, 2), (1,)), ValueError("rows of a biword must have equal length")),
+    # sorted columns with strictly decreasing ties never repeat, so the tie rule refuses a repeat
+    "Biword-burge-repeat": (
+        lambda: Biword((1, 1), (2, 2), "burge"), ValueError("burge ties must be strictly decreasing by bottom entry")
+    ),
+    "Biword-flavor": (lambda: Biword((1,), (1,), "plain"), ValueError("unknown biword flavor 'plain'")),
+    "TableauPair-rsk": (
+        lambda: TableauPair(SSYT.from_rows([[1, 1]]), SSYT.from_rows([[1], [2]])),
+        ValueError("RSK output must have equal shapes"),
+    ),
+    "TableauPair-brsk": (
+        lambda: TableauPair(SSYT.from_rows([[1, 1]]), SSYT.from_rows([[1, 1]]), "brsk"),
+        ValueError("bRSK recording shape must be conjugate to the insertion shape"),
+    ),
+    "export_crystal-format": (lambda: export_crystal(CrystalGraph((), {}), "svg"), ValueError("unknown format 'svg'")),
+    "bitableau_reading_cells-method": (
+        lambda: bitableau_reading_cells(ONE_ROW.rows, "x"), ValueError("unknown bitableau reading method 'x'")
+    ),
+    "crystal_op_word-direction": (
+        lambda: crystal_op_word((1, 2), 1, "up"), ValueError("direction must be 'raise' or 'lower', got 'up'")
+    ),
+    "shape21_candidate_crystal-corner": (
+        lambda: shape21_candidate_crystal("north"), ValueError("corner_first must be 'south' or 'east'")
+    ),
+    "kostka-size": (lambda: kostka((2,), (1,)), ValueError("content must sum to the shape size")),
+    "SymPoly-exponents": (
+        lambda: SymPoly(("x1", "x2"), {(1,): 1}), ValueError("exponent vector length must match variable count")
+    ),
+    "SymPoly-zero": (lambda: SymPoly(("x1",), {(1,): 0}), ValueError("zero terms must not be stored")),
+    "phi-empty": (lambda: phi(Bitableau((), (), 2, 1)), None),
+    "transpose_rows-empty": (lambda: transpose_rows(()), ()),
+    "product_skew-left-empty": (lambda: product_skew(EMPTY, ONE), SkewSSYT((1,), (), ((1,),))),
+    "product_skew-right-empty": (lambda: product_skew(ONE, EMPTY), SkewSSYT((1,), (), ((1,),))),
+    "jdt_product-right-empty": (lambda: jdt_product(ONE, EMPTY), ONE),
+}
+
+
+@pytest.mark.parametrize("site", list(EDGE_SITES))
+def test_refusals_and_edge_returns(site):
+    call, expected = EDGE_SITES[site]
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected
