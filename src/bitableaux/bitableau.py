@@ -43,7 +43,10 @@ class Bitableau:
         return sum(self.shape)
 
     def with_entry(self, r: int, c: int, pair: Pair) -> "Bitableau":
-        """Copy with one cell replaced (revalidates)."""
+        """Copy with cell (r, c) of the shape replaced (revalidates)."""
+        r, c = check_int(r, "row"), check_int(c, "column")
+        if r >= len(self.shape) or c >= self.shape[r]:
+            raise ValueError(f"cell ({r}, {c}) outside shape {self.shape!r}")
         rows = list(list(row) for row in self.rows)
         rows[r][c] = pair
         return Bitableau(self.shape, tuple(tuple(row) for row in rows), self.n, self.m)

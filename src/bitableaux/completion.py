@@ -123,7 +123,7 @@ def commutes_with_bottom(
     Returns (True, None) or (False, (vertex, bottom index, which side)).
     """
     images = f_top.images if isinstance(f_top, PartialOperator) else f_top
-    indices = g.operator_indices() or (1,)
+    indices = g.operator_indices()
     for v in (vert.id for vert in g.vertices):
         for i in indices:
             down = g.f(v, i)

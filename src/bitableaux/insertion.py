@@ -20,8 +20,8 @@ class Biword:
     """Two-row array of columns (top, bottom).
 
     lexicographic: columns sorted weakly by top, ties weakly increasing by
-    bottom, repeats allowed.  burge: ties sorted in decreasing order by
-    bottom and no repeated columns.
+    bottom, repeats allowed.  burge: ties strictly decreasing by bottom, so
+    no column repeats.
     """
 
     tops: Word
@@ -43,8 +43,6 @@ class Biword:
                     raise ValueError("ties must be weakly increasing by bottom entry")
                 if self.flavor == "burge" and b1 <= b2:
                     raise ValueError("burge ties must be strictly decreasing by bottom entry")
-        if self.flavor == "burge" and len(set(cols)) != len(cols):
-            raise ValueError("burge words may not repeat a column")
         if self.flavor not in ("lexicographic", "burge"):
             raise ValueError(f"unknown biword flavor {self.flavor!r}")
 

@@ -43,6 +43,7 @@ highest_weight_rows lists what the DP counts: it chains the lattice
 fillings of one shape and its contents, layer by layer in the same order,
 and builds the bitableaux crystal.highest_weight_bitableaux returns, the only
 listing by content: the one filler (bitableau.iter_bitableau_rows) has none.
+It lists each layer afresh; only the counter caches fillings.
 _tally_python_dict is the naive reference: it filters one plain enumeration by
 the Yamanouchi test on the reading word the crystal itself uses, not the
 kernel's own backtracker, and tallies every b-content's a-contents from it.
@@ -290,25 +291,18 @@ def highest_weight_rows(
     if mu is not None and (sum(mu) != total or any(mu[n:])):
         return []
     letters = m if nu is None else min(m, len(nu))
-    layers: dict[tuple[Shape, Shape, Content], dict[Content, list[tuple[int, ...]]]] = {}
     placed: list[tuple[int, list[tuple[int, int]], list[tuple[int, ...]]]] = []  # (top, cells, fillings)
     grid: list[list] = [[None] * length for length in lam]
     found = []
 
     def layer(a: int, outer: Shape, inner: Shape, start: Content) -> Iterator[Content]:
         """Place each filling of layer a = outer/inner after start; yield the content each ends at."""
-        key = (outer, inner, start)
-        ends = layers.get(key)
-        if ends is None:
-            ends = _lattice_fillings(outer, inner, start, letters, True)
-            if nu is not None:  # the content read only grows: keep what stays inside nu
-                ends = {end: fills for end, fills in ends.items() if all(map(int.__le__, end, nu))}
-            layers[key] = ends
         cells = _layer_cells(outer, inner)
-        for end, fills in ends.items():
-            placed.append((a, cells, fills))
-            yield end
-            placed.pop()
+        for end, fills in _lattice_fillings(outer, inner, start, letters, True).items():
+            if nu is None or all(map(int.__le__, end, nu)):  # the content read only grows: skip what leaves nu
+                placed.append((a, cells, fills))
+                yield end
+                placed.pop()
 
     def finish(end: Content) -> None:
         if nu is not None and end != nu:

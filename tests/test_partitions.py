@@ -228,6 +228,33 @@ EDGE_SITES = {
     "column_top_operator-shape": (
         lambda: column_top_operator(ONE_ROW, 1, "lower"), ValueError("column operator requires a one-column shape")
     ),
+    "row_top_operator-index": (
+        lambda: row_top_operator(ONE_ROW, 2, "lower"), ValueError("operator index 2 outside [1, 1]")
+    ),
+    "column_top_operator-index": (
+        lambda: column_top_operator(ONE_COLUMN, 2, "lower"), ValueError("operator index 2 outside [1, 1]")
+    ),
+    "Bitableau-entry": (
+        lambda: Bitableau((1,), (((3, 1),),), 2, 2), ValueError("entry (3,1) outside [1,2]x[1,2]")
+    ),
+    "Bitableau-rows": (lambda: Bitableau((2,), (((1, 1),),), 1, 1), ValueError("row lengths do not match shape")),
+    "SSYT-rows": (lambda: SSYT((2,), ((1,),), 1), ValueError("row lengths do not match shape")),
+    "SkewSSYT-rows": (
+        lambda: SkewSSYT((2,), (1,), ((1, 1),)), ValueError("row lengths do not match skew shape")
+    ),
+    # a negative or bool row would index the list from the end or as 1
+    "with_entry-negative-row": (
+        lambda: ONE_COLUMN.with_entry(-1, 0, (2, 2)), ValueError("row must be an integer >= 0, got -1")
+    ),
+    "with_entry-bool-row": (
+        lambda: ONE_COLUMN.with_entry(True, 0, (2, 2)), ValueError("row must be an integer >= 0, got True")
+    ),
+    "with_entry-float-row": (
+        lambda: ONE_COLUMN.with_entry(1.0, 0, (2, 2)), ValueError("row must be an integer >= 0, got 1.0")
+    ),
+    "with_entry-column": (
+        lambda: ONE_COLUMN.with_entry(0, 1, (2, 2)), ValueError("cell (0, 1) outside shape (1, 1)")
+    ),
     "kronecker_tableaux-size": (
         lambda: kronecker_tableaux((2, 1), 1, (2,)), ValueError("shape and b-weight must have the same size")
     ),
