@@ -2,14 +2,17 @@
 
 Operators act directly on the reading word with a back-map from letter
 position to source box; the skew decomposition is kept as a cross-check of
-that streamlined route.
+that streamlined route.  full_crystal works on the filler's [nm] integer
+codes, with no Bitableau per vertex: each vertex is keyed by its flat tuple
+of codes, each image of an f_i is one lookup of that tuple with one code
+raised by 1, and every vertex's rows are still checked semistandard.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .bitableau import Bitableau, PairRows, iter_bitableau_rows, weights
+from .bitableau import Bitableau, int_to_pair
 from .graphs import CrystalGraph, CrystalVertex
 from .kernels import count_d_table, highest_weight_rows, layer_runs, shared_runs  # count_d_table is re-exported here
 from .partitions import (
@@ -23,7 +26,7 @@ from .partitions import (
     trim,
 )
 from .symfunc import monomial_coefficient_row
-from .tableaux import SkewSSYT, count_ssyt
+from .tableaux import SkewSSYT, check_semistandard, count_ssyt, iter_ssyt_rows
 from .words import (
     CONVENTIONS,
     bitableau_reading_cells,
@@ -46,19 +49,6 @@ def check_cap(count: int, cap: int, noun: str) -> None:
         raise CapExceededError(f"{count} {noun} exceed the cap {cap}")
 
 
-def _image_rows(
-    rows: PairRows, word: Sequence[int], cells: Sequence[tuple[int, int]], i: int, direction: str
-) -> tuple[tuple[int, int], PairRows] | None:
-    """The cell an operator changes and the unchecked rows it leaves, or None."""
-    pos = crystal_op_position(word, i, direction)
-    if pos is None:
-        return None
-    r, c = cells[pos]
-    a, b = rows[r][c]
-    row = rows[r][:c] + ((a, b + (1 if direction == "lower" else -1)),) + rows[r][c + 1 :]
-    return (r, c), rows[:r] + (row,) + rows[r + 1 :]
-
-
 def crystal_op_bitableau(
     t: Bitableau, i: int, direction: str, conv: str = "w"
 ) -> Bitableau | None:
@@ -71,15 +61,17 @@ def crystal_op_bitableau(
         raise ValueError(f"unknown convention {conv!r}")
     if check_int(i, "operator index", 1) >= t.m:
         raise ValueError(f"operator index {i} outside [1, {t.m - 1}]")
-    image = _image_rows(t.rows, *bitableau_reading_cells(t.rows, conv), i, direction)
-    if image is None:
+    word, cells = bitableau_reading_cells(t.rows, conv)
+    pos = crystal_op_position(word, i, direction)
+    if pos is None:
         return None
-    cell, rows = image
+    r, c = cells[pos]
+    a, b = t.rows[r][c]
     try:
-        return Bitableau(t.shape, rows, t.n, t.m)
+        return t.with_entry(r, c, (a, b + (1 if direction == "lower" else -1)))
     except ValueError as exc:
         raise CrystalStructureError(
-            f"{conv} operator {direction} f_{i} broke semistandardness at {cell}"
+            f"{conv} operator {direction} f_{i} broke semistandardness at {(r, c)}"
         ) from exc
 
 
@@ -188,8 +180,14 @@ def full_crystal(
 ) -> CrystalGraph:
     """Graph over all of B_lam(n,m) with every gl_m operator.
 
-    Vertex ids follow the filler's row-major lexicographic order, so exports
-    are byte-stable.  An image outside B_lam(n,m) broke semistandardness.
+    The vertices are the plain filler's fillings over [nm], which the [nm]
+    encoding (bitableau.int_to_pair) reads as bitableaux; vertex ids follow
+    the filler's row-major lexicographic order, so exports are byte-stable.
+    Each vertex is keyed by its flat row-major tuple of codes and its rows
+    are checked semistandard.  f_i raises one bottom entry b < m to b + 1,
+    which is code + 1 at one position, so each image is one lookup.  An
+    image outside B_lam(n,m), or a bottom entry m that would wrap into the
+    next top value, broke semistandardness.
     """
     lam = check_partition(lam)
     check_int(n, "n", 1)
@@ -197,18 +195,41 @@ def full_crystal(
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
     check_cap(count_ssyt(lam, n * m), cap, "vertices")  # |B_lam(n,m)| through the [nm] encoding
-    index = {rows: vid for vid, rows in enumerate(iter_bitableau_rows(lam, n, m))}
+    # top[x], bottom[x]: the pair of code x under bitableau's [nm] encoding
+    pairs = [(0, 0)] + [int_to_pair(x, m) for x in range(1, n * m + 1)]
+    top, bottom = [a for a, _ in pairs], [b for _, b in pairs]
+    cells = [(r, c) for r, length in enumerate(lam) for c in range(length)]
+    # flat positions in row reading order (bottom row first, left to right),
+    # sorted stably by top entry as in bitableau_reading_cells
+    reading = sorted(range(len(cells)), key=lambda p: -cells[p][0])
+    descending = conv == "w_prime"
+    index: dict[tuple[int, ...], int] = {}
     vertices = []
+    for vid, rows in enumerate(iter_ssyt_rows(lam, n * m)):
+        check_semistandard(rows)
+        codes = sum(rows, ())
+        index[codes] = vid
+        weight_a, weight_b = [0] * (n + 1), [0] * (m + 1)
+        for x in codes:
+            weight_a[top[x]] += 1
+            weight_b[bottom[x]] += 1
+        pair_rows = [[[top[x], bottom[x]] for x in row] for row in rows]
+        payload = {"shape": list(lam), "rows": pair_rows, "n": n, "m": m}
+        vertices.append(CrystalVertex(vid, payload, tuple(weight_a[1:]), tuple(weight_b[1:])))
     edges: dict[tuple[int, int], int] = {}
-    for rows, vid in index.items():
-        t = Bitableau(lam, rows, n, m)
-        vertices.append(CrystalVertex(vid, t.to_json(), *weights(t)))
-        word, cells = bitableau_reading_cells(rows, conv)
+    for codes, vid in index.items():
+        order = sorted(reading, key=lambda p: top[codes[p]], reverse=descending)
+        word = [bottom[codes[p]] for p in order]
         for i in range(1, m):
-            if (image := _image_rows(rows, word, cells, i, "lower")) is not None:
-                if image[1] not in index:
-                    raise CrystalStructureError(
-                        f"{conv} operator lower f_{i} broke semistandardness at {image[0]}"
-                    )
-                edges[(vid, i)] = index[image[1]]
+            pos = crystal_op_position(word, i, "lower")
+            if pos is None:
+                continue
+            p = order[pos]
+            code = codes[p]
+            image = None if bottom[code] == m else index.get(codes[:p] + (code + 1,) + codes[p + 1 :])
+            if image is None:
+                raise CrystalStructureError(
+                    f"{conv} operator lower f_{i} broke semistandardness at {cells[p]}"
+                )
+            edges[(vid, i)] = image
     return CrystalGraph(tuple(vertices), edges)

@@ -22,8 +22,10 @@ class CrystalVertex:
 class CrystalGraph:
     """Finite crystal: f-edges stored as (vertex id, operator index) -> id.
 
-    e-edges are the inverses of the f-edges.  Immutable: the edges are a
-    read-only copy of the mapping passed in, so e() never goes stale.
+    Vertex ids are distinct, every edge joins two vertices and each f_i is
+    injective; e-edges are the inverses of the f-edges.  Immutable: the
+    edges are a read-only copy of the mapping passed in, so e() never goes
+    stale.
     """
 
     vertices: tuple[CrystalVertex, ...]
@@ -31,14 +33,20 @@ class CrystalGraph:
     _reverse: Mapping[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        vertices = tuple(self.vertices)
+        ids = {v.id for v in vertices}
+        if len(ids) != len(vertices):
+            raise ValueError("vertex ids must be distinct")
         edges = dict(self.edges)
         rev: dict[tuple[int, int], int] = {}
         for (src, i), dst in edges.items():
+            if src not in ids or dst not in ids:
+                raise ValueError(f"f_{i} edge {src} -> {dst} is not between vertices")
             key = (dst, i)
             if key in rev:
                 raise ValueError(f"f_{i} is not injective at vertex {dst}")
             rev[key] = src
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", MappingProxyType(edges))
         object.__setattr__(self, "_reverse", MappingProxyType(rev))
 
@@ -52,12 +60,9 @@ class CrystalGraph:
         return tuple(sorted({i for _, i in self.edges}))
 
     def highest_weight_ids(self) -> list[int]:
-        idx = self.operator_indices()
-        return [
-            v.id
-            for v in self.vertices
-            if all(self.e(v.id, i) is None for i in idx)
-        ]
+        """Ids of the vertices no f-edge enters, that is, with no e-edge out."""
+        targets = set(self.edges.values())
+        return [v.id for v in self.vertices if v.id not in targets]
 
     def components(self) -> list[list[int]]:
         """Vertex ids per connected component, each sorted, in sorted order."""
@@ -96,11 +101,14 @@ class CrystalGraph:
         }
 
 
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _vertex_label(v: CrystalVertex) -> str:
     if isinstance(v.payload, dict) and "rows" in v.payload:
-        text = json.dumps(v.payload["rows"], separators=(",", ":"))
+        text = _compact_json(v.payload["rows"])
     else:
-        text = json.dumps(v.payload, separators=(",", ":"))
+        text = _compact_json(v.payload)
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 

@@ -287,6 +287,49 @@ def test_full_crystal_numbers_vertices_in_filler_order():
     ]
 
 
+def _per_vertex_crystal(lam, n, m, conv):
+    """Vertices (id, payload, weights) and f-edges through Bitableau and crystal_op_bitableau."""
+    tableaux = [Bitableau(lam, rows, n, m) for rows in iter_bitableau_rows(lam, n, m)]
+    index = {t.rows: vid for vid, t in enumerate(tableaux)}
+    vertices = [(vid, t.to_json(), *weights(t)) for vid, t in enumerate(tableaux)]
+    edges = {
+        (vid, i): index[image.rows]
+        for vid, t in enumerate(tableaux)
+        for i in range(1, m)
+        if (image := crystal_op_bitableau(t, i, "lower", conv)) is not None
+    }
+    return vertices, edges
+
+
+def test_full_crystal_is_the_per_vertex_operator():
+    cases = [(lam, n, m) for lam in small_shapes(5) for n, m in nm_pairs(3)]
+    cases += [(lam, n, 4) for lam in small_shapes(4) for n in (1, 2, 3)]
+    for lam, n, m in cases:
+        for conv in ("w", "w_prime"):
+            g = full_crystal(lam, n, m, conv)
+            vertices = [(v.id, v.payload, v.weight_a, v.weight_b) for v in g.vertices]
+            assert (vertices, dict(g.edges)) == _per_vertex_crystal(lam, n, m, conv)
+
+
+def test_full_crystal_never_wraps_a_bottom_entry(monkeypatch):
+    import bitableaux.crystal as crystal
+
+    real, wrapped = crystal.crystal_op_position, []
+
+    def raise_the_first_bottom_m(word, i, direction):
+        if list(word) == [2] and not wrapped:  # the vertex ((1,2),) of B_(1)(2,2)
+            wrapped.append(word)
+            return 0
+        return real(word, i, direction)
+
+    # its bottom 2 raised as code 2 + 1 would be the vertex ((2,1),); no later
+    # vertex breaks, so only the wrap check stops the graph
+    monkeypatch.setattr(crystal, "crystal_op_position", raise_the_first_bottom_m)
+    with pytest.raises(CrystalStructureError, match=r"broke semistandardness at \(0, 0\)"):
+        full_crystal((1,), 2, 2)
+    assert len(wrapped) == 1
+
+
 def test_full_crystal_cap():
     with pytest.raises(CapExceededError):
         full_crystal((2, 2), 2, 2, cap=3)
@@ -298,7 +341,7 @@ def test_full_crystal_cap_refuses_before_enumerating(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated past the cap")
 
-    monkeypatch.setattr(crystal, "iter_bitableau_rows", no_enumeration)
+    monkeypatch.setattr(crystal, "iter_ssyt_rows", no_enumeration)
     with pytest.raises(CapExceededError, match="2970 vertices"):
         full_crystal((3, 2), 3, 3, cap=5)
     monkeypatch.undo()
@@ -423,6 +466,32 @@ def test_crystal_graph_refuses_a_non_injective_f():
     vertices = tuple(CrystalVertex(v, None, None, (0,)) for v in range(3))
     with pytest.raises(ValueError, match="f_1 is not injective at vertex 2"):
         CrystalGraph(vertices, {(0, 1): 2, (1, 1): 2})
+
+
+def test_crystal_graph_refuses_an_edge_off_its_vertices():
+    vertex = (CrystalVertex(5, [1], None, (1,)),)
+    for edges in ({(0, 1): 7}, {(5, 1): 7}, {(0, 1): 5}):
+        with pytest.raises(ValueError, match="f_1 edge .* is not between vertices"):
+            CrystalGraph(vertex, edges)
+
+
+def test_crystal_graph_refuses_a_repeated_vertex_id():
+    vertices = tuple(CrystalVertex(v, None, None, (0,)) for v in (0, 1, 0))
+    with pytest.raises(ValueError, match="vertex ids must be distinct"):
+        CrystalGraph(vertices, {})
+
+
+def test_highest_weight_ids_are_the_vertices_without_an_e_edge():
+    def by_e_lookup(g):
+        idx = g.operator_indices()
+        return [v.id for v in g.vertices if all(g.e(v.id, i) is None for i in idx)]
+
+    graphs = [full_crystal(lam, n, m) for lam in small_shapes(4) for n, m in nm_pairs(3)]
+    graphs.append(word_crystal_component((1, 2, 1, 3), 3))
+    graphs.append(CrystalGraph(tuple(CrystalVertex(v, None, None, (0,)) for v in range(3)), {}))
+    for g in graphs:
+        assert g.highest_weight_ids() == by_e_lookup(g)
+    assert graphs[-1].highest_weight_ids() == [0, 1, 2]
 
 
 def _fresh_character_table():
