@@ -27,7 +27,7 @@ from .crystal import (
     check_cap,
     count_d,
     full_crystal,
-    monomial_expansion_sweep,
+    monomial_expansion_rows,
 )
 from .graphs import CrystalGraph, export_crystal
 from .insertion import Biword, brsk, jdt_product, rsk
@@ -272,21 +272,28 @@ def _cmd_d(args) -> int:
 
 
 def _cmd_verify_thm2(args) -> int:
-    rows = monomial_expansion_sweep(args.k, args.conv)
-    if not args.quiet:
-        _csv_out(
-            ["lam", "mu", "nu", "crystal", "oracle"],
-            (
-                [_fmt_partition(lam), _fmt_partition(mu), _fmt_partition(nu), c, o]
-                for lam, mu, nu, c, o in rows
-            ),
-        )
-    mismatch = next((r for r in rows if r[3] != r[4]), None)
+    """The sweep streamed one lam at a time: rows are written as they come, and only the first mismatch is kept.
+
+    The CSV header waits for the first lam's rows, so a refused argument or
+    a failed oracle row there prints nothing to stdout.
+    """
+    writer = None if args.quiet else csv.writer(sys.stdout, lineterminator="\n")
+    triples, mismatch = 0, None
+    for rows in monomial_expansion_rows(args.k, args.conv):
+        if writer is not None:
+            if not triples:
+                writer.writerow(["lam", "mu", "nu", "crystal", "oracle"])
+            writer.writerows(
+                [_fmt_partition(lam), _fmt_partition(mu), _fmt_partition(nu), c, o] for lam, mu, nu, c, o in rows
+            )
+        triples += len(rows)
+        if mismatch is None:
+            mismatch = next((r for r in rows if r[3] != r[4]), None)
     if mismatch is not None:
         lam, mu, nu, c, o = mismatch
         _report_mismatch(lam, mu, nu, args.conv, c, o)
         return MISMATCH
-    print(f"OK k={args.k} triples={len(rows)}")
+    print(f"OK k={args.k} triples={triples}")
     return 0
 
 

@@ -144,7 +144,10 @@ def commutes_with_bottom(
 
 
 def _arrangements(
-    chains_by_level: dict[int, list[int]], levels: list[int]
+    chains_by_level: dict[int, list[int]],
+    levels: list[int],
+    idx: int = 0,
+    open_strings: Sequence[tuple[int, int]] = (),
 ) -> Iterable[list[tuple[int, int]]]:
     """All ways to stack chains into top strings, as (parent chain, child chain).
 
@@ -152,34 +155,25 @@ def _arrangements(
     pick up exactly one chain per level until it closes at the mirror level.
     Chain counts c are symmetric in a_1 - a_2, so c(-l) = c(l) strings are open
     at a level l < 0 and take every chain there; a chain left over raises.
+    The ways start at levels[idx], with open_strings (chain index, levels
+    left to fill) still open above it.
     """
-
-    def rec(idx: int, open_strings: list[tuple[int, int]]):
-        # open_strings: (chain index, remaining levels to fill)
-        if idx == len(levels):
-            if not open_strings:
-                yield []
-            return
-        level = levels[idx]
-        comps = chains_by_level.get(level, [])
-        for assignment in itertools.permutations(comps, len(open_strings)):
-            chosen = set(assignment)
-            new_starts = [c for c in comps if c not in chosen]
-            if new_starts and level < 0:
-                raise CrystalStructureError(f"a top string would start at level {level}")
-            pairs = [
-                (parent, child) for (parent, _), child in zip(open_strings, assignment)
-            ]
-            nxt = [
-                (child, left - 1)
-                for (_, left), child in zip(open_strings, assignment)
-                if left - 1 > 0
-            ]
-            nxt.extend((c, level) for c in new_starts if level > 0)
-            for rest in rec(idx + 1, nxt):
-                yield pairs + rest
-
-    yield from rec(0, [])
+    if idx == len(levels):
+        if not open_strings:
+            yield []
+        return
+    level = levels[idx]
+    comps = chains_by_level.get(level, [])
+    for assignment in itertools.permutations(comps, len(open_strings)):
+        chosen = set(assignment)
+        new_starts = [c for c in comps if c not in chosen]
+        if new_starts and level < 0:
+            raise CrystalStructureError(f"a top string would start at level {level}")
+        pairs = [(parent, child) for (parent, _), child in zip(open_strings, assignment)]
+        nxt = [(child, left - 1) for (_, left), child in zip(open_strings, assignment) if left - 1 > 0]
+        nxt.extend((c, level) for c in new_starts if level > 0)
+        for rest in _arrangements(chains_by_level, levels, idx + 1, nxt):
+            yield pairs + rest
 
 
 def _group_options(

@@ -10,6 +10,7 @@ raised by 1, and every vertex's rows are still checked semistandard.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .bitableau import Bitableau, int_to_pair
@@ -122,36 +123,47 @@ def count_d(
     return shared_runs(conv)(lam, partitions=True).get(nu, {}).get(mu, 0)
 
 
-def monomial_expansion_sweep(k: int, conv: str = "w") -> list[tuple[Partition, Partition, Partition, int, int]]:
-    """Crystal count versus character-side d for every triple of partitions of k.
+Row = tuple[Partition, Partition, Partition, int, int]  # lam, mu, nu, crystal count, oracle d
 
-    Rows run lam, nu, mu in partition order.  The crystal side is one
-    layer_runs counter per call, read once per lam: its partition runs hold
-    every (mu, nu) of that lam at once, since the DP holds no nu, and the
-    count is symmetric in the a-content, so no other run is read.  Under w
-    its memo serves every lam; under w' one push inside the bound
-    (k, k // 2, ..., 1) grows every lam.  The oracle side is
-    monomial_coefficient_row, the permutation-character route, once per
-    orbit {(lam, nu), (nu, lam), (lam', nu'), (nu', lam')}: chi^{lam'} is
-    sgn * chi^lam, so the weights sizes * chi^lam * chi^nu, and the row, are
-    the orbit's.  The d point query keeps the other route,
-    monomial_coefficient_d.
+
+def monomial_expansion_rows(k: int, conv: str = "w") -> Iterator[list[Row]]:
+    """The rows (lam, mu, nu, crystal, oracle) of every triple of partitions of k, one lam at a time.
+
+    Each item is one lam's rows, nu then mu in partition order; the lam
+    come in partition order.  The crystal side is one layer_runs counter
+    per call, read once per lam: its partition runs hold every (mu, nu) of
+    that lam at once, since the DP holds no nu, and the count is symmetric
+    in the a-content, so no other run is read.  Under w its memo serves
+    every lam; under w' one push inside the bound (k, k // 2, ..., 1) grows
+    every lam.  The oracle side is monomial_coefficient_row, the
+    permutation-character route, once per orbit {(lam, nu), (nu, lam),
+    (lam', nu'), (nu', lam')}: chi^{lam'} is sgn * chi^lam, so the weights
+    sizes * chi^lam * chi^nu, and the row, are the orbit's.  The d point
+    query keeps the other route, monomial_coefficient_d.
     """
     parts = enumerate_partitions(k)
     runs = layer_runs(conv)
     bound = tuple(k // i for i in range(1, k + 1))  # i * lam_i <= k: every lam of k lies inside
     conj = {p: conjugate(p) for p in parts}
     oracle: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-    rows = []
     for lam in parts:
         tables = runs(lam, partitions=True, bound=bound)
+        rows = []
         for nu in parts:
             pair = min((lam, nu), (nu, lam), (conj[lam], conj[nu]), (conj[nu], conj[lam]))  # names the orbit
             if pair not in oracle:
                 oracle[pair] = monomial_coefficient_row(*pair)
             table, row = tables.get(nu, {}), oracle[pair]
             rows += [(lam, mu, nu, table.get(mu, 0), row[mu]) for mu in parts]
-    return rows
+        yield rows
+
+
+def monomial_expansion_sweep(k: int, conv: str = "w") -> list[Row]:
+    """Crystal count versus character-side d for every triple of partitions of k.
+
+    The rows of monomial_expansion_rows, every lam's in one list.
+    """
+    return list(chain.from_iterable(monomial_expansion_rows(k, conv)))
 
 
 def skew_decomposition(t: Bitableau) -> list[SkewSSYT]:

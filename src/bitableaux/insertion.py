@@ -227,24 +227,24 @@ def rectify(t: SkewSSYT) -> SSYT:
 def all_rectifications(t: SkewSSYT) -> set[SSYT]:
     """Results of every maximal slide sequence (for confluence checking)."""
     results: set[SSYT] = set()
-    seen: set[tuple] = set()
-
-    def rec(outer: list[int], inner: list[int], grid: dict[Cell, int]) -> None:
-        key = (tuple(outer), tuple(inner), tuple(sorted(grid.items())))
-        if key in seen:
-            return
-        seen.add(key)
-        corners = _inner_corners(inner)
-        if not corners:
-            results.add(_grid_to_ssyt(outer, grid))
-            return
-        for corner in corners:
-            o2, i2, g2 = list(outer), list(inner), dict(grid)
-            _slide(o2, i2, g2, corner)
-            rec(o2, i2, g2)
-
-    rec(*_skew_state(t))
+    _rectifications(*_skew_state(t), set(), results)
     return results
+
+
+def _rectifications(outer: list[int], inner: list[int], grid: dict[Cell, int], seen: set, results: set) -> None:
+    """Add to results the rectification of every slide sequence from this state not yet in seen."""
+    key = (tuple(outer), tuple(inner), tuple(sorted(grid.items())))
+    if key in seen:
+        return
+    seen.add(key)
+    corners = _inner_corners(inner)
+    if not corners:
+        results.add(_grid_to_ssyt(outer, grid))
+        return
+    for corner in corners:
+        o2, i2, g2 = list(outer), list(inner), dict(grid)
+        _slide(o2, i2, g2, corner)
+        _rectifications(o2, i2, g2, seen, results)
 
 
 def product_skew(left: SSYT, right: SSYT) -> SkewSSYT:

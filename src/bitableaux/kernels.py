@@ -91,26 +91,29 @@ def _lattice_fillings(
     if letters is not None and letters < len(cnt):  # else no word reaches that letter
         cnt[letters] = sum(start) + size + 1  # more than any letter's count: the lattice test bars it
     ends: dict = {}
-
-    def fill(i: int, width: int) -> None:
-        if i == size:
-            key = tuple(cnt[:width])
-            if listed:
-                ends.setdefault(key, []).append(tuple(vals))
-            else:
-                ends[key] = ends.get(key, 0) + 1
-            return
-        lo = vals[above[i]] + 1 if above[i] >= 0 else 0
-        hi = vals[right[i]] if right[i] >= 0 else width  # width: the first letter not yet read
-        for x in range(lo, hi + 1):
-            if x == 0 or cnt[x] < cnt[x - 1]:
-                cnt[x] += 1
-                vals[i] = x
-                fill(i + 1, width + (x == width))
-                cnt[x] -= 1
-
-    fill(0, len(start))
+    _fill(0, len(start), size, vals, cnt, above, right, ends, listed)
     return ends
+
+
+def _fill(
+    i: int, width: int, size: int, vals: list, cnt: list, above: list, right: list, ends: dict, listed: bool
+) -> None:
+    """_lattice_fillings' backtracker: letters for cells i.. after width letters have been read."""
+    if i == size:
+        key = tuple(cnt[:width])
+        if listed:
+            ends.setdefault(key, []).append(tuple(vals))
+        else:
+            ends[key] = ends.get(key, 0) + 1
+        return
+    lo = vals[above[i]] + 1 if above[i] >= 0 else 0
+    hi = vals[right[i]] if right[i] >= 0 else width  # width: the first letter not yet read
+    for x in range(lo, hi + 1):
+        if x == 0 or cnt[x] < cnt[x - 1]:
+            cnt[x] += 1
+            vals[i] = x
+            _fill(i + 1, width + (x == width), size, vals, cnt, above, right, ends, listed)
+            cnt[x] -= 1
 
 
 def layer_runs(conv: str = "w") -> Callable[..., Runs]:
@@ -126,7 +129,9 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
     asks for another bound or size; under w, which peels each shape from one
     memo, the bound is only checked to hold shape.  Nothing in the DP
     depends on nu.  The maps returned are the counter's own, to be read and
-    not changed.
+    not changed.  The counter is a closure over its caches alone (_peel and
+    _grow are module functions), so it is in no reference cycle: a dropped
+    counter frees its memo and fillings at once.
     """
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
@@ -134,102 +139,103 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
     memo: dict[tuple[Shape, Content, int], Runs] = {}  # w
     grown: dict[tuple[Shape, int, bool], dict[Shape, Runs]] = {}  # w': one push's runs of every shape
 
-    def layer(outer: Shape, inner: Shape, start: Content) -> dict[Content, int]:
-        ends = fillings.get((outer, inner, start))
-        if ends is None:
-            ends = fillings[outer, inner, start] = _lattice_fillings(outer, inner, start)
-        return ends
-
-    def peel(state: Shape, start: Content, floor: int) -> Runs:
-        """w: the layers inside state, the outermost first, after a word of content start.
-
-        floor 0 counts every run.  A floor f >= 1 counts only the runs whose
-        layers all hold at least f cells and weakly decrease, a ascending:
-        each layer peeled is the floor of the layers inside it.
-        """
-        if not state:
-            return {start: {(): 1}}
-        key = (state, start, floor)
-        out = memo.get(key)
-        if out is not None:
-            return out
-        out = {}
-        total = sum(state)
-        zero = (0,) * len(state)
-        if floor:  # the inner shape is empty or holds layers no smaller than this one
-            inners = chain([zero], partitions_between(zero, state, (total + 1) // 2, total - floor))
-        else:
-            inners = partitions_between(zero, state, 0, total - 1)
-        for inner in inners:
-            size = total - sum(inner)
-            nxt = trim(inner)
-            for end, ways in layer(state, inner, start).items():
-                for content, counts in peel(nxt, end, floor and size).items():
-                    merged = out.setdefault(content, {})
-                    for sizes, count in counts.items():
-                        sizes += (size,)
-                        merged[sizes] = merged.get(sizes, 0) + ways * count
-        memo[key] = out
-        return out
-
-    def grow(bound: Shape, total: int, partitions: bool) -> dict[Shape, Runs]:
-        """w': the layers from () out to every partition of total inside bound, the innermost first.
-
-        A state (inner shape, ceiling) holds, for each content read, the count
-        of each run of the layers inside it, and passes them on to the states
-        one layer out; states are taken by their number of cells, so each is
-        complete before it is passed on.  The start contents sit under their
-        state, so one enumeration of the outer shapes serves them all.
-        ceiling 0 counts every run.  A ceiling c >= 1 counts only the runs
-        whose layers all hold at most c cells and weakly decrease, a
-        ascending: each layer grown is the ceiling of the layers outside it.
-        A layer's fillings are kept for one level only: its inner shape has
-        that level's number of cells, so no later level reads them.
-        """
-        levels: list = [{} for _ in range(total + 1)]  # (inner, ceiling) -> start -> run -> count
-        levels[0][(0,) * len(bound), total if partitions else 0] = {(): {(): 1}}
-        for filled in range(total):
-            level: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}  # this level's fillings
-            for (inner, ceiling), starts in levels[filled].items():
-                most = min(total, filled + ceiling) if ceiling else total
-                for outer in partitions_between(inner, bound, filled + 1, most):
-                    size = sum(outer) - filled
-                    cut = trim(outer)
-                    state = levels[filled + size].setdefault((outer, ceiling and size), {})
-                    for start, before in starts.items():
-                        ends = level.get((outer, inner, start))
-                        if ends is None:
-                            ends = level[outer, inner, start] = _lattice_fillings(cut, inner[: len(cut)], start)
-                        for end, ways in ends.items():
-                            after = state.setdefault(end, {})
-                            for sizes, count in before.items():
-                                sizes += (size,)
-                                after[sizes] = after.get(sizes, 0) + ways * count
-            levels[filled] = None  # every state of this size has passed its counts on
-        out: dict[Shape, Runs] = {}
-        for (outer, _), ends in levels[total].items():
-            shape = out.setdefault(trim(outer), {})
-            for end, after in ends.items():
-                shape.setdefault(end, {}).update(after)  # states of one shape differ in ceiling, the last size
-        return out
-
     def runs(shape: Sequence[int], partitions: bool = False, bound: Sequence[int] | None = None) -> Runs:
         shape = check_partition(shape)
         bound = shape if bound is None else check_partition(bound)
         if not contains(bound, shape):
             raise ValueError(f"shape {shape!r} is not inside the bound {bound!r}")
         if conv == "w":
-            return peel(shape, (), 1 if partitions else 0)
+            return _peel(memo, fillings, shape, (), 1 if partitions else 0)
         key = (bound, sum(shape), partitions)
         out = grown.get(key)
         if out is None:
-            out = grow(*key)
+            out = _grow(*key)
             for old in [old for old in list(grown) if old[:2] != key[:2]]:
                 grown.pop(old, None)  # keep the runs of one bound and size
             grown[key] = out
         return out[shape]
 
     return runs
+
+
+def _peel(memo: dict, fillings: dict, state: Shape, start: Content, floor: int) -> Runs:
+    """w: the layers inside state, the outermost first, after a word of content start.
+
+    floor 0 counts every run.  A floor f >= 1 counts only the runs whose
+    layers all hold at least f cells and weakly decrease, a ascending: each
+    layer peeled is the floor of the layers inside it.  memo and fillings
+    are the counter's: results by (state, start, floor) and layer fillings
+    by (outer, inner, start).
+    """
+    if not state:
+        return {start: {(): 1}}
+    key = (state, start, floor)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = {}
+    total = sum(state)
+    zero = (0,) * len(state)
+    if floor:  # the inner shape is empty or holds layers no smaller than this one
+        inners = chain([zero], partitions_between(zero, state, (total + 1) // 2, total - floor))
+    else:
+        inners = partitions_between(zero, state, 0, total - 1)
+    for inner in inners:
+        size = total - sum(inner)
+        nxt = trim(inner)
+        ends = fillings.get((state, inner, start))
+        if ends is None:
+            ends = fillings[state, inner, start] = _lattice_fillings(state, inner, start)
+        for end, ways in ends.items():
+            for content, counts in _peel(memo, fillings, nxt, end, floor and size).items():
+                merged = out.setdefault(content, {})
+                for sizes, count in counts.items():
+                    sizes += (size,)
+                    merged[sizes] = merged.get(sizes, 0) + ways * count
+    memo[key] = out
+    return out
+
+
+def _grow(bound: Shape, total: int, partitions: bool) -> dict[Shape, Runs]:
+    """w': the layers from () out to every partition of total inside bound, the innermost first.
+
+    A state (inner shape, ceiling) holds, for each content read, the count
+    of each run of the layers inside it, and passes them on to the states
+    one layer out; states are taken by their number of cells, so each is
+    complete before it is passed on.  The start contents sit under their
+    state, so one enumeration of the outer shapes serves them all.
+    ceiling 0 counts every run.  A ceiling c >= 1 counts only the runs
+    whose layers all hold at most c cells and weakly decrease, a
+    ascending: each layer grown is the ceiling of the layers outside it.
+    A layer's fillings are kept for one level only: its inner shape has
+    that level's number of cells, so no later level reads them.
+    """
+    levels: list = [{} for _ in range(total + 1)]  # (inner, ceiling) -> start -> run -> count
+    levels[0][(0,) * len(bound), total if partitions else 0] = {(): {(): 1}}
+    for filled in range(total):
+        level: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}  # this level's fillings
+        for (inner, ceiling), starts in levels[filled].items():
+            most = min(total, filled + ceiling) if ceiling else total
+            for outer in partitions_between(inner, bound, filled + 1, most):
+                size = sum(outer) - filled
+                cut = trim(outer)
+                state = levels[filled + size].setdefault((outer, ceiling and size), {})
+                for start, before in starts.items():
+                    ends = level.get((outer, inner, start))
+                    if ends is None:
+                        ends = level[outer, inner, start] = _lattice_fillings(cut, inner[: len(cut)], start)
+                    for end, ways in ends.items():
+                        after = state.setdefault(end, {})
+                        for sizes, count in before.items():
+                            sizes += (size,)
+                            after[sizes] = after.get(sizes, 0) + ways * count
+        levels[filled] = None  # every state of this size has passed its counts on
+    out: dict[Shape, Runs] = {}
+    for (outer, _), ends in levels[total].items():
+        shape = out.setdefault(trim(outer), {})
+        for end, after in ends.items():
+            shape.setdefault(end, {}).update(after)  # states of one shape differ in ceiling, the last size
+    return out
 
 
 _SHARED: dict[str, Callable[..., Runs]] = {}
@@ -287,56 +293,68 @@ def highest_weight_rows(
     content nu; mu, an a-content of at least n entries, sizes the layers.
     Sorting gives the filler's row-major lexicographic order.
     """
-    total, zero = sum(lam), (0,) * len(lam)
-    if mu is not None and (sum(mu) != total or any(mu[n:])):
+    if mu is not None and (sum(mu) != sum(lam) or any(mu[n:])):
         return []
-    letters = m if nu is None else min(m, len(nu))
-    placed: list[tuple[int, list[tuple[int, int]], list[tuple[int, ...]]]] = []  # (top, cells, fillings)
-    grid: list[list] = [[None] * length for length in lam]
-    found = []
+    lister = _Lister(lam, n, m if nu is None else min(m, len(nu)), nu, mu)
+    if conv == "w":
+        lister.peel(n, lam, ())
+    else:
+        lister.grow(1, (0,) * len(lam), ())
+    lister.found.sort()
+    return lister.found
 
-    def layer(a: int, outer: Shape, inner: Shape, start: Content) -> Iterator[Content]:
+
+class _Lister:
+    """One highest_weight_rows listing: the layers placed so far and the rows found.
+
+    Its methods recurse through the class, not through a closure, so a
+    listing leaves no reference cycle.
+    """
+
+    def __init__(self, lam: Shape, n: int, letters: int, nu: Content | None, mu: Sequence[int] | None) -> None:
+        self.lam, self.total, self.n, self.letters, self.nu, self.mu = lam, sum(lam), n, letters, nu, mu
+        self.placed: list[tuple[int, list[tuple[int, int]], list[tuple[int, ...]]]] = []  # (top, cells, fillings)
+        self.grid: list[list] = [[None] * length for length in lam]
+        self.found: list[PairRows] = []
+
+    def layer(self, a: int, outer: Shape, inner: Shape, start: Content) -> Iterator[Content]:
         """Place each filling of layer a = outer/inner after start; yield the content each ends at."""
-        cells = _layer_cells(outer, inner)
-        for end, fills in _lattice_fillings(outer, inner, start, letters, True).items():
+        cells, nu = _layer_cells(outer, inner), self.nu
+        for end, fills in _lattice_fillings(outer, inner, start, self.letters, True).items():
             if nu is None or all(map(int.__le__, end, nu)):  # the content read only grows: skip what leaves nu
-                placed.append((a, cells, fills))
+                self.placed.append((a, cells, fills))
                 yield end
-                placed.pop()
+                self.placed.pop()
 
-    def finish(end: Content) -> None:
-        if nu is not None and end != nu:
+    def finish(self, end: Content) -> None:
+        if self.nu is not None and end != self.nu:
             return
+        placed, grid = self.placed, self.grid
         for choice in product(*(fills for _, _, fills in placed)):
             for (a, cells, _), vals in zip(placed, choice):
                 for (r, c), v in zip(cells, vals):
                     grid[r][c] = (a, v + 1)
-            found.append(tuple(map(tuple, grid)))
+            self.found.append(tuple(map(tuple, grid)))
 
-    def grow(a: int, inner: Shape, start: Content) -> None:
-        if a > n:
-            return finish(start)
-        filled = sum(inner)
-        least, most = (filled + mu[a - 1],) * 2 if mu is not None else (total if a == n else filled, total)
-        for outer in partitions_between(inner, lam, least, most):
-            for end in layer(a, outer, inner, start):
-                grow(a + 1, outer, end)
+    def grow(self, a: int, inner: Shape, start: Content) -> None:
+        """w': layers a, a + 1, ..., n out from inner."""
+        if a > self.n:
+            return self.finish(start)
+        filled, total, mu = sum(inner), self.total, self.mu
+        least, most = (filled + mu[a - 1],) * 2 if mu is not None else (total if a == self.n else filled, total)
+        for outer in partitions_between(inner, self.lam, least, most):
+            for end in self.layer(a, outer, inner, start):
+                self.grow(a + 1, outer, end)
 
-    def peel(a: int, outer: Shape, start: Content) -> None:
+    def peel(self, a: int, outer: Shape, start: Content) -> None:
+        """w: layers a, a - 1, ..., 1 in from outer."""
         if a == 0:
-            return finish(start)
-        filled = sum(outer)
+            return self.finish(start)
+        filled, mu = sum(outer), self.mu
         least, most = (filled - mu[a - 1],) * 2 if mu is not None else (0, 0 if a == 1 else filled)
-        for inner in partitions_between(zero, outer, least, most):
-            for end in layer(a, outer, inner, start):
-                peel(a - 1, inner, end)
-
-    if conv == "w":
-        peel(n, lam, ())
-    else:
-        grow(1, zero, ())
-    found.sort()
-    return found
+        for inner in partitions_between((0,) * len(outer), outer, least, most):
+            for end in self.layer(a, outer, inner, start):
+                self.peel(a - 1, inner, end)
 
 
 def _tally_python_dict(shape: Sequence[int], n: int, m: int, conv: str) -> dict[Content, dict[Content, int]]:

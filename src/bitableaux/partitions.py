@@ -78,52 +78,77 @@ def trim(vec: Sequence[int]) -> Partition:
 def partitions_between(lo: Sequence[int], hi: Sequence[int], least: int, most: int) -> Iterator[Partition]:
     """Partitions p with lo <= p <= hi entrywise and least <= |p| <= most, all of len(hi).
 
-    hi is a partition and lo has its length.  An empty range yields nothing.
+    hi is a partition and lo has its length.  They come in lexicographic
+    order; an empty range yields nothing.  The rows turn as an odometer:
+    row r takes each value its bounds leave, the smallest first, and the
+    rows below it start afresh at each one.
     """
     n = len(hi)
-    p = [0] * n
+    if not n:
+        if least <= 0 <= most:
+            yield ()
+        return
     rest_lo = [sum(lo[r:]) for r in range(n + 1)]
     rest_hi = [sum(hi[r:]) for r in range(n + 1)]
-
-    def rec(r: int, filled: int) -> Iterator[Partition]:
-        if r == n:
-            if least <= filled <= most:
-                yield tuple(p)
-            return
-        top = min(hi[r], p[r - 1]) if r else hi[r]
-        for x in range(lo[r], min(top, most - filled - rest_lo[r + 1]) + 1):
-            # the rows below hold at most x each, and at most hi
-            if filled + x + min(rest_hi[r + 1], x * (n - r - 1)) >= least:
-                p[r] = x
-                yield from rec(r + 1, filled + x)
-
-    return rec(0, 0)
+    p = [0] * n
+    last = [0] * n  # the largest value row r may take, once the rows above are set
+    r = filled = 0  # filled: the cells of the rows above r
+    entering = True
+    while r >= 0:
+        if entering:
+            # the rows below hold at most x each and at most hi, at least lo
+            below, rows = rest_hi[r + 1], n - r - 1
+            need = least - filled
+            x = max(lo[r], -(-need // (rows + 1)))  # the least x with x + min(below, x * rows) >= need
+            if x * rows > below:
+                x = max(x, need - below)
+            top = min(hi[r], p[r - 1] if r else hi[0], most - filled - rest_lo[r + 1])
+            if r == n - 1:
+                for p[r] in range(x, top + 1):
+                    yield tuple(p)
+                r -= 1
+                entering = False
+                continue
+            last[r] = top
+        else:
+            filled -= p[r]
+            x = p[r] + 1
+        if x <= last[r]:
+            p[r] = x
+            filled += x
+            r += 1
+            entering = True
+        else:
+            r -= 1
+            entering = False
 
 
 def enumerate_partitions(k: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of k (at most max_length parts), reverse-lexicographic.
 
     No shape bounds it, so it keeps its own recursion: partitions_between,
-    which pads each partition to k rows, lists the same set 9-14x slower at
-    k = 20, 30 and 40.
+    which pads each partition to k rows, lists the same set 6-10x slower at
+    k = 20, 30 and 40 (bound (k,) * k or (k, k // 2, ..., 1), minimum of 3
+    runs, Python 3.11 on a 2-vCPU x86 guest).
     """
     check_int(k, "k")
     limit = k if max_length is None else min(check_int(max_length, "max_length"), k)
     out: list[Partition] = []
-
-    def rec(remaining: int, max_part: int, slots: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if slots == 0:
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, slots - 1, prefix)
-            prefix.pop()
-
-    rec(k, k, limit, [])
+    _partitions_into(out, [], k, k, limit)
     return out
+
+
+def _partitions_into(out: list[Partition], prefix: list[int], remaining: int, max_part: int, slots: int) -> None:
+    """Append prefix + q to out for each partition q of remaining into at most slots parts of at most max_part."""
+    if remaining == 0:
+        out.append(tuple(prefix))
+        return
+    if slots == 0:
+        return
+    for part in range(min(max_part, remaining), 0, -1):
+        prefix.append(part)
+        _partitions_into(out, prefix, remaining - part, part, slots - 1)
+        prefix.pop()
 
 
 def count_partitions(k: int, max_length: int | None = None) -> int:

@@ -144,22 +144,30 @@ def iter_ssyt_rows(shape: Sequence[int], letters: int | Sequence) -> Iterator[tu
     # themselves go straight into the output grid
     index = [[0] * length for length in shape]
     grid: list[list] = [[None] * length for length in shape]
-
-    def rec(pos: int) -> Iterator[tuple[tuple, ...]]:
+    # an odometer over the cells: each cell takes each letter the cells
+    # left of it and above it allow, and the cells after it start afresh
+    pos, entering = 0, True
+    while pos >= 0:
         r, c = cells[pos]
         index_row, grid_row = index[r], grid[r]
-        lo = index_row[c - 1] if c else 0
-        if r:
-            lo = max(lo, index[r - 1][c] + 1)
-        for v in range(lo, size):
+        if entering:
+            v = index_row[c - 1] if c else 0
+            if r:
+                v = max(v, index[r - 1][c] + 1)
+            if pos == last:
+                for v in range(v, size):
+                    grid_row[c] = letters[v]
+                    yield tuple(map(tuple, grid))
+                pos, entering = pos - 1, False
+                continue
+        else:
+            v = index_row[c] + 1
+        if v < size:
             index_row[c] = v
             grid_row[c] = letters[v]
-            if pos == last:
-                yield tuple(tuple(row) for row in grid)
-            else:
-                yield from rec(pos + 1)
-
-    yield from rec(0)
+            pos, entering = pos + 1, True
+        else:
+            pos, entering = pos - 1, False
 
 
 def enumerate_ssyt(shape: Sequence[int], n: int) -> list[SSYT]:

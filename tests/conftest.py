@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import types
+from collections import Counter
+from typing import Callable
 
 import pytest
 
@@ -30,6 +34,47 @@ EIGHTEEN_BOX_WORD = (2, 1, 1, 1, 2, 1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 2, 1, 1)
 SEVEN_BOX_COLUMN = Bitableau.from_rows(
     [[(1, 1)], [(1, 2)], [(2, 1)], [(2, 3)], [(2, 4)], [(3, 1)], [(3, 3)]], 3, 4
 )
+
+
+def cyclic_garbage(call: Callable[[], object]) -> dict[str, int]:
+    """What only the cyclic collector could free after call(), by the function that owns it.
+
+    A full collection first clears older garbage.  Then call() runs with the
+    collector off, its result is dropped, and a collection under
+    gc.DEBUG_SAVEALL keeps every object it finds.  A function, frame or
+    generator is named by its code's qualified name, a cell by what it
+    holds, anything else by its type; the map counts them.  Empty means
+    reference counting freed everything the call made.  A generator must be
+    consumed inside call.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = Counter(map(_owner, gc.garbage))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    return dict(found)
+
+
+def _owner(obj: object) -> str:
+    if isinstance(obj, types.CellType):
+        try:
+            obj = obj.cell_contents
+        except ValueError:
+            return "empty cell"
+    if isinstance(obj, types.FrameType):
+        obj = obj.f_code
+    if isinstance(obj, types.CodeType):
+        return getattr(obj, "co_qualname", obj.co_name)  # co_qualname is new in Python 3.11
+    name = getattr(obj, "__qualname__", None)  # a function's or generator's
+    return name if isinstance(name, str) else type(obj).__name__
 
 
 def small_shapes(max_size: int):

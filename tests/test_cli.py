@@ -313,7 +313,7 @@ def test_verify_thm2_mismatch_goes_to_stderr(capsys, monkeypatch):
     import bitableaux.cli as cli
 
     rows = [((1,), (1,), (1,), 1, 1), ((2,), (1, 1), (2,), 5, 1), ((2,), (2,), (2,), 0, 1)]
-    monkeypatch.setattr(cli, "monomial_expansion_sweep", lambda k, conv: rows)
+    monkeypatch.setattr(cli, "monomial_expansion_rows", lambda k, conv: iter([rows[:1], rows[1:]]))
     code, out, err = run(capsys, "verify-thm2", "--k", "2", "--quiet")
     assert code == 2 and out == ""
     assert err == (
