@@ -15,13 +15,12 @@ from typing import Iterator, Sequence
 
 from .bitableau import Bitableau, int_to_pair
 from .graphs import CrystalGraph, CrystalVertex
-from .kernels import count_d_table, highest_weight_rows, layer_runs, shared_runs  # count_d_table is re-exported here
+from .kernels import count_d, count_d_table, highest_weight_rows, layer_runs  # count_d, count_d_table re-exported
 from .partitions import (
     Partition,
     check_content,
     check_int,
     check_partition,
-    check_triple,
     conjugate,
     enumerate_partitions,
     trim,
@@ -109,20 +108,6 @@ def highest_weight_bitableaux(
         yield Bitableau(lam, rows, n, m)
 
 
-def count_d(
-    lam: Sequence[int], mu: Sequence[int], nu: Sequence[int], conv: str = "w"
-) -> int:
-    """Bitableaux of shape lam with a(T)=mu, b(T)=nu and Yamanouchi word.
-
-    The partition mu is its own run, so the counter builds partition runs
-    only.  It is the process-wide counter of conv (kernels.shared_runs):
-    its DP holds no nu, and under w no lam either, so queries share its
-    memo; under w' each lam is one push, and queries share the last lam's runs.
-    """
-    lam, mu, nu = check_triple(lam, mu, nu)
-    return shared_runs(conv)(lam, partitions=True).get(nu, {}).get(mu, 0)
-
-
 Row = tuple[Partition, Partition, Partition, int, int]  # lam, mu, nu, crystal count, oracle d
 
 
@@ -133,13 +118,14 @@ def monomial_expansion_rows(k: int, conv: str = "w") -> Iterator[list[Row]]:
     come in partition order.  The crystal side is one layer_runs counter
     per call, read once per lam: its partition runs hold every (mu, nu) of
     that lam at once, since the DP holds no nu, and the count is symmetric
-    in the a-content, so no other run is read.  Under w its memo serves
-    every lam; under w' one push inside the bound (k, k // 2, ..., 1) grows
-    every lam.  The oracle side is monomial_coefficient_row, the
-    permutation-character route, once per orbit {(lam, nu), (nu, lam),
-    (lam', nu'), (nu', lam')}: chi^{lam'} is sgn * chi^lam, so the weights
-    sizes * chi^lam * chi^nu, and the row, are the orbit's.  The d point
-    query keeps the other route, monomial_coefficient_d.
+    in the a-content, so no other run is read.  Under w one push per lam
+    peels it, sharing the counter's layer fillings; under w' one push
+    inside the bound (k, k // 2, ..., 1) grows every lam.  The oracle side
+    is monomial_coefficient_row, the permutation-character route, once per
+    orbit {(lam, nu), (nu, lam), (lam', nu'), (nu', lam')}: chi^{lam'} is
+    sgn * chi^lam, so the weights sizes * chi^lam * chi^nu, and the row,
+    are the orbit's.  The d point query keeps the other route,
+    monomial_coefficient_d.
     """
     parts = enumerate_partitions(k)
     runs = layer_runs(conv)

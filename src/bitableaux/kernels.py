@@ -14,36 +14,23 @@ the layers come.  w ends with the a = n layer, so its DP peels layers off
 lam inward; w' ends with the a = 1 layer, so its DP grows layers from ()
 out to lam.
 
-No b-content enters the DP.  Column strictness and the lattice test bound
-the letters, and the content read at the end is b(T), so every count is
-keyed by b-content and run, and one DP serves every nu.  The w state (inner
-shape left, content read so far, floor) holds no lam either, so one memo
-serves every shape, and so do its layer fillings, cached for the counter's
-life.  The w' state (inner shape grown, ceiling), with the contents read so
-far under it, holds no lam: one push grows every state from () out to every
-partition of one size inside a bound, a number of cells at a time.
-count_d and count_d_table push with the bound lam, the Theorem-2 sweep once
-with a bound that holds every lam of its size.  Each level's states and
-layer fillings are dropped once passed on, and the counter keeps the runs
-of one bound and size, keyed by (bound, size, partitions), so a call for
-another lam made while a push runs cannot swap them.  The layers' shapes come from
-partitions.partitions_between.
+Two traversals place the layers in that order.  layer_runs' push counts
+every run at once, by b-content and run: column strictness and the lattice
+test bound the letters and the content read at the end is b(T), so one
+push serves every nu.  w pushes from one lam in to (), keeping what holds
+no lam (layer fillings, each state's layers) for the counter's life; w'
+from () out to every partition of one size inside a bound (lam for
+count_d_table, one holding every lam of k for the Theorem-2 sweep).
+_Walk places layers of given sizes: count_d counts with mu's, and
+highest_weight_rows lists the rows of crystal.highest_weight_bitableaux,
+the only listing by content.  Layer shapes come from partitions_between.
 
-Empty layers add nothing to the word, so the DP counts by run: the sizes of
-the nonempty layers, a ascending.  A run's length is its number of top
-values used.  A partition a-content without zeros is its own run; the full
-table places each run in one loop, its j layers on each j of the n top
-values in increasing order.
-crystal.count_d and crystal.monomial_expansion_sweep read only partition
-a-contents, and d(lam, mu, nu) is symmetric in mu, so they ask the counter
-for partition runs alone: the DP then builds only layers no smaller than
-the next one out.  count_d_table keeps every composition run, so that its
-symmetry in the a-content is checked, not assumed.
-highest_weight_rows lists what the DP counts: it chains the lattice
-fillings of one shape and its contents, layer by layer in the same order,
-and builds the bitableaux crystal.highest_weight_bitableaux returns, the only
-listing by content: the one filler (bitableau.iter_bitableau_rows) has none.
-It lists each layer afresh; only the counter caches fillings.
+Empty layers add nothing to the word, so the push counts by run: the sizes
+of the nonempty layers, a ascending.  count_d_table places each run in one
+loop, its j layers on each j of the n top values in increasing order, and
+keeps every composition run, so that its symmetry in the a-content is
+checked, not assumed.  The Theorem-2 sweep asks for partition runs alone
+(d is symmetric in mu), so the push builds no layer smaller than the next.
 _tally_python_dict is the naive reference: it filters one plain enumeration by
 the Yamanouchi test on the reading word the crystal itself uses, not the
 kernel's own backtracker, and tallies every b-content's a-contents from it.
@@ -51,11 +38,11 @@ kernel's own backtracker, and tallies every b-content's a-contents from it.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
-from typing import Callable, Iterator, Sequence
+from itertools import combinations
+from typing import Callable, Sequence
 
 from .bitableau import PairRows, iter_bitableau_rows
-from .partitions import check_content, check_int, check_partition, contains, partitions_between, trim
+from .partitions import check_content, check_int, check_partition, check_triple, contains, partitions_between, trim
 from .words import CONVENTIONS, bitableau_reading_cells, is_yamanouchi
 
 Shape = tuple[int, ...]
@@ -123,107 +110,75 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
     at, to the count of each run, the nonempty layers' sizes, a ascending;
     it counts over every top and bottom alphabet.
     runs(shape, partitions=True) keeps only the weakly decreasing runs, the
-    keys count_d and monomial_expansion_sweep read, and builds no other.
+    keys monomial_expansion_sweep reads, and builds no other.
     runs(shape, partitions, bound) reads shape from a w' push over every
-    partition of its size inside bound (shape by default), kept until a call
-    asks for another bound or size; under w, which peels each shape from one
-    memo, the bound is only checked to hold shape.  Nothing in the DP
-    depends on nu.  The maps returned are the counter's own, to be read and
-    not changed.  The counter is a closure over its caches alone (_peel and
-    _grow are module functions), so it is in no reference cycle: a dropped
-    counter frees its memo and fillings at once.
+    partition of its size inside bound (shape by default); a w push starts
+    at shape, so under w the bound is only checked to hold shape.  The
+    counter keeps the runs of one bound and size (under w, one shape).
+    Nothing depends on nu.  The maps returned are the counter's own, to be
+    read and not changed.  The counter is a closure over its caches alone
+    (_push is a module function), so it is in no reference cycle: a dropped
+    counter frees them at once.
     """
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
-    fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}  # w
-    memo: dict[tuple[Shape, Content, int], Runs] = {}  # w
-    grown: dict[tuple[Shape, int, bool], dict[Shape, Runs]] = {}  # w': one push's runs of every shape
+    fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}  # w: every push's
+    steps: dict[tuple[Shape, int], list] = {}  # w: every push's layers out of each state
+    pushed: dict[tuple[Shape, int, bool], dict[Shape, Runs]] = {}  # one push's runs of every shape
 
     def runs(shape: Sequence[int], partitions: bool = False, bound: Sequence[int] | None = None) -> Runs:
         shape = check_partition(shape)
         bound = shape if bound is None else check_partition(bound)
         if not contains(bound, shape):
             raise ValueError(f"shape {shape!r} is not inside the bound {bound!r}")
-        if conv == "w":
-            return _peel(memo, fillings, shape, (), 1 if partitions else 0)
-        key = (bound, sum(shape), partitions)
-        out = grown.get(key)
+        key = (shape if conv == "w" else bound, sum(shape), partitions)
+        out = pushed.get(key)
         if out is None:
-            out = _grow(*key)
-            for old in [old for old in list(grown) if old[:2] != key[:2]]:
-                grown.pop(old, None)  # keep the runs of one bound and size
-            grown[key] = out
+            out = _push(conv == "w", *key, fillings, steps)
+            for old in [old for old in list(pushed) if old[:2] != key[:2]]:
+                pushed.pop(old, None)  # keep the runs of one push's shapes
+            pushed[key] = out
         return out[shape]
 
     return runs
 
 
-def _peel(memo: dict, fillings: dict, state: Shape, start: Content, floor: int) -> Runs:
-    """w: the layers inside state, the outermost first, after a word of content start.
+def _push(inward: bool, start: Shape, total: int, partitions: bool, fillings: dict, steps: dict) -> dict:
+    """The runs of every shape one push reaches, by shape.
 
-    floor 0 counts every run.  A floor f >= 1 counts only the runs whose
-    layers all hold at least f cells and weakly decrease, a ascending: each
-    layer peeled is the floor of the layers inside it.  memo and fillings
-    are the counter's: results by (state, start, floor) and layer fillings
-    by (outer, inner, start).
+    inward (w) peels layers off start down to (); else (w') it grows them
+    from () out to every partition of total inside start.  A state (shape,
+    limit) holds, for each content read, the count of each run of the
+    layers placed, and passes them on to the states one layer further,
+    taken by their number of cells: each is complete when passed on, and
+    each level is dropped after.
+    limit 0 counts every run; a limit >= 1 only the runs whose layers
+    weakly decrease, a ascending: under w a floor (the layers inside hold
+    at least as many cells), under w' a ceiling (those outside at most as
+    many).  Layer fillings and each state's layers (steps) are kept for the
+    counter's life under w; under w' for one level, which no later reads.
     """
-    if not state:
-        return {start: {(): 1}}
-    key = (state, start, floor)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    out = {}
-    total = sum(state)
-    zero = (0,) * len(state)
-    if floor:  # the inner shape is empty or holds layers no smaller than this one
-        inners = chain([zero], partitions_between(zero, state, (total + 1) // 2, total - floor))
-    else:
-        inners = partitions_between(zero, state, 0, total - 1)
-    for inner in inners:
-        size = total - sum(inner)
-        nxt = trim(inner)
-        ends = fillings.get((state, inner, start))
-        if ends is None:
-            ends = fillings[state, inner, start] = _lattice_fillings(state, inner, start)
-        for end, ways in ends.items():
-            for content, counts in _peel(memo, fillings, nxt, end, floor and size).items():
-                merged = out.setdefault(content, {})
-                for sizes, count in counts.items():
-                    sizes += (size,)
-                    merged[sizes] = merged.get(sizes, 0) + ways * count
-    memo[key] = out
-    return out
-
-
-def _grow(bound: Shape, total: int, partitions: bool) -> dict[Shape, Runs]:
-    """w': the layers from () out to every partition of total inside bound, the innermost first.
-
-    A state (inner shape, ceiling) holds, for each content read, the count
-    of each run of the layers inside it, and passes them on to the states
-    one layer out; states are taken by their number of cells, so each is
-    complete before it is passed on.  The start contents sit under their
-    state, so one enumeration of the outer shapes serves them all.
-    ceiling 0 counts every run.  A ceiling c >= 1 counts only the runs
-    whose layers all hold at most c cells and weakly decrease, a
-    ascending: each layer grown is the ceiling of the layers outside it.
-    A layer's fillings are kept for one level only: its inner shape has
-    that level's number of cells, so no later level reads them.
-    """
-    levels: list = [{} for _ in range(total + 1)]  # (inner, ceiling) -> start -> run -> count
-    levels[0][(0,) * len(bound), total if partitions else 0] = {(): {(): 1}}
-    for filled in range(total):
-        level: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}  # this level's fillings
-        for (inner, ceiling), starts in levels[filled].items():
-            most = min(total, filled + ceiling) if ceiling else total
-            for outer in partitions_between(inner, bound, filled + 1, most):
-                size = sum(outer) - filled
-                cut = trim(outer)
-                state = levels[filled + size].setdefault((outer, ceiling and size), {})
-                for start, before in starts.items():
-                    ends = level.get((outer, inner, start))
+    levels: list = [{} for _ in range(total + 1)]  # (shape, limit) -> start -> run -> count
+    first = (start, int(partitions)) if inward else ((0,) * len(start), total if partitions else 0)
+    levels[total if inward else 0][first] = {(): {(): 1}}
+    for filled in range(total, 0, -1) if inward else range(total):
+        level, known = (fillings, steps) if inward else ({}, {})
+        for (shape, limit), starts in levels[filled].items():
+            moves = known.get((shape, limit))
+            if moves is None:
+                if not inward:
+                    moves = _layers(False, shape, start, 1, min(total - filled, limit or total))
+                elif limit:  # the whole shape, or a layer no larger than what it leaves
+                    moves = [(shape, (0,) * len(shape), (), filled)] + _layers(True, shape, None, limit, filled // 2)
+                else:
+                    moves = _layers(True, shape, None, 1, filled)
+                known[shape, limit] = moves
+            for outer, inner, nxt, size in moves:
+                state = levels[filled - size if inward else filled + size].setdefault((nxt, limit and size), {})
+                for begin, before in starts.items():
+                    ends = level.get((outer, inner, begin))
                     if ends is None:
-                        ends = level[outer, inner, start] = _lattice_fillings(cut, inner[: len(cut)], start)
+                        ends = level[outer, inner, begin] = _lattice_fillings(outer, inner, begin)
                     for end, ways in ends.items():
                         after = state.setdefault(end, {})
                         for sizes, count in before.items():
@@ -231,18 +186,30 @@ def _grow(bound: Shape, total: int, partitions: bool) -> dict[Shape, Runs]:
                             after[sizes] = after.get(sizes, 0) + ways * count
         levels[filled] = None  # every state of this size has passed its counts on
     out: dict[Shape, Runs] = {}
-    for (outer, _), ends in levels[total].items():
-        shape = out.setdefault(trim(outer), {})
+    for (shape, _), ends in levels[0 if inward else total].items():
+        runs = out.setdefault(start if inward else trim(shape), {})
         for end, after in ends.items():
-            shape.setdefault(end, {}).update(after)  # states of one shape differ in ceiling, the last size
+            if inward:  # the layers were placed a descending
+                after = {sizes[::-1]: count for sizes, count in after.items()}
+            runs.setdefault(end, {}).update(after)  # states of one shape differ in limit, the last size
     return out
+
+
+def _layers(inward: bool, shape: Shape, bound: Shape | None, least: int, most: int) -> list:
+    """Layers of least..most cells peeled off shape (inward) or grown inside bound: (outer, inner, next, size)."""
+    filled = sum(shape)
+    if inward:
+        inners = partitions_between((0,) * len(shape), shape, filled - most, filled - least)
+        return [(shape, inner, trim(inner), filled - sum(inner)) for inner in inners]
+    outers = partitions_between(shape, bound, filled + least, filled + most)
+    return [(outer, shape, outer, sum(outer) - filled) for outer in outers]
 
 
 _SHARED: dict[str, Callable[..., Runs]] = {}
 
 
 def shared_runs(conv: str) -> Callable[..., Runs]:
-    """The process-wide counter of one convention, which count_d and count_d_table read."""
+    """The process-wide counter of one convention, which count_d_table reads."""
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
     return _SHARED.get(conv) or _SHARED.setdefault(conv, layer_runs(conv))
@@ -281,80 +248,112 @@ def _table(runs: Runs, nu: Content, n: int) -> dict[tuple[int, ...], int]:
     return table
 
 
+def count_d(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int], conv: str = "w") -> int:
+    """Bitableaux of shape lam with a(T)=mu, b(T)=nu and Yamanouchi conv word.
+
+    One count walk of layers of exactly mu's sizes, reading no layer_runs
+    counter.  It skips no end content, so its walker holds no nu and serves
+    the process: under w, which peels from lam, one walker (_WALK) holds no
+    lam either; under w', which grows toward lam, each lam has its own.
+    """
+    lam, mu, nu = check_triple(lam, mu, nu)
+    if conv not in CONVENTIONS:
+        raise ValueError(f"unknown convention {conv!r}")
+    if conv == "w":
+        return _WALK.walk(lam, mu, ()).get(nu, 0)
+    walker = _GROWS.get(lam) or _GROWS.setdefault(lam, _Walk(conv, lam, None, None, False))
+    return walker.walk((0,) * len(lam), mu, ()).get(nu, 0)
+
+
 def highest_weight_rows(
     lam: Shape, n: int, m: int, nu: Content | None = None, mu: Sequence[int] | None = None, conv: str = "w"
 ) -> list[PairRows]:
     """The rows of every bitableau of shape lam over [n] x [m] with a Yamanouchi conv word, sorted.
 
-    The layers come in the DP's order, w' growing a = 1..n out from (), w
-    peeling a = n..1 in from lam, and each layer's bottom entries are the
-    lattice fillings (listed, letters at most m) that extend the content
-    read so far.  nu, a trimmed b-content, keeps the rows whose word ends at
-    content nu; mu, an a-content of at least n entries, sizes the layers.
-    Sorting gives the filler's row-major lexicographic order.
+    One list walk of n layers, of any sizes or of mu's (an a-content of at
+    least n entries), with letters at most m.  nu, a trimmed b-content,
+    keeps the rows whose word ends at content nu.  A chain holds its layers
+    in the walk's order, a = n..1 under w and 1..n under w'.  Sorting gives
+    the filler's row-major lexicographic order.
     """
     if mu is not None and (sum(mu) != sum(lam) or any(mu[n:])):
         return []
-    lister = _Lister(lam, n, m if nu is None else min(m, len(nu)), nu, mu)
-    if conv == "w":
-        lister.peel(n, lam, ())
-    else:
-        lister.grow(1, (0,) * len(lam), ())
-    lister.found.sort()
-    return lister.found
+    sizes = (None,) * n if mu is None else tuple(mu[:n])
+    walker = _Walk(conv, lam, m if nu is None else min(m, len(nu)), nu, True)
+    ends = walker.walk(lam if conv == "w" else (0,) * len(lam), sizes, ())
+    found: list[PairRows] = []
+    tops = range(n, 0, -1) if conv == "w" else range(1, n + 1)
+    for end, chains in ends.items():
+        for placed in chains if nu is None or end == nu else ():
+            grid: list[list] = [[None] * length for length in lam]
+            for a, layer in zip(tops, placed):
+                for (r, c), v in layer:
+                    grid[r][c] = (a, v + 1)
+            found.append(tuple(map(tuple, grid)))
+    found.sort()
+    return found
 
 
-class _Lister:
-    """One highest_weight_rows listing: the layers placed so far and the rows found.
+class _Walk:
+    """Layers of given sizes placed one top value at a time in the DP's order, counted or listed.
 
-    Its methods recurse through the class, not through a closure, so a
-    listing leaves no reference cycle.
+    w peels layers a = n..1 in from a shape, w' grows them a = 1..n out
+    from () inside lam; a size None places a layer of any size, the last
+    one all that is left.  A layer's bottom entries are its lattice
+    fillings (at most letters letters) extending the content read, and an
+    end content that leaves nu is skipped: the content read only grows.
+    walk maps each end content to its count or, listed, its chains (each
+    layer's cells and letters).  A walker keeps its walks by (shape, sizes
+    left, start) and its layers, with fillings by start, by (shape, size,
+    last), each entry stored once complete; it is in no reference cycle.
     """
 
-    def __init__(self, lam: Shape, n: int, letters: int, nu: Content | None, mu: Sequence[int] | None) -> None:
-        self.lam, self.total, self.n, self.letters, self.nu, self.mu = lam, sum(lam), n, letters, nu, mu
-        self.placed: list[tuple[int, list[tuple[int, int]], list[tuple[int, ...]]]] = []  # (top, cells, fillings)
-        self.grid: list[list] = [[None] * length for length in lam]
-        self.found: list[PairRows] = []
+    def __init__(self, conv: str, lam: Shape | None, letters: int | None, nu: Content | None, listed: bool):
+        self.inward, self.lam, self.letters, self.nu, self.listed = conv == "w", lam, letters, nu, listed
+        self.memo, self.layers = {}, {}  # walks; layers with their fillings
 
-    def layer(self, a: int, outer: Shape, inner: Shape, start: Content) -> Iterator[Content]:
-        """Place each filling of layer a = outer/inner after start; yield the content each ends at."""
-        cells, nu = _layer_cells(outer, inner), self.nu
-        for end, fills in _lattice_fillings(outer, inner, start, self.letters, True).items():
-            if nu is None or all(map(int.__le__, end, nu)):  # the content read only grows: skip what leaves nu
-                self.placed.append((a, cells, fills))
-                yield end
-                self.placed.pop()
+    def walk(self, shape: Shape, sizes: tuple, start: Content) -> dict:
+        """The layers of sizes from shape on, after a word of content start."""
+        if not sizes:
+            return {start: [()] if self.listed else 1}
+        key = (shape, sizes, start)
+        out = self.memo.get(key)
+        if out is not None:
+            return out
+        out, nu, listed = {}, self.nu, self.listed
+        size, rest = (sizes[-1], sizes[:-1]) if self.inward else (sizes[0], sizes[1:])
+        layers = self.layers.get((shape, size, not rest)) or self.step(shape, size, not rest)
+        for outer, inner, nxt, cells, fills in layers:
+            ends = fills.get(start)
+            if ends is None:
+                ends = fills[start] = _lattice_fillings(outer, inner, start, self.letters, listed)
+            for end, got in ends.items():
+                if nu is not None and not all(map(int.__le__, end, nu)):
+                    continue
+                if listed:
+                    got = [(tuple(zip(cells, vals)),) for vals in got]
+                for final, after in self.walk(nxt, rest, end).items():
+                    if listed:
+                        out.setdefault(final, []).extend(p + q for p in got for q in after)
+                    else:
+                        out[final] = out.get(final, 0) + got * after
+        self.memo[key] = out
+        return out
 
-    def finish(self, end: Content) -> None:
-        if self.nu is not None and end != self.nu:
-            return
-        placed, grid = self.placed, self.grid
-        for choice in product(*(fills for _, _, fills in placed)):
-            for (a, cells, _), vals in zip(placed, choice):
-                for (r, c), v in zip(cells, vals):
-                    grid[r][c] = (a, v + 1)
-            self.found.append(tuple(map(tuple, grid)))
+    def step(self, shape: Shape, size: int | None, last: bool) -> list:
+        """The layers out of shape (the last: all that is left), each (outer, inner, next, cells, fillings)."""
+        if last:
+            pairs = [(shape, (0,) * len(shape), ()) if self.inward else (self.lam, shape, self.lam)]
+        else:
+            room = sum(shape) if self.inward else sum(self.lam) - sum(shape)
+            least, most = (0, room) if size is None else (size, size)
+            pairs = [(o, i, nxt) for o, i, nxt, _ in _layers(self.inward, shape, self.lam, least, most)]
+        layers = [(o, i, nxt, self.listed and _layer_cells(o, i), {}) for o, i, nxt in pairs]
+        return self.layers.setdefault((shape, size, last), layers)
 
-    def grow(self, a: int, inner: Shape, start: Content) -> None:
-        """w': layers a, a + 1, ..., n out from inner."""
-        if a > self.n:
-            return self.finish(start)
-        filled, total, mu = sum(inner), self.total, self.mu
-        least, most = (filled + mu[a - 1],) * 2 if mu is not None else (total if a == self.n else filled, total)
-        for outer in partitions_between(inner, self.lam, least, most):
-            for end in self.layer(a, outer, inner, start):
-                self.grow(a + 1, outer, end)
 
-    def peel(self, a: int, outer: Shape, start: Content) -> None:
-        """w: layers a, a - 1, ..., 1 in from outer."""
-        if a == 0:
-            return self.finish(start)
-        filled, mu = sum(outer), self.mu
-        least, most = (filled - mu[a - 1],) * 2 if mu is not None else (0, 0 if a == 1 else filled)
-        for inner in partitions_between((0,) * len(outer), outer, least, most):
-            for end in self.layer(a, outer, inner, start):
-                self.peel(a - 1, inner, end)
+_WALK = _Walk("w", None, None, None, False)  # count_d's w walker
+_GROWS: dict[Shape, _Walk] = {}  # count_d's w' walkers, one per lam
 
 
 def _tally_python_dict(shape: Sequence[int], n: int, m: int, conv: str) -> dict[Content, dict[Content, int]]:

@@ -115,6 +115,15 @@ def test_d_both_modes(capsys):
     assert code == 0 and out == "2\n"
 
 
+@pytest.mark.parametrize("conv", ["w", "w_prime"])
+def test_d_at_k16_under_each_convention(capsys, conv):
+    # a large-k point query: the crystal count walks layers of mu's sizes,
+    # never building every run of lam, and agrees with the oracle
+    argv = ["d", "--lam", "10,3,2,1", "--mu", "8,4,2,2", "--nu", "11,3,1,1", "--mode", "both", "--conv", conv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, "10589\n", "")
+
+
 def test_kron_tableaux_csv(capsys):
     code, out, _ = run(
         capsys, "kron-tableaux", "--lam", "4,3", "--p", "3", "--nu", "3,2,2"

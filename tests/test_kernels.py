@@ -78,12 +78,13 @@ def test_partition_runs_are_the_nonincreasing_composition_runs():
 
 
 def test_the_process_wide_memo_answers_as_a_fresh_counter():
-    # count_d reads one counter per convention for the whole process; every
-    # triple of k <= 7, both conventions interleaved, forward and then
-    # reversed, must match a fresh counter and the permutation-character oracle
+    # count_d walks layers of mu's sizes with a memo for the whole process;
+    # every triple of k <= 8, both conventions interleaved, forward
+    # and then reversed, must match a fresh counter and the
+    # permutation-character oracle
     cases = 0
     for order in (1, -1):
-        for k in range(1, 8)[::order]:
+        for k in range(1, 9)[::order]:
             parts = enumerate_partitions(k)[::order]
             fresh = {conv: layer_runs(conv) for conv in CONVENTIONS}
             for lam in parts:
@@ -94,8 +95,31 @@ def test_the_process_wide_memo_answers_as_a_fresh_counter():
                             expected = fresh[conv](lam, partitions=True).get(nu, {}).get(mu, 0)
                             assert count_d(lam, mu, nu, conv) == expected == oracle[mu], (lam, mu, nu, conv)
                             cases += 1
-    assert cases == 2 * 2 * sum(len(enumerate_partitions(k)) ** 3 for k in range(1, 8))
+    assert cases == 2 * 2 * sum(len(enumerate_partitions(k)) ** 3 for k in range(1, 9))
 
+
+def test_count_d_reads_no_layer_runs_counter(monkeypatch):
+    # count_d is its own walk: with every counter refused it still answers
+    # every triple of k <= 5 under both conventions
+    import bitableaux.kernels as kernels
+
+    def refused(*args, **kwargs):
+        raise AssertionError("count_d read a layer_runs counter")
+
+    monkeypatch.setattr(kernels, "_SHARED", {})  # cold: a shared counter read would be built afresh
+    monkeypatch.setattr(kernels, "layer_runs", refused)
+    monkeypatch.setattr(kernels, "shared_runs", refused)
+    cases = 0
+    for k in range(6):
+        parts = enumerate_partitions(k)
+        for lam in parts:
+            for nu in parts:
+                oracle = monomial_coefficient_row(lam, nu)
+                for mu in parts:
+                    for conv in CONVENTIONS:
+                        assert count_d(lam, mu, nu, conv) == oracle[mu], (lam, mu, nu, conv)
+                        cases += 1
+    assert cases == 2 * sum(len(enumerate_partitions(k)) ** 3 for k in range(6))
 
 
 @pytest.mark.parametrize("partitions", [False, True])
@@ -139,14 +163,17 @@ def test_a_wprime_call_made_while_grow_runs_keeps_each_shape_its_own_runs(monkey
     assert runs(first, partitions) == expected[first]
 
 
-def test_the_process_wide_wprime_counter_is_right_under_threads(monkeypatch):
-    # four threads ask d at k = 7 under w', each from another lam first, with a
-    # thread switch about every microsecond; every answer must match the oracle
+@pytest.mark.parametrize("conv", ["w", "w_prime"])
+def test_count_d_is_right_under_threads(monkeypatch, conv):
+    # four threads ask d at k = 7 from cold walkers, each from another lam
+    # first, with a thread switch about every microsecond; every answer must
+    # match the oracle
     import threading
 
     import bitableaux.kernels as kernels
 
-    monkeypatch.setattr(kernels, "_SHARED", {})  # a cold process-wide counter
+    monkeypatch.setattr(kernels, "_WALK", kernels._Walk("w", None, None, None, False))  # cold walkers
+    monkeypatch.setattr(kernels, "_GROWS", {})
     parts = enumerate_partitions(7)
     oracle = {(lam, nu): monomial_coefficient_row(lam, nu) for lam in parts for nu in parts}
     wrong, done = [], []
@@ -155,7 +182,7 @@ def test_the_process_wide_wprime_counter_is_right_under_threads(monkeypatch):
         for lam in parts[offset:] + parts[:offset]:
             for nu in parts:
                 for mu in parts:
-                    if count_d(lam, mu, nu, "w_prime") != oracle[lam, nu][mu]:
+                    if count_d(lam, mu, nu, conv) != oracle[lam, nu][mu]:
                         wrong.append((lam, mu, nu))
         done.append(offset)  # a thread that raised or hung never gets here
 

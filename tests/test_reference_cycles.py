@@ -35,7 +35,7 @@ CALLS = {
     "column_top_operator": lambda: bt.column_top_operator(SEVEN_BOX_COLUMN, 1, "lower"),
     "commutes_with_bottom": lambda: bt.commutes_with_bottom({}, GRAPH),
     "conjugate": lambda: bt.conjugate((3, 1)),
-    "count_d": lambda: bt.count_d((3, 2, 1), (3, 2, 1), (3, 2, 1), "w_prime"),
+    "count_d": lambda: [bt.count_d((3, 2, 1), (3, 2, 1), (3, 2, 1), conv) for conv in ("w", "w_prime")],
     "count_d_table": lambda: bt.count_d_table((3, 2, 1), (3, 2, 1), 3),
     "count_kronecker_tableaux": lambda: bt.count_kronecker_tableaux((3, 1), 1, (2, 2)),
     "crystal_op_bitableau": lambda: bt.crystal_op_bitableau(FIVE_BOX, 1, "lower"),
