@@ -17,13 +17,12 @@ out to lam.
 Two traversals place the layers in that order.  layer_runs' push counts
 every run at once, by b-content and run: column strictness and the lattice
 test bound the letters and the content read at the end is b(T), so one
-push serves every nu.  w pushes from one lam in to (), keeping what holds
-no lam (layer fillings, each state's layers) for the counter's life; w'
-from () out to every partition of one size inside a bound (lam for
-count_d_table, one holding every lam of k for the Theorem-2 sweep).
-_Walk places layers of given sizes: count_d counts with mu's, and
-highest_weight_rows lists the rows of crystal.highest_weight_bitableaux,
-the only listing by content.  Layer shapes come from partitions_between.
+push serves every nu.  w pushes from one lam in to (); w' from () out to
+every partition of one size inside a bound (lam for count_d_table, one
+holding every lam of k for the Theorem-2 sweep).  _Walk places layers of
+given sizes: count_d counts with mu's, and highest_weight_rows lists the
+rows of crystal.highest_weight_bitableaux, the only listing by content.
+Layer shapes come from partitions_between.
 
 Empty layers add nothing to the word, so the push counts by run: the sizes
 of the nonempty layers, a ascending.  count_d_table places each run in one
@@ -114,17 +113,17 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
     runs(shape, partitions, bound) reads shape from a w' push over every
     partition of its size inside bound (shape by default); a w push starts
     at shape, so under w the bound is only checked to hold shape.  The
-    counter keeps the runs of one bound and size (under w, one shape).
+    counter keeps the runs of its pushes; once they would hold more than
+    _KEPT run counts, it drops all but the latest push's.
     Nothing depends on nu.  The maps returned are the counter's own, to be
     read and not changed.  The counter is a closure over its caches alone
-    (_push is a module function), so it is in no reference cycle: a dropped
-    counter frees them at once.
+    (_push is a module function): a dropped counter frees them at once.
     """
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
     fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}  # w: every push's
     steps: dict[tuple[Shape, int], list] = {}  # w: every push's layers out of each state
-    pushed: dict[tuple[Shape, int, bool], dict[Shape, Runs]] = {}  # one push's runs of every shape
+    pushed: dict[tuple[Shape, int, bool], tuple[dict[Shape, Runs], int]] = {}  # runs by shape, run counts
 
     def runs(shape: Sequence[int], partitions: bool = False, bound: Sequence[int] | None = None) -> Runs:
         shape = check_partition(shape)
@@ -132,13 +131,14 @@ def layer_runs(conv: str = "w") -> Callable[..., Runs]:
         if not contains(bound, shape):
             raise ValueError(f"shape {shape!r} is not inside the bound {bound!r}")
         key = (shape if conv == "w" else bound, sum(shape), partitions)
-        out = pushed.get(key)
-        if out is None:
+        held = pushed.get(key)
+        if held is None:
             out = _push(conv == "w", *key, fillings, steps)
-            for old in [old for old in list(pushed) if old[:2] != key[:2]]:
-                pushed.pop(old, None)  # keep the runs of one push's shapes
-            pushed[key] = out
-        return out[shape]
+            held = out, sum(len(counts) for ends in out.values() for counts in ends.values())
+            if held[1] + sum(kept for _, kept in list(pushed.values())) > _KEPT:
+                pushed.clear()  # too many run counts: keep the latest push's alone
+            pushed[key] = held
+        return held[0][shape]
 
     return runs
 
@@ -148,10 +148,9 @@ def _push(inward: bool, start: Shape, total: int, partitions: bool, fillings: di
 
     inward (w) peels layers off start down to (); else (w') it grows them
     from () out to every partition of total inside start.  A state (shape,
-    limit) holds, for each content read, the count of each run of the
-    layers placed, and passes them on to the states one layer further,
-    taken by their number of cells: each is complete when passed on, and
-    each level is dropped after.
+    limit) holds, for each content read, the count of each run of the layers
+    placed, and passes them on to the states one layer further, taken by
+    their number of cells: each is complete when passed on, then dropped.
     limit 0 counts every run; a limit >= 1 only the runs whose layers
     weakly decrease, a ascending: under w a floor (the layers inside hold
     at least as many cells), under w' a ceiling (those outside at most as
@@ -167,11 +166,11 @@ def _push(inward: bool, start: Shape, total: int, partitions: bool, fillings: di
             moves = known.get((shape, limit))
             if moves is None:
                 if not inward:
-                    moves = _layers(False, shape, start, 1, min(total - filled, limit or total))
+                    moves = _grown(shape, start, 1, min(total - filled, limit or total))
                 elif limit:  # the whole shape, or a layer no larger than what it leaves
-                    moves = [(shape, (0,) * len(shape), (), filled)] + _layers(True, shape, None, limit, filled // 2)
+                    moves = [(shape, (0,) * len(shape), (), filled)] + _peeled(shape, limit, filled // 2)
                 else:
-                    moves = _layers(True, shape, None, 1, filled)
+                    moves = _peeled(shape, 1, filled)
                 known[shape, limit] = moves
             for outer, inner, nxt, size in moves:
                 state = levels[filled - size if inward else filled + size].setdefault((nxt, limit and size), {})
@@ -189,22 +188,26 @@ def _push(inward: bool, start: Shape, total: int, partitions: bool, fillings: di
     for (shape, _), ends in levels[0 if inward else total].items():
         runs = out.setdefault(start if inward else trim(shape), {})
         for end, after in ends.items():
-            if inward:  # the layers were placed a descending
-                after = {sizes[::-1]: count for sizes, count in after.items()}
+            after = {sizes[::-1]: count for sizes, count in after.items()} if inward else after  # w placed a = n..1
             runs.setdefault(end, {}).update(after)  # states of one shape differ in limit, the last size
     return out
 
 
-def _layers(inward: bool, shape: Shape, bound: Shape | None, least: int, most: int) -> list:
-    """Layers of least..most cells peeled off shape (inward) or grown inside bound: (outer, inner, next, size)."""
+def _peeled(shape: Shape, least: int, most: int) -> list:
+    """Layers of least..most cells peeled off shape: (outer, inner, next, size)."""
     filled = sum(shape)
-    if inward:
-        inners = partitions_between((0,) * len(shape), shape, filled - most, filled - least)
-        return [(shape, inner, trim(inner), filled - sum(inner)) for inner in inners]
+    inners = partitions_between((0,) * len(shape), shape, filled - most, filled - least)
+    return [(shape, inner, trim(inner), filled - sum(inner)) for inner in inners]
+
+
+def _grown(shape: Shape, bound: Shape, least: int, most: int) -> list:
+    """Layers of least..most cells grown on shape inside bound: (outer, inner, next, size)."""
+    filled = sum(shape)
     outers = partitions_between(shape, bound, filled + least, filled + most)
     return [(outer, shape, outer, sum(outer) - filled) for outer in outers]
 
 
+_KEPT = 1 << 16  # run counts a counter keeps over its pushes (one push may hold more): about 8 MB
 _SHARED: dict[str, Callable[..., Runs]] = {}
 
 
@@ -252,17 +255,15 @@ def count_d(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int], conv: str 
     """Bitableaux of shape lam with a(T)=mu, b(T)=nu and Yamanouchi conv word.
 
     One count walk of layers of exactly mu's sizes, reading no layer_runs
-    counter.  It skips no end content, so its walker holds no nu and serves
-    the process: under w, which peels from lam, one walker (_WALK) holds no
-    lam either; under w', which grows toward lam, each lam has its own.
+    counter.  Under w, which peels from lam, one process walker (_WALK) serves
+    every query: it holds no lam, nor nu, as it skips no end content.  Under
+    w', which grows toward lam, each call walks afresh, skipping ends that leave nu.
     """
     lam, mu, nu = check_triple(lam, mu, nu)
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
-    if conv == "w":
-        return _WALK.walk(lam, mu, ()).get(nu, 0)
-    walker = _GROWS.get(lam) or _GROWS.setdefault(lam, _Walk(conv, lam, None, None, False))
-    return walker.walk((0,) * len(lam), mu, ()).get(nu, 0)
+    walker = _WALK if conv == "w" else _Walk(conv, lam, len(nu), nu, False)
+    return walker.walk(lam if conv == "w" else (0,) * len(lam), mu, ()).get(nu, 0)
 
 
 def highest_weight_rows(
@@ -297,15 +298,15 @@ def highest_weight_rows(
 class _Walk:
     """Layers of given sizes placed one top value at a time in the DP's order, counted or listed.
 
-    w peels layers a = n..1 in from a shape, w' grows them a = 1..n out
-    from () inside lam; a size None places a layer of any size, the last
-    one all that is left.  A layer's bottom entries are its lattice
-    fillings (at most letters letters) extending the content read, and an
-    end content that leaves nu is skipped: the content read only grows.
-    walk maps each end content to its count or, listed, its chains (each
-    layer's cells and letters).  A walker keeps its walks by (shape, sizes
-    left, start) and its layers, with fillings by start, by (shape, size,
-    last), each entry stored once complete; it is in no reference cycle.
+    w peels layers a = n..1 in from a shape, w' grows them a = 1..n out from
+    () inside lam; a size None places a layer of any size, the last one all
+    that is left.  A layer's bottom entries are its lattice fillings (at most
+    letters letters) extending the content read, and an end content that
+    leaves nu is skipped: the content read only grows.  walk maps each end
+    content to its count or, listed, its chains (each layer's cells and
+    letters).  A walker keeps its walks by (shape, sizes left, start) and its
+    layers, with fillings by start, by (shape, size, last), each stored once
+    complete; it is in no reference cycle.
     """
 
     def __init__(self, conv: str, lam: Shape | None, letters: int | None, nu: Content | None, listed: bool):
@@ -342,18 +343,17 @@ class _Walk:
 
     def step(self, shape: Shape, size: int | None, last: bool) -> list:
         """The layers out of shape (the last: all that is left), each (outer, inner, next, cells, fillings)."""
-        if last:
-            pairs = [(shape, (0,) * len(shape), ()) if self.inward else (self.lam, shape, self.lam)]
+        if last:  # all that is left, with no partitions_between call
+            moves = [(shape, (0,) * len(shape), (), 0) if self.inward else (self.lam, shape, self.lam, 0)]
         else:
             room = sum(shape) if self.inward else sum(self.lam) - sum(shape)
             least, most = (0, room) if size is None else (size, size)
-            pairs = [(o, i, nxt) for o, i, nxt, _ in _layers(self.inward, shape, self.lam, least, most)]
-        layers = [(o, i, nxt, self.listed and _layer_cells(o, i), {}) for o, i, nxt in pairs]
+            moves = _peeled(shape, least, most) if self.inward else _grown(shape, self.lam, least, most)
+        layers = [(o, i, nxt, self.listed and _layer_cells(o, i), {}) for o, i, nxt, _ in moves]
         return self.layers.setdefault((shape, size, last), layers)
 
 
 _WALK = _Walk("w", None, None, None, False)  # count_d's w walker
-_GROWS: dict[Shape, _Walk] = {}  # count_d's w' walkers, one per lam
 
 
 def _tally_python_dict(shape: Sequence[int], n: int, m: int, conv: str) -> dict[Content, dict[Content, int]]:

@@ -165,15 +165,14 @@ def test_a_wprime_call_made_while_grow_runs_keeps_each_shape_its_own_runs(monkey
 
 @pytest.mark.parametrize("conv", ["w", "w_prime"])
 def test_count_d_is_right_under_threads(monkeypatch, conv):
-    # four threads ask d at k = 7 from cold walkers, each from another lam
-    # first, with a thread switch about every microsecond; every answer must
-    # match the oracle
+    # four threads ask d at k = 7 from a cold process walker (w' walks per
+    # call), each from another lam first, with a thread switch about every
+    # microsecond; every answer must match the oracle
     import threading
 
     import bitableaux.kernels as kernels
 
-    monkeypatch.setattr(kernels, "_WALK", kernels._Walk("w", None, None, None, False))  # cold walkers
-    monkeypatch.setattr(kernels, "_GROWS", {})
+    monkeypatch.setattr(kernels, "_WALK", kernels._Walk("w", None, None, None, False))
     parts = enumerate_partitions(7)
     oracle = {(lam, nu): monomial_coefficient_row(lam, nu) for lam in parts for nu in parts}
     wrong, done = [], []
