@@ -15,7 +15,8 @@ from typing import Iterator, Sequence
 
 from .bitableau import Bitableau, int_to_pair
 from .graphs import CrystalGraph, CrystalVertex
-from .kernels import count_d, count_d_table, highest_weight_rows, layer_runs  # count_d, count_d_table re-exported
+from .kernels import count_d, count_d_table  # re-exported
+from .kernels import highest_weight_rows, partition_runs
 from .partitions import (
     Partition,
     check_content,
@@ -115,12 +116,10 @@ def monomial_expansion_rows(k: int, conv: str = "w") -> Iterator[list[Row]]:
     """The rows (lam, mu, nu, crystal, oracle) of every triple of partitions of k, one lam at a time.
 
     Each item is one lam's rows, nu then mu in partition order; the lam
-    come in partition order.  The crystal side is one layer_runs counter
-    per call, read once per lam: its partition runs hold every (mu, nu) of
-    that lam at once, since the DP holds no nu, and the count is symmetric
-    in the a-content, so no other run is read.  Under w one push per lam
-    peels it, sharing the counter's layer fillings; under w' one push
-    inside the bound (k, k // 2, ..., 1) grows every lam.  The oracle side
+    come in partition order.  The crystal side is kernels.partition_runs,
+    read once per lam: a lam's partition runs hold every (mu, nu) of that
+    lam at once, since the DP holds no nu, and the count is symmetric in
+    the a-content, so no other run is read.  The oracle side
     is monomial_coefficient_row, the permutation-character route, once per
     orbit {(lam, nu), (nu, lam), (lam', nu'), (nu', lam')}: chi^{lam'} is
     sgn * chi^lam, so the weights sizes * chi^lam * chi^nu, and the row,
@@ -128,12 +127,9 @@ def monomial_expansion_rows(k: int, conv: str = "w") -> Iterator[list[Row]]:
     monomial_coefficient_d.
     """
     parts = enumerate_partitions(k)
-    runs = layer_runs(conv)
-    bound = tuple(k // i for i in range(1, k + 1))  # i * lam_i <= k: every lam of k lies inside
     conj = {p: conjugate(p) for p in parts}
     oracle: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-    for lam in parts:
-        tables = runs(lam, partitions=True, bound=bound)
+    for lam, tables in partition_runs(k, conv):
         rows = []
         for nu in parts:
             pair = min((lam, nu), (nu, lam), (conj[lam], conj[nu]), (conj[nu], conj[lam]))  # names the orbit

@@ -14,22 +14,23 @@ the layers come.  w ends with the a = n layer, so its DP peels layers off
 lam inward; w' ends with the a = 1 layer, so its DP grows layers from ()
 out to lam.
 
-Two traversals place the layers in that order.  layer_runs' push counts
-every run at once, by b-content and run: column strictness and the lattice
-test bound the letters and the content read at the end is b(T), so one
-push serves every nu.  w pushes from one lam in to (); w' from () out to
+Two traversals place the layers in that order.  _push counts every run
+at once, by b-content and run: column strictness and the lattice test
+bound the letters and the content read at the end is b(T), so one push
+serves every nu.  Its two callers are count_d_table and partition_runs,
+the Theorem-2 sweep's.  w pushes from one lam in to (); w' from () out to
 every partition of one size inside a bound (lam for count_d_table, one
-holding every lam of k for the Theorem-2 sweep).  _Walk places layers of
-given sizes: count_d counts with mu's, and highest_weight_rows lists the
-rows of crystal.highest_weight_bitableaux, the only listing by content.
-Layer shapes come from partitions_between.
+holding every lam of k for partition_runs).  _Walk places layers of given
+sizes: count_d counts with mu's, and highest_weight_rows lists the rows of
+crystal.highest_weight_bitableaux, the only listing by content.  Layer
+shapes come from partitions_between.
 
 Empty layers add nothing to the word, so the push counts by run: the sizes
 of the nonempty layers, a ascending.  count_d_table places each run in one
 loop, its j layers on each j of the n top values in increasing order, and
 keeps every composition run, so that its symmetry in the a-content is
-checked, not assumed.  The Theorem-2 sweep asks for partition runs alone
-(d is symmetric in mu), so the push builds no layer smaller than the next.
+checked, not assumed.  partition_runs asks for partition runs alone (d
+is symmetric in mu), so its push builds no layer smaller than the next.
 _tally_python_dict is the naive reference: it filters one plain enumeration by
 the Yamanouchi test on the reading word the crystal itself uses, not the
 kernel's own backtracker, and tallies every b-content's a-contents from it.
@@ -38,10 +39,12 @@ kernel's own backtracker, and tallies every b-content's a-contents from it.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .bitableau import PairRows, iter_bitableau_rows
-from .partitions import check_content, check_int, check_partition, check_triple, contains, partitions_between, trim
+from .partitions import (
+    check_content, check_int, check_partition, check_triple, enumerate_partitions, partitions_between, trim
+)
 from .words import CONVENTIONS, bitableau_reading_cells, is_yamanouchi
 
 Shape = tuple[int, ...]
@@ -102,47 +105,6 @@ def _fill(
             cnt[x] -= 1
 
 
-def layer_runs(conv: str = "w") -> Callable[..., Runs]:
-    """Counter of the Yamanouchi bitableaux by run and b-content.
-
-    runs(shape) maps each b-content, the partition the word's content ends
-    at, to the count of each run, the nonempty layers' sizes, a ascending;
-    it counts over every top and bottom alphabet.
-    runs(shape, partitions=True) keeps only the weakly decreasing runs, the
-    keys monomial_expansion_sweep reads, and builds no other.
-    runs(shape, partitions, bound) reads shape from a w' push over every
-    partition of its size inside bound (shape by default); a w push starts
-    at shape, so under w the bound is only checked to hold shape.  The
-    counter keeps the runs of its pushes; once they would hold more than
-    _KEPT run counts, it drops all but the latest push's.
-    Nothing depends on nu.  The maps returned are the counter's own, to be
-    read and not changed.  The counter is a closure over its caches alone
-    (_push is a module function): a dropped counter frees them at once.
-    """
-    if conv not in CONVENTIONS:
-        raise ValueError(f"unknown convention {conv!r}")
-    fillings: dict[tuple[Shape, Shape, Content], dict[Content, int]] = {}  # w: every push's
-    steps: dict[tuple[Shape, int], list] = {}  # w: every push's layers out of each state
-    pushed: dict[tuple[Shape, int, bool], tuple[dict[Shape, Runs], int]] = {}  # runs by shape, run counts
-
-    def runs(shape: Sequence[int], partitions: bool = False, bound: Sequence[int] | None = None) -> Runs:
-        shape = check_partition(shape)
-        bound = shape if bound is None else check_partition(bound)
-        if not contains(bound, shape):
-            raise ValueError(f"shape {shape!r} is not inside the bound {bound!r}")
-        key = (shape if conv == "w" else bound, sum(shape), partitions)
-        held = pushed.get(key)
-        if held is None:
-            out = _push(conv == "w", *key, fillings, steps)
-            held = out, sum(len(counts) for ends in out.values() for counts in ends.values())
-            if held[1] + sum(kept for _, kept in list(pushed.values())) > _KEPT:
-                pushed.clear()  # too many run counts: keep the latest push's alone
-            pushed[key] = held
-        return held[0][shape]
-
-    return runs
-
-
 def _push(inward: bool, start: Shape, total: int, partitions: bool, fillings: dict, steps: dict) -> dict:
     """The runs of every shape one push reaches, by shape.
 
@@ -154,8 +116,10 @@ def _push(inward: bool, start: Shape, total: int, partitions: bool, fillings: di
     limit 0 counts every run; a limit >= 1 only the runs whose layers
     weakly decrease, a ascending: under w a floor (the layers inside hold
     at least as many cells), under w' a ceiling (those outside at most as
-    many).  Layer fillings and each state's layers (steps) are kept for the
-    counter's life under w; under w' for one level, which no later reads.
+    many).  Under w, layer fillings and each state's layers (steps) go to
+    the caller's fillings and steps, which hold no start, so that later
+    pushes share them; under w' they are kept for one level, which no later
+    reads, and the two dicts are ignored.
     """
     levels: list = [{} for _ in range(total + 1)]  # (shape, limit) -> start -> run -> count
     first = (start, int(partitions)) if inward else ((0,) * len(start), total if partitions else 0)
@@ -207,15 +171,32 @@ def _grown(shape: Shape, bound: Shape, least: int, most: int) -> list:
     return [(outer, shape, outer, sum(outer) - filled) for outer in outers]
 
 
-_KEPT = 1 << 16  # run counts a counter keeps over its pushes (one push may hold more): about 8 MB
-_SHARED: dict[str, Callable[..., Runs]] = {}
+def partition_runs(k: int, conv: str = "w") -> Iterator[tuple[Shape, Runs]]:
+    """Each lam of k, in enumerate_partitions order, with its partition runs.
 
-
-def shared_runs(conv: str) -> Callable[..., Runs]:
-    """The process-wide counter of one convention, which count_d_table reads."""
+    The partition runs are the runs whose layers weakly decrease, a
+    ascending, the keys the Theorem-2 sweep reads.  Under w one push per lam
+    peels it, and the pushes share their layer fillings and steps; under w'
+    one push inside the bound (k, k // 2, ..., 1), which holds every lam of
+    k, grows them all.  Nothing depends on nu, and no lam's runs outlive
+    the step that yields them.
+    """
+    parts = enumerate_partitions(k)
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
-    return _SHARED.get(conv) or _SHARED.setdefault(conv, layer_runs(conv))
+    if conv == "w":
+        layers: tuple[dict, dict] = ({}, {})  # fillings and steps, which hold no lam: every lam's push shares them
+        for lam in parts:
+            yield lam, _push(True, lam, k, True, *layers)[lam]
+    else:
+        bound = tuple(k // i for i in range(1, k + 1))  # i * lam_i <= k: every lam of k lies inside
+        grown = _push(False, bound, k, True, {}, {})
+        for lam in parts:
+            yield lam, grown[lam]
+
+
+_LATEST: dict[str, tuple[Shape, Runs]] = {}  # conv -> count_d_table's latest shape and its composition runs
+_LAYERS: tuple[dict, dict] = ({}, {})  # count_d_table's w layer fillings and steps, kept for the process
 
 
 def count_d_table(
@@ -224,15 +205,22 @@ def count_d_table(
     """Yamanouchi counts of one shape and b-content for every a-content at once.
 
     Keys are a-content vectors of length n; only nonzero counts appear.  The
-    table reads the composition runs of the process-wide counter
-    (shared_runs) that end at bcontent, its trailing zeros trimmed, and
-    keeps those of at most n layers.  A b-content that is not a partition
-    has no Yamanouchi word.
+    table reads the shape's composition runs that end at bcontent, its
+    trailing zeros trimmed, and keeps those of at most n layers.  A
+    b-content that is not a partition has no Yamanouchi word.  The runs of
+    the latest shape asked for are kept per convention (_LATEST), so a
+    caller that asks for one shape's tables in a row pushes it once; under
+    w every push shares the process's layer fillings and steps (_LAYERS).
     """
     shape = check_partition(shape)
     nu = check_content(bcontent, 0, "b-content")
     check_int(n, "n")
-    return _table(shared_runs(conv)(shape), trim(nu), n)
+    if conv not in CONVENTIONS:
+        raise ValueError(f"unknown convention {conv!r}")
+    held = _LATEST.get(conv)  # one read: a thread that swaps the entry cannot mix shapes
+    if held is None or held[0] != shape:
+        held = _LATEST[conv] = shape, _push(conv == "w", shape, sum(shape), False, *_LAYERS)[shape]
+    return _table(held[1], trim(nu), n)
 
 
 def _table(runs: Runs, nu: Content, n: int) -> dict[tuple[int, ...], int]:
@@ -254,10 +242,10 @@ def _table(runs: Runs, nu: Content, n: int) -> dict[tuple[int, ...], int]:
 def count_d(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int], conv: str = "w") -> int:
     """Bitableaux of shape lam with a(T)=mu, b(T)=nu and Yamanouchi conv word.
 
-    One count walk of layers of exactly mu's sizes, reading no layer_runs
-    counter.  Under w, which peels from lam, one process walker (_WALK) serves
-    every query: it holds no lam, nor nu, as it skips no end content.  Under
-    w', which grows toward lam, each call walks afresh, skipping ends that leave nu.
+    One count walk of layers of exactly mu's sizes, with no push.  Under w,
+    which peels from lam, one process walker (_WALK) serves every query: it
+    holds no lam, nor nu, as it skips no end content.  Under w', which
+    grows toward lam, each call walks afresh, skipping ends that leave nu.
     """
     lam, mu, nu = check_triple(lam, mu, nu)
     if conv not in CONVENTIONS:

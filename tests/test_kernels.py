@@ -7,10 +7,15 @@ import pytest
 
 from conftest import nm_pairs, small_shapes
 from bitableaux.crystal import count_d
-from bitableaux.kernels import _table, _tally_python_dict, count_d_table, layer_runs
-from bitableaux.partitions import enumerate_partitions, trim
+from bitableaux.kernels import _push, _table, _tally_python_dict, count_d_table, partition_runs
+from bitableaux.partitions import enumerate_partitions
 from bitableaux.symfunc import monomial_coefficient_row
 from bitableaux.words import CONVENTIONS
+
+
+def composition_runs(shape, conv):
+    # one fresh push of every run of shape, sharing nothing
+    return _push(conv == "w", shape, sum(shape), False, {}, {})[shape]
 
 
 def test_kernel_matches_reference_tally():
@@ -30,13 +35,16 @@ def test_kernel_matches_reference_tally():
     assert cases == 2250
 
 
-def test_one_memo_serves_every_shape():
-    # the grid above, with one fresh counter (one memo) per convention and
-    # order, reused over every shape, b-content and n, with the shapes of
-    # each size descending and then ascending: a stale or shape-dependent
-    # memo entry changes a later shape's table.  Size 0 has one shape, so
-    # it shares nothing.
-    counters = {(conv, order): layer_runs(conv) for conv in CONVENTIONS for order in (-1, 1)}
+def test_one_memo_serves_every_shape(monkeypatch):
+    # the grid above through count_d_table from a cold process memo, reused
+    # over every shape, b-content and n, with the shapes of each size
+    # descending and then ascending: a stale or shape-dependent memo entry
+    # changes a later shape's table.  Size 0 has one shape, so it shares
+    # nothing.
+    import bitableaux.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_LATEST", {})
+    monkeypatch.setattr(kernels, "_LAYERS", ({}, {}))
     cases = 0
     for k in range(1, 6):
         shapes = enumerate_partitions(k)
@@ -47,30 +55,27 @@ def test_one_memo_serves_every_shape():
                     if sum(bcontent) != k:
                         continue
                     for order in (-1, 1):
-                        runs = counters[conv, order]
                         for shape in shapes[::order]:
-                            table = _table(runs(shape), trim(bcontent), n)
+                            table = count_d_table(shape, bcontent, n, conv)
                             assert table == tallies[shape].get(bcontent, {}), (shape, n, bcontent, conv)
                             cases += 1
     assert cases == 2 * (2250 - 18)
 
 
 def test_partition_runs_are_the_nonincreasing_composition_runs():
-    # one counter per (k, conv) serves both kinds of run over every nu and
-    # lam, in both orders, so a floor or ceiling that leaks into the shared
-    # memo changes a table
+    # every lam of k, in partition order, gets the composition runs of a
+    # fresh push that weakly decrease, over every nu: a floor or ceiling
+    # that leaks into the fillings or steps the sweep's pushes share changes
+    # a later lam's runs
     cases = 0
     for k in range(1, 8):
         shapes = enumerate_partitions(k)
-        counters = {conv: layer_runs(conv) for conv in CONVENTIONS}
-        for nu in shapes:
-            for conv in CONVENTIONS:
-                runs = counters[conv]
-                for i, lam in enumerate(shapes):
-                    if i % 2:
-                        full, part = runs(lam), runs(lam, partitions=True)
-                    else:
-                        part, full = runs(lam, partitions=True), runs(lam)
+        for conv in CONVENTIONS:
+            swept = list(partition_runs(k, conv))
+            assert [lam for lam, _ in swept] == shapes
+            for lam, part in swept:
+                full = composition_runs(lam, conv)
+                for nu in shapes:
                     kept = {run: c for run, c in full.get(nu, {}).items() if list(run) == sorted(run, reverse=True)}
                     assert part.get(nu, {}) == kept, (lam, nu, conv)
                     cases += 1
@@ -80,35 +85,33 @@ def test_partition_runs_are_the_nonincreasing_composition_runs():
 def test_the_process_wide_memo_answers_as_a_fresh_counter():
     # count_d walks layers of mu's sizes with a memo for the whole process;
     # every triple of k <= 8, both conventions interleaved, forward
-    # and then reversed, must match a fresh counter and the
+    # and then reversed, must match the sweep's fresh partition runs and the
     # permutation-character oracle
     cases = 0
     for order in (1, -1):
         for k in range(1, 9)[::order]:
             parts = enumerate_partitions(k)[::order]
-            fresh = {conv: layer_runs(conv) for conv in CONVENTIONS}
+            fresh = {conv: dict(partition_runs(k, conv)) for conv in CONVENTIONS}
             for lam in parts:
                 for nu in parts:
                     oracle = monomial_coefficient_row(lam, nu)
                     for mu in parts:
                         for conv in CONVENTIONS:
-                            expected = fresh[conv](lam, partitions=True).get(nu, {}).get(mu, 0)
+                            expected = fresh[conv][lam].get(nu, {}).get(mu, 0)
                             assert count_d(lam, mu, nu, conv) == expected == oracle[mu], (lam, mu, nu, conv)
                             cases += 1
     assert cases == 2 * 2 * sum(len(enumerate_partitions(k)) ** 3 for k in range(1, 9))
 
 
-def test_count_d_reads_no_layer_runs_counter(monkeypatch):
-    # count_d is its own walk: with every counter refused it still answers
+def test_count_d_makes_no_push(monkeypatch):
+    # count_d is its own walk: with every push refused it still answers
     # every triple of k <= 5 under both conventions
     import bitableaux.kernels as kernels
 
     def refused(*args, **kwargs):
-        raise AssertionError("count_d read a layer_runs counter")
+        raise AssertionError("count_d pushed")
 
-    monkeypatch.setattr(kernels, "_SHARED", {})  # cold: a shared counter read would be built afresh
-    monkeypatch.setattr(kernels, "layer_runs", refused)
-    monkeypatch.setattr(kernels, "shared_runs", refused)
+    monkeypatch.setattr(kernels, "_push", refused)
     cases = 0
     for k in range(6):
         parts = enumerate_partitions(k)
@@ -122,45 +125,50 @@ def test_count_d_reads_no_layer_runs_counter(monkeypatch):
     assert cases == 2 * sum(len(enumerate_partitions(k)) ** 3 for k in range(6))
 
 
-@pytest.mark.parametrize("partitions", [False, True])
-def test_one_wprime_push_over_every_shape_gives_each_shape_its_own_runs(partitions):
-    # the sweep's push over every partition of k (bound (k, k // 2, ..., 1))
-    # against one push per shape (bound lam, as count_d and count_d_table
-    # push), every lam of k <= 8, k = 0 and 1 included
+@pytest.mark.parametrize("conv", ["w", "w_prime"])
+def test_the_sweep_push_gives_each_shape_its_own_runs(conv):
+    # partition_runs (under w one push per lam sharing fillings and steps,
+    # under w' one push over every partition of k, bound (k, k // 2, ..., 1))
+    # against a fresh push of each lam alone, every lam of k <= 8, k = 0 and
+    # 1 included
     cases = 0
     for k in range(9):
-        bound = tuple(k // i for i in range(1, k + 1))
-        every, each = layer_runs("w_prime"), layer_runs("w_prime")
-        for lam in enumerate_partitions(k):
-            assert every(lam, partitions, bound) == each(lam, partitions), (lam, partitions)
+        for lam, runs in partition_runs(k, conv):
+            assert runs == _push(conv == "w", lam, k, True, {}, {})[lam], lam
             cases += 1
     assert cases == sum(len(enumerate_partitions(k)) for k in range(9))
 
 
-@pytest.mark.parametrize("partitions", [False, True])
-def test_a_wprime_call_made_while_grow_runs_keeps_each_shape_its_own_runs(monkeypatch, partitions):
-    # the w' counter keeps one shape's runs; a call for a second shape made from
-    # inside grow (as another thread may make it) must not file either shape's
-    # runs under the other
+@pytest.mark.parametrize("conv", ["w", "w_prime"])
+def test_a_count_d_table_call_made_while_one_pushes_keeps_each_shape_its_own_runs(monkeypatch, conv):
+    # count_d_table keeps one shape's runs per convention; a call for a second
+    # shape made from inside the first one's push (as another thread may
+    # make it) must not file either shape's runs under the other
     import bitableaux.kernels as kernels
 
     first, second = (3, 3, 1), (5, 1, 1)
-    expected = {shape: layer_runs("w_prime")(shape, partitions) for shape in (first, second)}
+    nus = enumerate_partitions(7)
+    expected = {shape: [_table(composition_runs(shape, conv), nu, 7) for nu in nus] for shape in (first, second)}
     assert expected[first] != expected[second]
-    runs = layer_runs("w_prime")
+
+    def tables(shape):
+        return [count_d_table(shape, nu, 7, conv) for nu in nus]
+
+    monkeypatch.setattr(kernels, "_LATEST", {})
+    monkeypatch.setattr(kernels, "_LAYERS", ({}, {}))  # cold: the push reaches partitions_between
     between = kernels.partitions_between
     pending, nested = [second], []
 
     def between_once_calling_second(*args):
         if pending:
-            nested.append(runs(pending.pop(), partitions))
+            nested.append(tables(pending.pop()))
         return between(*args)
 
     monkeypatch.setattr(kernels, "partitions_between", between_once_calling_second)
-    assert runs(first, partitions) == expected[first]
+    assert tables(first) == expected[first]
     assert nested == [expected[second]]
-    assert runs(second, partitions) == expected[second]
-    assert runs(first, partitions) == expected[first]
+    assert tables(second) == expected[second]
+    assert tables(first) == expected[first]
 
 
 @pytest.mark.parametrize("conv", ["w", "w_prime"])
@@ -199,6 +207,44 @@ def test_count_d_is_right_under_threads(monkeypatch, conv):
     assert sorted(done) == offsets and wrong == []
 
 
+@pytest.mark.parametrize("conv", ["w", "w_prime"])
+def test_count_d_table_is_right_under_threads(monkeypatch, conv):
+    # four threads ask for the tables of k = 6 from a cold process memo, each
+    # from another lam first, so the latest shape's runs are swapped between
+    # threads, with a thread switch about every microsecond; every table
+    # must match the naive reference
+    import threading
+
+    import bitableaux.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_LATEST", {})
+    monkeypatch.setattr(kernels, "_LAYERS", ({}, {}))
+    parts = enumerate_partitions(6)
+    tally = {lam: _tally_python_dict(lam, 3, 3, conv) for lam in parts}
+    bcontents = [b for b in itertools.product(range(7), repeat=3) if sum(b) == 6]
+    wrong, done = [], []
+
+    def ask(offset):
+        for lam in parts[offset:] + parts[:offset]:
+            for bcontent in bcontents:
+                if count_d_table(lam, bcontent, 3, conv) != tally[lam].get(bcontent, {}):
+                    wrong.append((lam, bcontent))
+        done.append(offset)  # a thread that raised or hung never gets here
+
+    offsets = [0, 3, 6, 9]
+    threads = [threading.Thread(target=ask, args=(offset,), daemon=True) for offset in offsets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == offsets and wrong == []
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -208,16 +254,14 @@ def test_count_d_is_right_under_threads(monkeypatch, conv):
         lambda: count_d_table((), (), -1),
         lambda: count_d_table((2, 1), (2.0, 1), 2),
         lambda: count_d_table((2, 1), (2, 1), -1, "w_prime"),
-        lambda: layer_runs("u"),
-        lambda: layer_runs()((2, 1.0)),
+        lambda: count_d_table((2, 1), (2, 1), 2, "u"),
+        lambda: list(partition_runs(3, "u")),
+        lambda: count_d_table((2, 1.0), (2, 1), 2),
         lambda: count_d((1,), (1,), (1,), ["w"]),
-        lambda: layer_runs("w")((2, 1), bound=(3,)),
-        lambda: layer_runs("w_prime")((2, 1), bound=(3,)),
-        lambda: layer_runs("w_prime")((2, 1), bound=(2, 1.0)),
     ],
     ids=["float-n", "float-n-w_prime", "bool-n", "negative-n-empty", "float-bcontent",
-         "negative-n", "unknown-conv-counter", "float-shape-counter", "list-conv-count_d",
-         "shape-outside-bound-w", "shape-outside-bound-w_prime", "float-bound"],
+         "negative-n", "unknown-conv-count_d_table", "unknown-conv-partition_runs",
+         "float-shape-count_d_table", "list-conv-count_d"],
 )
 def test_kernel_refuses_a_bad_n_or_bcontent(call):
     with pytest.raises(ValueError):
@@ -236,7 +280,7 @@ def test_negative_bcontent_counts_nothing(conv):
                     continue
                 slow = _tally_python_dict(shape, n, len(bcontent), conv).get(bcontent, {})
                 assert count_d_table(shape, bcontent, n, conv) == slow == {}, (shape, n, bcontent)
-                assert bcontent not in layer_runs(conv)(shape)
+                assert bcontent not in composition_runs(shape, conv)
                 cases += 1
     assert cases == 3 * (12 * 4 + 1)  # 12 shapes of size <= 4; (1, -1) fits only the empty one
 

@@ -5,6 +5,7 @@ conftest.cyclic_garbage, which names the function owning any object that
 only the cyclic collector could free.
 """
 
+import inspect
 import json
 import types
 
@@ -12,11 +13,11 @@ import pytest
 
 import bitableaux as bt
 from conftest import EIGHTEEN_BOX, FIVE_BOX, SEVEN_BOX_COLUMN, cyclic_garbage
-from bitableaux import cli
+from bitableaux import cli, kernels
 from bitableaux.bitableau import iter_bitableau_rows
 from bitableaux.crystal import monomial_expansion_rows
 from bitableaux.insertion import all_rectifications
-from bitableaux.kernels import highest_weight_rows, layer_runs, shared_runs
+from bitableaux.kernels import highest_weight_rows, partition_runs
 from bitableaux.partitions import partitions_between
 from bitableaux.tableaux import iter_ssyt_rows
 
@@ -36,7 +37,7 @@ CALLS = {
     "commutes_with_bottom": lambda: bt.commutes_with_bottom({}, GRAPH),
     "conjugate": lambda: bt.conjugate((3, 1)),
     "count_d": lambda: [bt.count_d((3, 2, 1), (3, 2, 1), (3, 2, 1), conv) for conv in ("w", "w_prime")],
-    "count_d_table": lambda: bt.count_d_table((3, 2, 1), (3, 2, 1), 3),
+    "count_d_table": lambda: [bt.count_d_table((3, 2, 1), (3, 2, 1), 3, conv) for conv in ("w", "w_prime")],
     "count_kronecker_tableaux": lambda: bt.count_kronecker_tableaux((3, 1), 1, (2, 2)),
     "crystal_op_bitableau": lambda: bt.crystal_op_bitableau(FIVE_BOX, 1, "lower"),
     "crystal_op_word": lambda: bt.crystal_op_word((1, 2, 1), 1, "lower"),
@@ -90,10 +91,9 @@ HELPERS = {
     "highest_weight_rows": lambda: [highest_weight_rows((3, 2), 2, 3, conv=conv) for conv in ("w", "w_prime")],
     "iter_bitableau_rows": lambda: list(iter_bitableau_rows((2, 2), 2, 2)),
     "iter_ssyt_rows": lambda: list(iter_ssyt_rows((3, 2, 1), 3)),
-    "layer_runs": lambda: [layer_runs(conv)((4, 2, 1), p) for conv in ("w", "w_prime") for p in (False, True)],
     "monomial_expansion_rows": lambda: list(monomial_expansion_rows(4)),
+    "partition_runs": lambda: [list(partition_runs(5, conv)) for conv in ("w", "w_prime")],
     "partitions_between": lambda: list(partitions_between((1, 0, 0), (4, 3, 1), 3, 6)),
-    "shared_runs": lambda: shared_runs("w")((4, 2, 1)),
 }
 
 
@@ -104,6 +104,16 @@ def test_every_public_function_is_called():
         if callable(getattr(bt, name)) and not isinstance(getattr(bt, name), (type, types.GenericAlias))
     }
     assert public == set(CALLS)
+
+
+def test_every_public_kernel_function_is_called():
+    # a new kernel entry point must not go unchecked
+    public = {
+        name
+        for name, function in inspect.getmembers(kernels, inspect.isfunction)
+        if function.__module__ == kernels.__name__ and not name.startswith("_")
+    }
+    assert public and public <= set(CALLS) | set(HELPERS)
 
 
 @pytest.mark.parametrize("name", sorted(CALLS) + sorted(HELPERS))
