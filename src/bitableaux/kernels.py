@@ -178,8 +178,8 @@ def partition_runs(k: int, conv: str = "w") -> Iterator[tuple[Shape, Runs]]:
     ascending, the keys the Theorem-2 sweep reads.  Under w one push per lam
     peels it, and the pushes share their layer fillings and steps; under w'
     one push inside the bound (k, k // 2, ..., 1), which holds every lam of
-    k, grows them all.  Nothing depends on nu, and no lam's runs outlive
-    the step that yields them.
+    k, grows them all.  Nothing depends on nu; under w no lam's runs
+    outlive the step that yields them.
     """
     parts = enumerate_partitions(k)
     if conv not in CONVENTIONS:

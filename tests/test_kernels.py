@@ -36,15 +36,14 @@ def test_kernel_matches_reference_tally():
 
 
 def test_one_memo_serves_every_shape(monkeypatch):
-    # the grid above through count_d_table from a cold process memo, reused
-    # over every shape, b-content and n, with the shapes of each size
-    # descending and then ascending: a stale or shape-dependent memo entry
-    # changes a later shape's table.  Size 0 has one shape, so it shares
-    # nothing.
+    # the grid above through count_d_table, with one cold process memo per
+    # convention and order, reused over every shape, b-content and n, with
+    # the shapes of each size descending and then ascending: a stale or
+    # shape-dependent memo entry changes a later shape's table.  Size 0 has
+    # one shape, so it shares nothing.
     import bitableaux.kernels as kernels
 
-    monkeypatch.setattr(kernels, "_LATEST", {})
-    monkeypatch.setattr(kernels, "_LAYERS", ({}, {}))
+    memos = {(conv, order): ({}, ({}, {})) for conv in CONVENTIONS for order in (-1, 1)}
     cases = 0
     for k in range(1, 6):
         shapes = enumerate_partitions(k)
@@ -55,6 +54,9 @@ def test_one_memo_serves_every_shape(monkeypatch):
                     if sum(bcontent) != k:
                         continue
                     for order in (-1, 1):
+                        latest, layers = memos[conv, order]
+                        monkeypatch.setattr(kernels, "_LATEST", latest)
+                        monkeypatch.setattr(kernels, "_LAYERS", layers)
                         for shape in shapes[::order]:
                             table = count_d_table(shape, bcontent, n, conv)
                             assert table == tallies[shape].get(bcontent, {}), (shape, n, bcontent, conv)
