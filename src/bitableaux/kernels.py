@@ -14,25 +14,27 @@ the layers come.  w ends with the a = n layer, so its DP peels layers off
 lam inward; w' ends with the a = 1 layer, so its DP grows layers from ()
 out to lam.
 
-Two traversals place the layers in that order.  _push counts every run
-at once, by b-content and run: column strictness and the lattice test
-bound the letters and the content read at the end is b(T), so one push
-serves every nu.  Its two callers are count_d_table and partition_runs,
-the Theorem-2 sweep's.  w pushes from one lam in to (); w' from () out to
-every partition of one size inside a bound (lam for count_d_table, one
-holding every lam of k for partition_runs).  _Walk places layers of given
-sizes: count_d counts with mu's, and highest_weight_rows lists the rows of
-crystal.highest_weight_bitableaux, the only listing by content.  Layer
-shapes come from partitions_between.
+Two traversals place the layers in that order, each sharing work across
+shapes in its convention's direction.  _Walk places layers of given sizes
+one top value at a time and keeps its walks by (shape left, sizes left,
+content read).  Under w a walk peels from lam, and the rest of a walk from
+a shape holds no lam, so one walker serves every lam: count_d's and
+count_d_table's (_WALK), and the w sweep's in partition_runs.  A w' walk
+grows toward lam, so its walker holds lam.  highest_weight_rows lists with
+a walker the rows of crystal.highest_weight_bitableaux, the only listing by
+content.  _push serves the w' sweep alone: what it has grown from () holds
+no lam, so one push inside a bound holding every lam of k counts all their
+runs at once, by b-content and run; column strictness and the lattice test
+bound the letters and the content read at the end is b(T), so it serves
+every nu.  Layer shapes come from partitions_between.
 
-Empty layers add nothing to the word, so the push counts by run: the sizes
-of the nonempty layers, a ascending.  count_d_table places each run in one
-loop, its j layers on each j of the n top values in increasing order, and
-keeps every composition run, so that its symmetry in the a-content is
-checked, not assumed.  partition_runs asks for partition runs alone (d
-is symmetric in mu), so its push builds no layer smaller than the next.
-_tally_python_dict is the naive reference: it filters one plain enumeration by
-the Yamanouchi test on the reading word the crystal itself uses, not the
+Empty layers add nothing to the word, so a run is the sizes of the nonempty
+layers, a ascending.  count_d_table walks every composition run, so that its
+symmetry in the a-content is checked, not assumed.  The sweep reads
+partition runs alone (d is symmetric in mu): under w it walks the sizes of
+each mu of k, under w' its push grows no layer larger than the one before.
+_tally_python_dict is the naive reference: it filters one plain enumeration
+by the Yamanouchi test on the reading word the crystal itself uses, not the
 kernel's own backtracker, and tallies every b-content's a-contents from it.
 """
 
@@ -105,39 +107,24 @@ def _fill(
             cnt[x] -= 1
 
 
-def _push(inward: bool, start: Shape, total: int, partitions: bool, fillings: dict, steps: dict) -> dict:
-    """The runs of every shape one push reaches, by shape.
+def _push(bound: Shape, total: int) -> dict[Shape, Runs]:
+    """The partition runs of every partition of total inside bound, by shape (w').
 
-    inward (w) peels layers off start down to (); else (w') it grows them
-    from () out to every partition of total inside start.  A state (shape,
-    limit) holds, for each content read, the count of each run of the layers
-    placed, and passes them on to the states one layer further, taken by
-    their number of cells: each is complete when passed on, then dropped.
-    limit 0 counts every run; a limit >= 1 only the runs whose layers
-    weakly decrease, a ascending: under w a floor (the layers inside hold
-    at least as many cells), under w' a ceiling (those outside at most as
-    many).  Under w, layer fillings and each state's layers (steps) go to
-    the caller's fillings and steps, which hold no start, so that later
-    pushes share them; under w' they are kept for one level, which no later
-    reads, and the two dicts are ignored.
+    The push grows layers from () out, each no larger than the one before.
+    A state (shape, ceiling) holds, for each content read, the count of
+    each run of the layers placed, and passes them on to the states one
+    layer further, taken by their number of cells: each is complete when
+    passed on, then dropped.  ceiling is the last layer's size, total for
+    the empty shape.  Layer fillings are kept for one level, which no later
+    level reads.
     """
-    levels: list = [{} for _ in range(total + 1)]  # (shape, limit) -> start -> run -> count
-    first = (start, int(partitions)) if inward else ((0,) * len(start), total if partitions else 0)
-    levels[total if inward else 0][first] = {(): {(): 1}}
-    for filled in range(total, 0, -1) if inward else range(total):
-        level, known = (fillings, steps) if inward else ({}, {})
-        for (shape, limit), starts in levels[filled].items():
-            moves = known.get((shape, limit))
-            if moves is None:
-                if not inward:
-                    moves = _grown(shape, start, 1, min(total - filled, limit or total))
-                elif limit:  # the whole shape, or a layer no larger than what it leaves
-                    moves = [(shape, (0,) * len(shape), (), filled)] + _peeled(shape, limit, filled // 2)
-                else:
-                    moves = _peeled(shape, 1, filled)
-                known[shape, limit] = moves
-            for outer, inner, nxt, size in moves:
-                state = levels[filled - size if inward else filled + size].setdefault((nxt, limit and size), {})
+    levels: list = [{} for _ in range(total + 1)]  # (shape, ceiling) -> start -> run -> count
+    levels[0][(0,) * len(bound), total] = {(): {(): 1}}
+    for filled in range(total):
+        level: dict = {}
+        for (shape, ceiling), starts in levels[filled].items():
+            for outer, inner, nxt, size in _grown(shape, bound, 1, min(total - filled, ceiling)):
+                state = levels[filled + size].setdefault((nxt, size), {})
                 for begin, before in starts.items():
                     ends = level.get((outer, inner, begin))
                     if ends is None:
@@ -149,11 +136,10 @@ def _push(inward: bool, start: Shape, total: int, partitions: bool, fillings: di
                             after[sizes] = after.get(sizes, 0) + ways * count
         levels[filled] = None  # every state of this size has passed its counts on
     out: dict[Shape, Runs] = {}
-    for (shape, _), ends in levels[0 if inward else total].items():
-        runs = out.setdefault(start if inward else trim(shape), {})
+    for (shape, _), ends in levels[total].items():
+        runs = out.setdefault(trim(shape), {})
         for end, after in ends.items():
-            after = {sizes[::-1]: count for sizes, count in after.items()} if inward else after  # w placed a = n..1
-            runs.setdefault(end, {}).update(after)  # states of one shape differ in limit, the last size
+            runs.setdefault(end, {}).update(after)  # states of one shape differ in ceiling, the last size
     return out
 
 
@@ -175,28 +161,32 @@ def partition_runs(k: int, conv: str = "w") -> Iterator[tuple[Shape, Runs]]:
     """Each lam of k, in enumerate_partitions order, with its partition runs.
 
     The partition runs are the runs whose layers weakly decrease, a
-    ascending, the keys the Theorem-2 sweep reads.  Under w one push per lam
-    peels it, and the pushes share their layer fillings and steps; under w'
-    one push inside the bound (k, k // 2, ..., 1), which holds every lam of
-    k, grows them all.  Nothing depends on nu; under w no lam's runs
-    outlive the step that yields them.
+    ascending, the keys the Theorem-2 sweep reads; nothing depends on nu.
+    Under w one walker, kept for the generator's life, walks each lam with
+    the sizes of each mu of k (d(lam, mu, .) for every nu at once) and
+    reuses the rest of each walk, which holds no lam, across lam; no lam's
+    runs outlive the step that yields them.  Under w' one push inside the
+    bound (k, k // 2, ..., 1), which holds every lam of k, grows them all.
     """
     parts = enumerate_partitions(k)
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
     if conv == "w":
-        layers: tuple[dict, dict] = ({}, {})  # fillings and steps, which hold no lam: every lam's push shares them
+        walker = _Walk(conv, None, None, None, False)
         for lam in parts:
-            yield lam, _push(True, lam, k, True, *layers)[lam]
+            runs: Runs = {}
+            for mu in parts:
+                for nu, count in walker.walk(lam, mu, ()).items():
+                    runs.setdefault(nu, {})[mu] = count
+            yield lam, runs
     else:
         bound = tuple(k // i for i in range(1, k + 1))  # i * lam_i <= k: every lam of k lies inside
-        grown = _push(False, bound, k, True, {}, {})
+        grown = _push(bound, k)
         for lam in parts:
             yield lam, grown[lam]
 
 
-_LATEST: dict[str, tuple[Shape, Runs]] = {}  # conv -> count_d_table's latest shape and its composition runs
-_LAYERS: tuple[dict, dict] = ({}, {})  # count_d_table's w layer fillings and steps, kept for the process
+_LATEST: dict[str, _Walk] = {}  # conv -> count_d_table's w' walker of the latest shape asked
 
 
 def count_d_table(
@@ -205,33 +195,34 @@ def count_d_table(
     """Yamanouchi counts of one shape and b-content for every a-content at once.
 
     Keys are a-content vectors of length n; only nonzero counts appear.  The
-    table reads the shape's composition runs that end at bcontent, its
-    trailing zeros trimmed, and keeps those of at most n layers.  A
-    b-content that is not a partition has no Yamanouchi word.  The runs of
-    the latest shape asked for are kept per convention (_LATEST), so a
-    caller that asks for one shape's tables in a row pushes it once; under
-    w every push shares the process's layer fillings and steps (_LAYERS).
+    table walks every composition run of at most n layers and reads its
+    count at bcontent, its trailing zeros trimmed; a run of j layers gives
+    its sizes, in order, to each j of the n top values, the others unused.
+    A b-content that is not a partition has no Yamanouchi word.  Under w the
+    walks go on count_d's process walker (_WALK); under w' on the latest
+    shape's walker (_LATEST), so a caller that asks for one shape's tables
+    in a row walks it once.
     """
     shape = check_partition(shape)
-    nu = check_content(bcontent, 0, "b-content")
+    nu = trim(check_content(bcontent, 0, "b-content"))
     check_int(n, "n")
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
-    held = _LATEST.get(conv)  # one read: a thread that swaps the entry cannot mix shapes
-    if held is None or held[0] != shape:
-        held = _LATEST[conv] = shape, _push(conv == "w", shape, sum(shape), False, *_LAYERS)[shape]
-    return _table(held[1], trim(nu), n)
-
-
-def _table(runs: Runs, nu: Content, n: int) -> dict[tuple[int, ...], int]:
-    """The a-content table over n top values of one shape's runs that end at b-content nu.
-
-    A run of j layers gives its sizes, in order, to each j of the n top values;
-    the other top values are unused.
-    """
+    if conv == "w":
+        walker, start = _WALK, shape
+    else:
+        walker, start = _LATEST.get(conv), (0,) * len(shape)  # one read: a thread that swaps it cannot mix shapes
+        if walker is None or walker.lam != shape:
+            walker = _LATEST[conv] = _Walk(conv, shape, None, None, False)
+    total = sum(shape)
+    runs = [()] if not total else [  # every composition of total into at most n parts, by its cuts
+        tuple(b - a for a, b in zip((0,) + cut, cut + (total,)))
+        for j in range(min(n, total)) for cut in combinations(range(1, total), j)
+    ]
     table: dict[tuple[int, ...], int] = {}
-    for sizes, count in runs.get(nu, {}).items():
-        for slots in combinations(range(n), len(sizes)):
+    for sizes in runs:
+        count = walker.walk(start, sizes, ()).get(nu)
+        for slots in combinations(range(n), len(sizes)) if count else ():
             acontent = [0] * n
             for a, size in zip(slots, sizes):
                 acontent[a] = size

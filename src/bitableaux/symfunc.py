@@ -280,7 +280,8 @@ def _product_terms(
 def expand_in_schur_schur(p: SymPoly, k: int) -> dict[tuple[Partition, Partition], int]:
     """Coefficients of p in the s_mu(x) s_nu(y) basis by leading-term elimination.
 
-    Variable names starting with "x" form the first alphabet.  The pivot is
+    Variable names starting with "x" form the first alphabet and must come
+    before every other variable.  The pivot is
     the largest exponent vector in reverse-lexicographic order, which refines
     dominance, so subtracting its Schur product only introduces smaller
     terms.  A nonzero residual that has no partition-shaped leading term
@@ -288,6 +289,8 @@ def expand_in_schur_schur(p: SymPoly, k: int) -> dict[tuple[Partition, Partition
     """
     check_int(k, "degree")
     n = sum(1 for v in p.variables if v.startswith("x"))
+    if any(v.startswith("x") for v in p.variables[n:]):
+        raise ValueError(f"x-variables must come before the others, got {p.variables}")
     m = len(p.variables) - n
     xvars = p.variables[:n]
     yvars = p.variables[n:]

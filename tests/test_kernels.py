@@ -7,15 +7,33 @@ import pytest
 
 from conftest import nm_pairs, small_shapes
 from bitableaux.crystal import count_d
-from bitableaux.kernels import _push, _table, _tally_python_dict, count_d_table, partition_runs
-from bitableaux.partitions import enumerate_partitions
+import bitableaux.kernels as kernels
+from bitableaux.kernels import _push, _tally_python_dict, _Walk, count_d_table, partition_runs
+from bitableaux.partitions import enumerate_partitions, trim
 from bitableaux.symfunc import monomial_coefficient_row
 from bitableaux.words import CONVENTIONS
 
 
+def cold_tables(shape, nus, n, conv):
+    # count_d_table's tables of shape at each nu, from cold walkers that no
+    # other call shares; the process walkers are put back afterwards
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_WALK", _Walk("w", None, None, None, False))
+        patch.setattr(kernels, "_LATEST", {})
+        return [count_d_table(shape, nu, n, conv) for nu in nus]
+
+
 def composition_runs(shape, conv):
-    # one fresh push of every run of shape, sharing nothing
-    return _push(conv == "w", shape, sum(shape), False, {}, {})[shape]
+    # every composition run of shape by b-content, read off cold tables over
+    # one top value per cell: a run is an a-content with no zero before its
+    # last nonzero entry
+    nus = enumerate_partitions(sum(shape))
+    runs = {}
+    for nu, table in zip(nus, cold_tables(shape, nus, sum(shape), conv)):
+        kept = {trim(a): count for a, count in table.items() if 0 not in trim(a)}
+        if kept:
+            runs[nu] = kept
+    return runs
 
 
 def test_kernel_matches_reference_tally():
@@ -41,9 +59,7 @@ def test_one_memo_serves_every_shape(monkeypatch):
     # the shapes of each size descending and then ascending: a stale or
     # shape-dependent memo entry changes a later shape's table.  Size 0 has
     # one shape, so it shares nothing.
-    import bitableaux.kernels as kernels
-
-    memos = {(conv, order): ({}, ({}, {})) for conv in CONVENTIONS for order in (-1, 1)}
+    memos = {(conv, order): (_Walk("w", None, None, None, False), {}) for conv in CONVENTIONS for order in (-1, 1)}
     cases = 0
     for k in range(1, 6):
         shapes = enumerate_partitions(k)
@@ -54,9 +70,9 @@ def test_one_memo_serves_every_shape(monkeypatch):
                     if sum(bcontent) != k:
                         continue
                     for order in (-1, 1):
-                        latest, layers = memos[conv, order]
+                        walker, latest = memos[conv, order]
+                        monkeypatch.setattr(kernels, "_WALK", walker)
                         monkeypatch.setattr(kernels, "_LATEST", latest)
-                        monkeypatch.setattr(kernels, "_LAYERS", layers)
                         for shape in shapes[::order]:
                             table = count_d_table(shape, bcontent, n, conv)
                             assert table == tallies[shape].get(bcontent, {}), (shape, n, bcontent, conv)
@@ -65,10 +81,10 @@ def test_one_memo_serves_every_shape(monkeypatch):
 
 
 def test_partition_runs_are_the_nonincreasing_composition_runs():
-    # every lam of k, in partition order, gets the composition runs of a
-    # fresh push that weakly decrease, over every nu: a floor or ceiling
-    # that leaks into the fillings or steps the sweep's pushes share changes
-    # a later lam's runs
+    # every lam of k, in partition order, gets the composition runs of its
+    # cold tables that weakly decrease, over every nu: a walk or a ceiling
+    # that leaks between the lam the sweep shares its work across changes a
+    # later lam's runs
     cases = 0
     for k in range(1, 8):
         shapes = enumerate_partitions(k)
@@ -106,58 +122,70 @@ def test_the_process_wide_memo_answers_as_a_fresh_counter():
 
 
 def test_count_d_makes_no_push(monkeypatch):
-    # count_d is its own walk: with every push refused it still answers
-    # every triple of k <= 5 under both conventions
-    import bitableaux.kernels as kernels
-
+    # the push serves the w' sweep alone: with every push refused, count_d
+    # and count_d_table under both conventions and the w sweep still answer
+    # every triple of k <= 5
     def refused(*args, **kwargs):
-        raise AssertionError("count_d pushed")
+        raise AssertionError("pushed")
 
     monkeypatch.setattr(kernels, "_push", refused)
     cases = 0
     for k in range(6):
         parts = enumerate_partitions(k)
+        swept = dict(partition_runs(k, "w"))
         for lam in parts:
             for nu in parts:
                 oracle = monomial_coefficient_row(lam, nu)
+                tables = {conv: count_d_table(lam, nu, k, conv) for conv in CONVENTIONS}
                 for mu in parts:
+                    acontent = mu + (0,) * (k - len(mu))
+                    assert swept[lam].get(nu, {}).get(mu, 0) == oracle[mu], (lam, mu, nu)
                     for conv in CONVENTIONS:
                         assert count_d(lam, mu, nu, conv) == oracle[mu], (lam, mu, nu, conv)
+                        assert tables[conv].get(acontent, 0) == oracle[mu], (lam, mu, nu, conv)
                         cases += 1
     assert cases == 2 * sum(len(enumerate_partitions(k)) ** 3 for k in range(6))
 
 
 @pytest.mark.parametrize("conv", ["w", "w_prime"])
 def test_the_sweep_push_gives_each_shape_its_own_runs(conv):
-    # partition_runs (under w one push per lam sharing fillings and steps,
-    # under w' one push over every partition of k, bound (k, k // 2, ..., 1))
-    # against a fresh push of each lam alone, every lam of k <= 8, k = 0 and
-    # 1 included
+    # partition_runs (under w one walker over every lam, under w' one push
+    # over every partition of k, bound (k, k // 2, ..., 1)) against each lam
+    # alone (under w a fresh walker, under w' a push bound by lam), every
+    # lam of k <= 8, k = 0 and 1 included
     cases = 0
     for k in range(9):
+        parts = enumerate_partitions(k)
         for lam, runs in partition_runs(k, conv):
-            assert runs == _push(conv == "w", lam, k, True, {}, {})[lam], lam
+            if conv == "w":
+                alone = {}
+                walker = _Walk("w", None, None, None, False)
+                for mu in parts:
+                    for nu, count in walker.walk(lam, mu, ()).items():
+                        alone.setdefault(nu, {})[mu] = count
+            else:
+                alone = _push(lam, k)[lam]
+            assert runs == alone, lam
             cases += 1
     assert cases == sum(len(enumerate_partitions(k)) for k in range(9))
 
 
 @pytest.mark.parametrize("conv", ["w", "w_prime"])
 def test_a_count_d_table_call_made_while_one_pushes_keeps_each_shape_its_own_runs(monkeypatch, conv):
-    # count_d_table keeps one shape's runs per convention; a call for a second
-    # shape made from inside the first one's push (as another thread may
-    # make it) must not file either shape's runs under the other
-    import bitableaux.kernels as kernels
-
+    # count_d_table walks on one process walker (w) or the latest shape's
+    # (w'); a call for a second shape made from inside the first one's walk
+    # (as another thread may make it) must not file either shape's counts
+    # under the other
     first, second = (3, 3, 1), (5, 1, 1)
     nus = enumerate_partitions(7)
-    expected = {shape: [_table(composition_runs(shape, conv), nu, 7) for nu in nus] for shape in (first, second)}
+    expected = {shape: cold_tables(shape, nus, 7, conv) for shape in (first, second)}
     assert expected[first] != expected[second]
 
     def tables(shape):
         return [count_d_table(shape, nu, 7, conv) for nu in nus]
 
-    monkeypatch.setattr(kernels, "_LATEST", {})
-    monkeypatch.setattr(kernels, "_LAYERS", ({}, {}))  # cold: the push reaches partitions_between
+    monkeypatch.setattr(kernels, "_WALK", _Walk("w", None, None, None, False))  # cold: the walk reaches
+    monkeypatch.setattr(kernels, "_LATEST", {})  # partitions_between
     between = kernels.partitions_between
     pending, nested = [second], []
 
@@ -180,9 +208,7 @@ def test_count_d_is_right_under_threads(monkeypatch, conv):
     # microsecond; every answer must match the oracle
     import threading
 
-    import bitableaux.kernels as kernels
-
-    monkeypatch.setattr(kernels, "_WALK", kernels._Walk("w", None, None, None, False))
+    monkeypatch.setattr(kernels, "_WALK", _Walk("w", None, None, None, False))
     parts = enumerate_partitions(7)
     oracle = {(lam, nu): monomial_coefficient_row(lam, nu) for lam in parts for nu in parts}
     wrong, done = [], []
@@ -211,16 +237,14 @@ def test_count_d_is_right_under_threads(monkeypatch, conv):
 
 @pytest.mark.parametrize("conv", ["w", "w_prime"])
 def test_count_d_table_is_right_under_threads(monkeypatch, conv):
-    # four threads ask for the tables of k = 6 from a cold process memo, each
-    # from another lam first, so the latest shape's runs are swapped between
-    # threads, with a thread switch about every microsecond; every table
-    # must match the naive reference
+    # four threads ask for the tables of k = 6 from a cold process walker,
+    # each from another lam first, so the latest shape's w' walker is
+    # swapped between threads, with a thread switch about every microsecond;
+    # every table must match the naive reference
     import threading
 
-    import bitableaux.kernels as kernels
-
+    monkeypatch.setattr(kernels, "_WALK", _Walk("w", None, None, None, False))
     monkeypatch.setattr(kernels, "_LATEST", {})
-    monkeypatch.setattr(kernels, "_LAYERS", ({}, {}))
     parts = enumerate_partitions(6)
     tally = {lam: _tally_python_dict(lam, 3, 3, conv) for lam in parts}
     bcontents = [b for b in itertools.product(range(7), repeat=3) if sum(b) == 6]
@@ -282,7 +306,6 @@ def test_negative_bcontent_counts_nothing(conv):
                     continue
                 slow = _tally_python_dict(shape, n, len(bcontent), conv).get(bcontent, {})
                 assert count_d_table(shape, bcontent, n, conv) == slow == {}, (shape, n, bcontent)
-                assert bcontent not in composition_runs(shape, conv)
                 cases += 1
     assert cases == 3 * (12 * 4 + 1)  # 12 shapes of size <= 4; (1, -1) fits only the empty one
 

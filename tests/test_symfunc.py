@@ -229,6 +229,11 @@ def test_expand_rejects_junk():
     bad = make_sympoly(("x1", "x2", "y1", "y2"), {(0, 1, 1, 0): 1})
     with pytest.raises(ArithmeticError):
         expand_in_schur_schur(bad, 1)
+    # s1(x) s1(y) with the y-variables first: the x/y split reads the
+    # variables in order, so that order is refused by name, not misread
+    late_x = make_sympoly(("y1", "y2", "x1"), {(1, 0, 1): 1, (0, 1, 1): 1})
+    with pytest.raises(ValueError, match=r"\('y1', 'y2', 'x1'\)"):
+        expand_in_schur_schur(late_x, 1)
 
 
 def test_coproduct_identity_small():
