@@ -113,7 +113,10 @@ def iter_bitableau_rows(shape: Sequence[int], n: int, m: int) -> Iterator[PairRo
     """
     check_int(n, "n", 1)
     check_int(m, "m", 1)
-    return iter_ssyt_rows(shape, [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)])
+    shape = tuple(shape)
+    # the empty shape's one filling uses no letter, so its alphabet is left empty
+    letters = [(a, b) for a in range(1, n + 1) for b in range(1, m + 1)] if shape else []
+    return iter_ssyt_rows(shape, letters)
 
 
 def enumerate_bitableaux(shape: Sequence[int], n: int, m: int) -> list[Bitableau]:

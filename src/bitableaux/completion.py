@@ -420,7 +420,8 @@ def shape21_candidate_crystal(corner_first: str = "south") -> CrystalGraph:
     edges: dict[tuple[int, int], int] = {}
     for vid, t in enumerate(keep):
         a, b = weights(t)
-        graph_vertices.append(CrystalVertex(vid, t.to_json(), a, b))
+        payload = {"shape": t.shape, "rows": t.rows, "n": t.n, "m": t.m}  # as full_crystal's
+        graph_vertices.append(CrystalVertex(vid, payload, a, b))
         for i in (1, 2):
             image_word = crystal_op_word(words[vid], i, "lower")
             if image_word is None:

@@ -4,8 +4,9 @@ Operators act directly on the reading word with a back-map from letter
 position to source box; the skew decomposition is kept as a cross-check of
 that streamlined route.  full_crystal works on the filler's [nm] integer
 codes, with no Bitableau per vertex: each vertex is keyed by its flat tuple
-of codes, each image of an f_i is one lookup of that tuple with one code
-raised by 1, and every vertex's rows are still checked semistandard.
+of codes, its payload's rows are built from one pair tuple per code, each
+image of an f_i is one lookup of that tuple with one code raised by 1, and
+every vertex's rows are still checked semistandard.
 """
 
 from __future__ import annotations
@@ -178,10 +179,14 @@ def full_crystal(
     encoding (bitableau.int_to_pair) reads as bitableaux; vertex ids follow
     the filler's row-major lexicographic order, so exports are byte-stable.
     Each vertex is keyed by its flat row-major tuple of codes and its rows
-    are checked semistandard.  f_i raises one bottom entry b < m to b + 1,
-    which is code + 1 at one position, so each image is one lookup.  An
-    image outside B_lam(n,m), or a bottom entry m that would wrap into the
-    next top value, broke semistandardness.
+    are checked semistandard.  Its payload is {"shape": lam, "rows": rows,
+    "n": n, "m": m}, rows equal to its Bitableau's rows: a tuple of row
+    tuples of pair tuples, one pair tuple per code and one row tuple per
+    distinct row of codes, each shared by every vertex that holds it.  f_i
+    raises one bottom entry b < m to b + 1, which is code + 1 at one
+    position, so each image is one lookup.  An image outside B_lam(n,m), or
+    a bottom entry m that would wrap into the next top value, broke
+    semistandardness.
     """
     lam = check_partition(lam)
     check_int(n, "n", 1)
@@ -189,8 +194,10 @@ def full_crystal(
     if conv not in CONVENTIONS:
         raise ValueError(f"unknown convention {conv!r}")
     check_cap(count_ssyt(lam, n * m), cap, "vertices")  # |B_lam(n,m)| through the [nm] encoding
-    # top[x], bottom[x]: the pair of code x under bitableau's [nm] encoding
-    pairs = [(0, 0)] + [int_to_pair(x, m) for x in range(1, n * m + 1)]
+    # pairs[x] = (top[x], bottom[x]): the pair of code x under bitableau's
+    # [nm] encoding, one tuple per code shared by every vertex; the empty
+    # shape uses no code
+    pairs = [(0, 0)] + [int_to_pair(x, m) for x in range(1, (n * m if lam else 0) + 1)]
     top, bottom = [a for a, _ in pairs], [b for _, b in pairs]
     cells = [(r, c) for r, length in enumerate(lam) for c in range(length)]
     # flat positions in row reading order (bottom row first, left to right),
@@ -198,6 +205,7 @@ def full_crystal(
     reading = sorted(range(len(cells)), key=lambda p: -cells[p][0])
     descending = conv == "w_prime"
     index: dict[tuple[int, ...], int] = {}
+    pair_rows: dict[tuple[int, ...], tuple] = {}  # each distinct row of codes, as pairs
     vertices = []
     for vid, rows in enumerate(iter_ssyt_rows(lam, n * m)):
         check_semistandard(rows)
@@ -207,12 +215,15 @@ def full_crystal(
         for x in codes:
             weight_a[top[x]] += 1
             weight_b[bottom[x]] += 1
-        pair_rows = [[[top[x], bottom[x]] for x in row] for row in rows]
-        payload = {"shape": list(lam), "rows": pair_rows, "n": n, "m": m}
+        for row in rows:
+            if row not in pair_rows:
+                pair_rows[row] = tuple(map(pairs.__getitem__, row))
+        payload = {"shape": lam, "rows": tuple(map(pair_rows.__getitem__, rows)), "n": n, "m": m}
         vertices.append(CrystalVertex(vid, payload, tuple(weight_a[1:]), tuple(weight_b[1:])))
     edges: dict[tuple[int, int], int] = {}
     for codes, vid in index.items():
-        order = sorted(reading, key=lambda p: top[codes[p]], reverse=descending)
+        tops = [top[x] for x in codes]
+        order = sorted(reading, key=tops.__getitem__, reverse=descending)
         word = [bottom[codes[p]] for p in order]
         for i in range(1, m):
             pos = crystal_op_position(word, i, "lower")

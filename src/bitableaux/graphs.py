@@ -12,6 +12,14 @@ Weight = tuple[int, ...]
 
 @dataclass(frozen=True)
 class CrystalVertex:
+    """A vertex: its id, a JSON-ready payload and its weights.
+
+    A bitableau vertex (full_crystal, the shape-(2,1) candidate) carries a
+    dict {"shape", "rows", "n", "m"} whose shape and rows are tuples, so they
+    cannot change in place; full_crystal shares its row tuples and their pair
+    tuples between vertices.  A word-crystal vertex carries its word as a list.
+    """
+
     id: int
     payload: object = field(hash=False)
     weight_a: Weight | None
@@ -104,11 +112,7 @@ class CrystalGraph:
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _vertex_label(v: CrystalVertex) -> str:
-    if isinstance(v.payload, dict) and "rows" in v.payload:
-        text = _compact_json(v.payload["rows"])
-    else:
-        text = _compact_json(v.payload)
+def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
@@ -118,15 +122,35 @@ def export_crystal(
     """Serialize a crystal graph; byte-stable across runs.
 
     DOT only: the graph is called name and the vertex ids in dashed are dashed.
+    A label is the compact JSON of the payload's rows (of the payload when it
+    has none).  When that is a tuple, each of its row objects is formatted
+    once per call and its text reused for every vertex that holds it, as
+    full_crystal's vertices share their rows.
     """
     if format == "json":
         return json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True)
     if format != "dot":
         raise ValueError(f"unknown format {format!r}")
     dashed = set(dashed)
+    # id(row) -> (row, its label text); holding the row keeps its id unique
+    # for the call
+    texts: dict[int, tuple[object, str]] = {}
     lines = [f"digraph {name} {{"]
     for v in g.vertices:
-        attrs = [f'label="{_vertex_label(v)}"']
+        shown = v.payload
+        if isinstance(shown, dict) and "rows" in shown:
+            shown = shown["rows"]
+        if type(shown) is tuple:
+            parts = []
+            for row in shown:
+                known = texts.get(id(row))
+                if known is None:
+                    known = texts[id(row)] = (row, _escape(_compact_json(row)))
+                parts.append(known[1])
+            label = "[" + ",".join(parts) + "]"
+        else:
+            label = _escape(_compact_json(shown))
+        attrs = [f'label="{label}"']
         if v.weight_a is not None:
             attrs.append(f'weight_a="{",".join(map(str, v.weight_a))}"')
         attrs.append(f'weight_b="{",".join(map(str, v.weight_b))}"')

@@ -128,14 +128,14 @@ def iter_ssyt_rows(shape: Sequence[int], letters: int | Sequence) -> Iterator[tu
     filler, with no content constraint; bitableaux are its fillings over the
     pair alphabet.
     """
+    shape = tuple(shape)
+    if not shape:  # no cell reads the alphabet, so it is never built
+        yield ()
+        return
     if isinstance(letters, int):
         letters = range(1, letters + 1)
     letters = tuple(letters)
-    shape = tuple(shape)
     size = len(letters)
-    if not shape:
-        yield ()
-        return
     if len(shape) > size:
         return
     cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]

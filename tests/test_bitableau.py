@@ -164,3 +164,16 @@ def test_malformed_rows_are_value_errors(rows):
 def test_from_json_needs_rows():
     with pytest.raises(ValueError):
         Bitableau.from_json({"n": 2, "m": 2})
+
+
+def test_the_empty_shape_builds_no_alphabet():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rows = list(iter_bitableau_rows((), 300, 300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert rows == [()]

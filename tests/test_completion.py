@@ -412,10 +412,10 @@ def test_candidate_crystal_reproduces_the_displayed_components():
     assert sorted(len(c) for c in g.components()) == [1, 8, 10]
     assert _edge_labels(g) == COMPONENT_TEN | COMPONENT_EIGHT
     singleton = [c for c in g.components() if len(c) == 1][0]
-    assert g.vertices[singleton[0]].payload["rows"] == [
-        [[1, 1], [2, 2]],
-        [[3, 1]],
-    ]
+    assert g.vertices[singleton[0]].payload["rows"] == (
+        ((1, 1), (2, 2)),
+        ((3, 1),),
+    )
 
 
 def test_candidate_crystal_dot_export():

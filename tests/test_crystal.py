@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -16,7 +17,7 @@ from bitableaux.crystal import (
     skew_decomposition,
     monomial_expansion_sweep,
 )
-from bitableaux.graphs import CrystalGraph, CrystalVertex, export_crystal
+from bitableaux.graphs import CrystalGraph, CrystalVertex, _compact_json, export_crystal
 from bitableaux.insertion import Biword, rsk
 from bitableaux.kron_tableaux import KroneckerVerdict
 from bitableaux.partitions import enumerate_partitions, trim
@@ -27,7 +28,7 @@ from bitableaux.symfunc import (
     monomial_coefficient_row,
     schur_poly,
 )
-from bitableaux.tableaux import SSYT, SkewSSYT, reading_word
+from bitableaux.tableaux import SSYT, SkewSSYT, iter_ssyt_rows, reading_word
 from bitableaux.words import (
     bitableau_reading_cells,
     bitableau_reading_word,
@@ -291,7 +292,10 @@ def _per_vertex_crystal(lam, n, m, conv):
     """Vertices (id, payload, weights) and f-edges through Bitableau and crystal_op_bitableau."""
     tableaux = [Bitableau(lam, rows, n, m) for rows in iter_bitableau_rows(lam, n, m)]
     index = {t.rows: vid for vid, t in enumerate(tableaux)}
-    vertices = [(vid, t.to_json(), *weights(t)) for vid, t in enumerate(tableaux)]
+    vertices = [
+        (vid, {"shape": t.shape, "rows": t.rows, "n": t.n, "m": t.m}, *weights(t))
+        for vid, t in enumerate(tableaux)
+    ]
     edges = {
         (vid, i): index[image.rows]
         for vid, t in enumerate(tableaux)
@@ -309,6 +313,98 @@ def test_full_crystal_is_the_per_vertex_operator():
             g = full_crystal(lam, n, m, conv)
             vertices = [(v.id, v.payload, v.weight_a, v.weight_b) for v in g.vertices]
             assert (vertices, dict(g.edges)) == _per_vertex_crystal(lam, n, m, conv)
+            # the tuple payload is written as the Bitableau's JSON form
+            assert [json.dumps(v.payload, sort_keys=True) for v in g.vertices] == [
+                json.dumps(Bitableau(lam, v.payload["rows"], n, m).to_json(), sort_keys=True)
+                for v in g.vertices
+            ]
+
+
+def test_full_crystal_shares_one_pair_per_code_and_one_tuple_per_row():
+    g = full_crystal((3, 2), 3, 3)
+    rows = [row for v in g.vertices for row in v.payload["rows"]]
+    cells = {id(cell) for row in rows for cell in row}
+    assert len(cells) <= 3 * 3
+    assert len({id(row) for row in rows}) == len(set(rows))
+    assert all(v.payload["shape"] is g.vertices[0].payload["shape"] for v in g.vertices)
+
+
+def test_full_crystal_checks_each_vertex_once(monkeypatch):
+    import bitableaux.crystal as crystal
+
+    calls = []
+    real = crystal.check_semistandard
+    monkeypatch.setattr(crystal, "check_semistandard", lambda rows: calls.append(rows) or real(rows))
+    for lam, n, m in (((3, 2), 2, 2), ((2, 1), 3, 2), ((), 2, 2)):
+        calls.clear()
+        g = full_crystal(lam, n, m, "w_prime")
+        assert len(calls) == len(g.vertices)
+        assert calls == list(iter_ssyt_rows(lam, n * m))
+
+
+def test_the_empty_shape_builds_no_alphabet():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        g = full_crystal((), 300, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [v.payload for v in g.vertices] == [{"shape": (), "rows": (), "n": 300, "m": 300}]
+    assert g.edges == {}
+
+
+def _reference_dot(g, name="crystal", dashed=()):
+    """The DOT writer with one JSON encoder call per vertex label."""
+    lines = [f"digraph {name} {{"]
+    for v in g.vertices:
+        payload = v.payload
+        rows = payload["rows"] if isinstance(payload, dict) and "rows" in payload else payload
+        attrs = ['label="%s"' % _compact_json(rows).replace("\\", "\\\\").replace('"', '\\"')]
+        if v.weight_a is not None:
+            attrs.append(f'weight_a="{",".join(map(str, v.weight_a))}"')
+        attrs.append(f'weight_b="{",".join(map(str, v.weight_b))}"')
+        if v.id in dashed:
+            attrs.append("style=dashed")
+        lines.append(f'  v{v.id} [{" ".join(attrs)}];')
+    lines += [f'  v{s} -> v{d} [label="{i}"];' for (s, i), d in sorted(g.edges.items())]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _hand_built_graphs():
+    def graph(payloads):
+        vertices = tuple(CrystalVertex(vid, p, (1,), (1,)) for vid, p in enumerate(payloads))
+        return CrystalGraph(vertices, {(0, 1): 1})
+
+    shared = (1, 2)
+    yield graph([{"rows": [[[1, 1]], [[2, 1]]]}, {"rows": [[[1, 2]]]}, [1, 2], None])
+    # tuple rows: one row object held twice, and rows equal to it as tuples
+    # whose JSON differs (1.0, True), each written as itself
+    yield graph([{"rows": (shared, shared)}, {"rows": ((1.0, 2), shared)}, {"rows": ((True, 2),)}])
+    # text that DOT escapes, in tuple rows and in list rows
+    yield graph([{"rows": (('a"b', "c\\d"),)}, {"rows": [['a"b']]}, {"rows": ()}, {"shape": ()}])
+
+
+def test_exports_equal_the_per_vertex_reference():
+    from bitableaux.completion import shape21_candidate_crystal
+
+    cases = [
+        (full_crystal(lam, n, m, conv), {})
+        for lam in small_shapes(4)
+        for n, m in nm_pairs(3)
+        for conv in ("w", "w_prime")
+    ]
+    sk = skeleton((2, 2))
+    forced = CrystalGraph(sk.graph.vertices, {(s, 1): d for s, d in sk.forced.images.items()})
+    cases.append((forced, {"name": "skeleton", "dashed": sk.free_vertices}))
+    cases += [(shape21_candidate_crystal(corner), {}) for corner in ("south", "east")]
+    cases.append((word_crystal_component((1, 2, 1, 3), 3), {}))
+    cases += [(g, {"dashed": (0,)}) for g in _hand_built_graphs()]
+    for g, options in cases:
+        assert export_crystal(g, **options) == _reference_dot(g, **options)
+        assert export_crystal(g, "json") == json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True)
 
 
 def test_full_crystal_never_wraps_a_bottom_entry(monkeypatch):
