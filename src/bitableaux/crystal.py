@@ -182,7 +182,8 @@ def full_crystal(
     are checked semistandard.  Its payload is {"shape": lam, "rows": rows,
     "n": n, "m": m}, rows equal to its Bitableau's rows: a tuple of row
     tuples of pair tuples, one pair tuple per code and one row tuple per
-    distinct row of codes, each shared by every vertex that holds it.  f_i
+    distinct row of codes, each shared by every vertex that holds it, as is
+    one tuple per distinct weight.  f_i
     raises one bottom entry b < m to b + 1, which is code + 1 at one
     position, so each image is one lookup.  An image outside B_lam(n,m), or
     a bottom entry m that would wrap into the next top value, broke
@@ -206,6 +207,7 @@ def full_crystal(
     descending = conv == "w_prime"
     index: dict[tuple[int, ...], int] = {}
     pair_rows: dict[tuple[int, ...], tuple] = {}  # each distinct row of codes, as pairs
+    weights: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct weight
     vertices = []
     for vid, rows in enumerate(iter_ssyt_rows(lam, n * m)):
         check_semistandard(rows)
@@ -219,7 +221,9 @@ def full_crystal(
             if row not in pair_rows:
                 pair_rows[row] = tuple(map(pairs.__getitem__, row))
         payload = {"shape": lam, "rows": tuple(map(pair_rows.__getitem__, rows)), "n": n, "m": m}
-        vertices.append(CrystalVertex(vid, payload, tuple(weight_a[1:]), tuple(weight_b[1:])))
+        weight_a, weight_b = tuple(weight_a[1:]), tuple(weight_b[1:])
+        weight_a, weight_b = weights.setdefault(weight_a, weight_a), weights.setdefault(weight_b, weight_b)
+        vertices.append(CrystalVertex(vid, payload, weight_a, weight_b))
     edges: dict[tuple[int, int], int] = {}
     for codes, vid in index.items():
         tops = [top[x] for x in codes]

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 Weight = tuple[int, ...]
 
@@ -16,8 +18,9 @@ class CrystalVertex:
 
     A bitableau vertex (full_crystal, the shape-(2,1) candidate) carries a
     dict {"shape", "rows", "n", "m"} whose shape and rows are tuples, so they
-    cannot change in place; full_crystal shares its row tuples and their pair
-    tuples between vertices.  A word-crystal vertex carries its word as a list.
+    cannot change in place; full_crystal shares its row tuples, their pair
+    tuples and its weight tuples (one per distinct weight) between vertices.
+    A word-crystal vertex carries its word as a list.
     """
 
     id: int
@@ -110,10 +113,83 @@ class CrystalGraph:
 
 
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_sorted_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode  # json.dumps's
 
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+class _Texts(dict):
+    """id(obj) -> obj's text, encoded once per export call by calling it on obj.
+
+    A hot loop reads get(id(obj)) or self(obj).  It holds every object it
+    has encoded, so that no other object takes its id during the call.
+    """
+
+    def __init__(self, encode: Callable[[object], str]) -> None:
+        super().__init__()
+        self.encode = encode
+        self.held: list[object] = []
+
+    def __call__(self, obj: object) -> str:
+        text = self.get(id(obj))
+        if text is None:
+            text = self[id(obj)] = self.encode(obj)
+            self.held.append(obj)
+        return text
+
+
+def _frame(rest: dict) -> tuple[dict, str, str] | None:
+    """A payload's items other than rows, as the text before and after its rows.
+
+    None unless every key is a str, so that json.dumps writes the payload.
+    The frame holds rest, so that the ids of its keys and values stay theirs.
+    """
+    if not all(type(k) is str for k in rest):
+        return None
+    items = [f"{_sorted_json(k)}:{_sorted_json(x)}" for k, x in sorted(rest.items())]
+    before = sum(k < "rows" for k in rest)
+    head = "{" + "".join(item + "," for item in items[:before]) + '"rows":['
+    return rest, head, "]" + "".join("," + item for item in items[before:]) + "}"
+
+
+def _json(g: CrystalGraph) -> str:
+    """json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True), without the dict tree.
+
+    A dict payload with str keys and tuple rows is its frame (made once per
+    set of key and value objects) around its rows, each row object encoded
+    once; any other payload is one json.dumps.  Each weight object is
+    encoded once.  Vertex ids and operator indices are written with %d, so a
+    graph where any is not an int (json writes True as true) is written from
+    to_json.
+    """
+    numbers = chain(map(attrgetter("id"), g.vertices), chain.from_iterable(g.edges), g.edges.values())
+    if set(map(type, numbers)) - {int}:
+        return _sorted_json(g.to_json())
+    row_texts, weight_texts = _Texts(_sorted_json), _Texts(lambda w: _sorted_json(list(w)))
+    row_text, weight_text = row_texts.get, weight_texts.get
+    frames: dict[tuple[int, ...], tuple[dict, str, str] | None] = {}  # by the ids of rest's keys and values
+    vertices = []
+    for v in g.vertices:
+        payload, frame = v.payload, None
+        if type(payload) is dict and type(payload.get("rows")) is tuple:
+            rest = payload.copy()
+            rows = rest.pop("rows")
+            key = tuple(map(id, chain(rest, rest.values())))
+            frame = frames.get(key)
+            if frame is None:
+                frame = frames[key] = _frame(rest)
+        if frame:
+            text = frame[1] + ",".join([row_text(id(r)) or row_texts(r) for r in rows]) + frame[2]
+        else:
+            text = _sorted_json(payload)
+        wa, wb = v.weight_a, v.weight_b
+        wa = "null" if wa is None else weight_text(id(wa)) or weight_texts(wa)
+        wb = weight_text(id(wb)) or weight_texts(wb)
+        vertices.append('{"id":%d,"payload":%s,"weight_a":%s,"weight_b":%s}' % (v.id, text, wa, wb))
+    edges = ['{"dir":"f","from":%d,"i":%d,"to":%d}' % (src, i, dst) for (src, i), dst in sorted(g.edges.items())]
+    return '{"edges":[' + ",".join(edges) + '],"vertices":[' + ",".join(vertices) + "]}"
 
 
 def export_crystal(
@@ -121,39 +197,35 @@ def export_crystal(
 ) -> str:
     """Serialize a crystal graph; byte-stable across runs.
 
-    DOT only: the graph is called name and the vertex ids in dashed are dashed.
-    A label is the compact JSON of the payload's rows (of the payload when it
-    has none).  When that is a tuple, each of its row objects is formatted
-    once per call and its text reused for every vertex that holds it, as
-    full_crystal's vertices share their rows.
+    JSON is json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True),
+    written without building that dict tree (_json).  DOT: the graph is
+    called name and the vertex ids in dashed are dashed.  A label is the
+    compact JSON of the payload's rows (of the payload when it has none).
+    Both forms encode each row object of tuple rows, and each weight object,
+    once per call and reuse its text for every vertex that holds it, as
+    full_crystal's vertices share their rows and weights.
     """
     if format == "json":
-        return json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True)
+        return _json(g)
     if format != "dot":
         raise ValueError(f"unknown format {format!r}")
     dashed = set(dashed)
-    # id(row) -> (row, its label text); holding the row keeps its id unique
-    # for the call
-    texts: dict[int, tuple[object, str]] = {}
+    row_texts = _Texts(lambda row: _escape(_compact_json(row)))
+    weight_texts = _Texts(lambda w: ",".join(map(str, w)))
+    row_text, weight_text = row_texts.get, weight_texts.get
     lines = [f"digraph {name} {{"]
     for v in g.vertices:
         shown = v.payload
         if isinstance(shown, dict) and "rows" in shown:
             shown = shown["rows"]
         if type(shown) is tuple:
-            parts = []
-            for row in shown:
-                known = texts.get(id(row))
-                if known is None:
-                    known = texts[id(row)] = (row, _escape(_compact_json(row)))
-                parts.append(known[1])
-            label = "[" + ",".join(parts) + "]"
+            label = "[" + ",".join([row_text(id(r)) or row_texts(r) for r in shown]) + "]"
         else:
             label = _escape(_compact_json(shown))
         attrs = [f'label="{label}"']
         if v.weight_a is not None:
-            attrs.append(f'weight_a="{",".join(map(str, v.weight_a))}"')
-        attrs.append(f'weight_b="{",".join(map(str, v.weight_b))}"')
+            attrs.append(f'weight_a="{weight_text(id(v.weight_a)) or weight_texts(v.weight_a)}"')
+        attrs.append(f'weight_b="{weight_text(id(v.weight_b)) or weight_texts(v.weight_b)}"')
         if v.id in dashed:
             attrs.append("style=dashed")
         lines.append(f'  v{v.id} [{" ".join(attrs)}];')

@@ -41,7 +41,8 @@ kernel's own backtracker, and tallies every b-content's a-contents from it.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .bitableau import PairRows, iter_bitableau_rows
 from .partitions import (
@@ -189,6 +190,22 @@ def partition_runs(k: int, conv: str = "w") -> Iterator[tuple[Shape, Runs]]:
 _LATEST: dict[str, _Walk] = {}  # conv -> count_d_table's w' walker of the latest shape asked
 
 
+def _placements(n: int, j: int) -> list[Callable[[tuple[int, ...]], tuple[int, ...]]]:
+    """Each way to give a run of j layers to j of the n top values, in increasing order.
+
+    Each is a getter of the a-content from (0, *sizes): a top value holds
+    the size of the layer it is given, 0 if none.
+    """
+    found = []
+    for slots in combinations(range(n), j):
+        pick = [0] * n
+        for p, a in enumerate(slots, 1):
+            pick[a] = p
+        # an itemgetter of one index returns the item, not a 1-tuple, and one of none is refused
+        found.append(itemgetter(*pick) if n > 1 else lambda padded, pick=pick: tuple(map(padded.__getitem__, pick)))
+    return found
+
+
 def count_d_table(
     shape: Sequence[int], bcontent: Sequence[int], n: int, conv: str = "w"
 ) -> dict[tuple[int, ...], int]:
@@ -220,13 +237,15 @@ def count_d_table(
         for j in range(min(n, total)) for cut in combinations(range(1, total), j)
     ]
     table: dict[tuple[int, ...], int] = {}
+    places: dict[int, list[Callable[[tuple[int, ...]], tuple[int, ...]]]] = {}  # by run length, per call
     for sizes in runs:
         count = walker.walk(start, sizes, ()).get(nu)
-        for slots in combinations(range(n), len(sizes)) if count else ():
-            acontent = [0] * n
-            for a, size in zip(slots, sizes):
-                acontent[a] = size
-            table[tuple(acontent)] = count
+        if not count:
+            continue
+        if len(sizes) not in places:
+            places[len(sizes)] = _placements(n, len(sizes))
+        padded = (0, *sizes)
+        table.update(dict.fromkeys([place(padded) for place in places[len(sizes)]], count))
     return table
 
 

@@ -329,6 +329,13 @@ def test_full_crystal_shares_one_pair_per_code_and_one_tuple_per_row():
     assert all(v.payload["shape"] is g.vertices[0].payload["shape"] for v in g.vertices)
 
 
+def test_full_crystal_shares_one_tuple_per_weight():
+    for lam in ((3, 2), (4, 2)):
+        g = full_crystal(lam, 3, 3)
+        for weights in ([v.weight_a for v in g.vertices], [v.weight_b for v in g.vertices]):
+            assert len({id(w) for w in weights}) == len(set(weights))
+
+
 def test_full_crystal_checks_each_vertex_once(monkeypatch):
     import bitableaux.crystal as crystal
 
@@ -385,6 +392,23 @@ def _hand_built_graphs():
     yield graph([{"rows": (shared, shared)}, {"rows": ((1.0, 2), shared)}, {"rows": ((True, 2),)}])
     # text that DOT escapes, in tuple rows and in list rows
     yield graph([{"rows": (('a"b', "c\\d"),)}, {"rows": [['a"b']]}, {"rows": ()}, {"shape": ()}])
+    # items that sort before and after rows, a nested dict among them; two
+    # payloads share their other values, and (1,) and (True,) are equal
+    # values written differently
+    nested = {"z": [1], "b": {"y": None, "x": 2.5}}
+    yield graph([
+        {"shape": (2,), "rows": ((1, 2),), "a": nested, "m": 1},
+        {"shape": (2,), "rows": ((2, 2),), "a": nested, "m": 1},
+        {"rows": (), "shape": (1,)},
+        {"rows": (), "shape": (True,)},
+    ])
+    # non-ASCII text in tuple rows, which JSON escapes, and a row whose keys
+    # JSON sorts and DOT does not
+    yield graph([{"rows": (("é", "日本"),), "n": "ü"}, {"rows": [["é"]]}, {"rows": ({"b": 1, "a": 2},)}])
+    # no a-weight beside tuple rows, and equal weights of different types
+    rows = {"rows": ((1, 1),)}
+    yield CrystalGraph((CrystalVertex(0, rows, None, (1,)), CrystalVertex(1, rows, (True,), (1,))), {(0, 1): 1})
+    yield CrystalGraph((CrystalVertex(0, rows, (1,), (True,)), CrystalVertex(1, rows, (True,), (1, 0))), {(1, 1): 0})
 
 
 def test_exports_equal_the_per_vertex_reference():
@@ -405,6 +429,17 @@ def test_exports_equal_the_per_vertex_reference():
     for g, options in cases:
         assert export_crystal(g, **options) == _reference_dot(g, **options)
         assert export_crystal(g, "json") == json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True)
+
+
+def test_json_export_of_a_non_str_payload_key_raises_as_json_dumps():
+    vertex = CrystalVertex(0, {"rows": ((1, 1),), 1: "one"}, (1,), (1,))
+    g = CrystalGraph((vertex,), {})
+    with pytest.raises(TypeError) as expected:
+        json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True)
+    with pytest.raises(TypeError) as raised:
+        export_crystal(g, "json")
+    assert str(raised.value) == str(expected.value)
+    assert export_crystal(g) == _reference_dot(g)
 
 
 def test_full_crystal_never_wraps_a_bottom_entry(monkeypatch):

@@ -100,9 +100,9 @@ def test_partition_runs_are_the_nonincreasing_composition_runs():
     assert cases == 868
 
 
-def test_the_process_wide_memo_answers_as_a_fresh_counter():
-    # count_d walks layers of mu's sizes with a memo for the whole process;
-    # every triple of k <= 8, both conventions interleaved, forward
+def test_count_d_equals_the_partition_runs_and_the_oracle_on_every_triple_to_k8():
+    # count_d walks layers of mu's sizes, under w on the process walker
+    # (_WALK); every triple of k <= 8, both conventions interleaved, forward
     # and then reversed, must match the sweep's fresh partition runs and the
     # permutation-character oracle
     cases = 0
