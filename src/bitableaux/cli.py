@@ -59,15 +59,19 @@ def _partition(text: str) -> tuple[int, ...]:
 
 
 def _load_json(text: str | None, path: str | None):
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    if text is None:
-        return None
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+    """The JSON of the file path, else of text (of its file when it starts with @), or None.
+
+    JSON nested too deep to decode is a ValueError, as any other bad JSON.
+    """
+    if path is None and text is not None and text.startswith("@"):
+        path = text[1:]
+    try:
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return None if text is None else json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
 
 
 def _tableau_data(args):

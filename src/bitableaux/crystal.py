@@ -29,12 +29,7 @@ from .partitions import (
 )
 from .symfunc import monomial_coefficient_row
 from .tableaux import SkewSSYT, check_semistandard, count_ssyt, iter_ssyt_rows
-from .words import (
-    CONVENTIONS,
-    bitableau_reading_cells,
-    crystal_op_position,
-    is_yamanouchi,
-)
+from .words import bitableau_reading_cells, check_conv, crystal_op_position, is_yamanouchi
 
 
 class CrystalStructureError(RuntimeError):
@@ -59,8 +54,7 @@ def crystal_op_bitableau(
     None mirrors the word-level null; an invalid resulting filling raises
     CrystalStructureError.
     """
-    if conv not in CONVENTIONS:
-        raise ValueError(f"unknown convention {conv!r}")
+    check_conv(conv)
     if check_int(i, "operator index", 1) >= t.m:
         raise ValueError(f"operator index {i} outside [1, {t.m - 1}]")
     word, cells = bitableau_reading_cells(t.rows, conv)
@@ -78,8 +72,7 @@ def crystal_op_bitableau(
 
 
 def is_highest_weight(t: Bitableau, conv: str = "w") -> bool:
-    if conv not in CONVENTIONS:
-        raise ValueError(f"unknown convention {conv!r}")
+    check_conv(conv)
     return is_yamanouchi(bitableau_reading_cells(t.rows, conv)[0])
 
 
@@ -102,8 +95,7 @@ def highest_weight_bitableaux(
     lam = check_partition(lam)
     check_int(n, "n", 1)
     check_int(m, "m", 1)
-    if conv not in CONVENTIONS:
-        raise ValueError(f"unknown convention {conv!r}")
+    check_conv(conv)
     nu = check_content(bcontent, m, "b-content")
     mu = check_content(acontent, n, "a-content")
     for rows in highest_weight_rows(lam, n, m, None if nu is None else trim(nu), mu, conv):
@@ -192,8 +184,7 @@ def full_crystal(
     lam = check_partition(lam)
     check_int(n, "n", 1)
     check_int(m, "m", 1)
-    if conv not in CONVENTIONS:
-        raise ValueError(f"unknown convention {conv!r}")
+    check_conv(conv)
     check_cap(count_ssyt(lam, n * m), cap, "vertices")  # |B_lam(n,m)| through the [nm] encoding
     # pairs[x] = (top[x], bottom[x]): the pair of code x under bitableau's
     # [nm] encoding, one tuple per code shared by every vertex; the empty

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
+
+from .partitions import check_int
 
 Weight = tuple[int, ...]
 
@@ -33,8 +35,9 @@ class CrystalVertex:
 class CrystalGraph:
     """Finite crystal: f-edges stored as (vertex id, operator index) -> id.
 
-    Vertex ids are distinct, every edge joins two vertices and each f_i is
-    injective; e-edges are the inverses of the f-edges.  Immutable: the
+    Vertex ids are distinct ints >= 0 and operator indices ints >= 1, both
+    checked by partitions.check_int; every edge joins two vertices and each
+    f_i is injective; e-edges are the inverses of the f-edges.  Immutable: the
     edges are a read-only copy of the mapping passed in, so e() never goes
     stale.
     """
@@ -46,6 +49,11 @@ class CrystalGraph:
     def __post_init__(self) -> None:
         vertices = tuple(self.vertices)
         ids = {v.id for v in vertices}
+        # each integer rule scans types and bounds at C level first, so a
+        # graph with nothing to refuse runs no check_int loop
+        if set(map(type, ids)) - {int} or min(ids, default=0) < 0:
+            for v in vertices:
+                check_int(v.id, "vertex id")
         if len(ids) != len(vertices):
             raise ValueError("vertex ids must be distinct")
         edges = dict(self.edges)
@@ -57,6 +65,13 @@ class CrystalGraph:
             if key in rev:
                 raise ValueError(f"f_{i} is not injective at vertex {dst}")
             rev[key] = src
+        # an endpoint equal to a vertex id but of another type (1.0, True) passes the test above
+        numbers = chain(chain.from_iterable(edges), edges.values())
+        if set(map(type, numbers)) - {int} or min(map(itemgetter(1), edges), default=1) < 1:
+            for (src, i), dst in edges.items():
+                check_int(src, "vertex id")
+                check_int(i, "operator index", 1)
+                check_int(dst, "vertex id")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", MappingProxyType(edges))
         object.__setattr__(self, "_reverse", MappingProxyType(rev))
@@ -95,6 +110,7 @@ class CrystalGraph:
         return sorted(sorted(g) for g in groups.values())
 
     def to_json(self) -> dict:
+        """The naive reference of export_crystal's JSON: only the tests call it."""
         return {
             "vertices": [
                 {
@@ -160,13 +176,9 @@ def _json(g: CrystalGraph) -> str:
     A dict payload with str keys and tuple rows is its frame (made once per
     set of key and value objects) around its rows, each row object encoded
     once; any other payload is one json.dumps.  Each weight object is
-    encoded once.  Vertex ids and operator indices are written with %d, so a
-    graph where any is not an int (json writes True as true) is written from
-    to_json.
+    encoded once.  Vertex ids and operator indices are written with %d, as
+    the graph holds them to ints.
     """
-    numbers = chain(map(attrgetter("id"), g.vertices), chain.from_iterable(g.edges), g.edges.values())
-    if set(map(type, numbers)) - {int}:
-        return _sorted_json(g.to_json())
     row_texts, weight_texts = _Texts(_sorted_json), _Texts(lambda w: _sorted_json(list(w)))
     row_text, weight_text = row_texts.get, weight_texts.get
     frames: dict[tuple[int, ...], tuple[dict, str, str] | None] = {}  # by the ids of rest's keys and values
@@ -197,13 +209,15 @@ def export_crystal(
 ) -> str:
     """Serialize a crystal graph; byte-stable across runs.
 
-    JSON is json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True),
-    written without building that dict tree (_json).  DOT: the graph is
-    called name and the vertex ids in dashed are dashed.  A label is the
-    compact JSON of the payload's rows (of the payload when it has none).
-    Both forms encode each row object of tuple rows, and each weight object,
-    once per call and reuse its text for every vertex that holds it, as
-    full_crystal's vertices share their rows and weights.
+    JSON has the bytes of json.dumps(g.to_json(), separators=(",", ":"),
+    sort_keys=True), the reference the tests compare it with; _json writes
+    every graph without calling to_json or building that dict tree.  DOT:
+    the graph is called name, each vertex is the node v<id> (a valid name,
+    as ids are ints >= 0) and the vertex ids in dashed are dashed.  A label
+    is the compact JSON of the payload's rows (of the payload when it has
+    none).  Both forms encode each row object of tuple rows, and each
+    weight object, once per call and reuse its text for every vertex that
+    holds it, as full_crystal's vertices share their rows and weights.
     """
     if format == "json":
         return _json(g)

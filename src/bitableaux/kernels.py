@@ -48,7 +48,7 @@ from .bitableau import PairRows, iter_bitableau_rows
 from .partitions import (
     check_content, check_int, check_partition, check_triple, enumerate_partitions, partitions_between, trim
 )
-from .words import CONVENTIONS, bitableau_reading_cells, is_yamanouchi
+from .words import bitableau_reading_cells, check_conv, is_yamanouchi
 
 Shape = tuple[int, ...]
 Content = tuple[int, ...]
@@ -170,8 +170,7 @@ def partition_runs(k: int, conv: str = "w") -> Iterator[tuple[Shape, Runs]]:
     bound (k, k // 2, ..., 1), which holds every lam of k, grows them all.
     """
     parts = enumerate_partitions(k)
-    if conv not in CONVENTIONS:
-        raise ValueError(f"unknown convention {conv!r}")
+    check_conv(conv)
     if conv == "w":
         walker = _Walk(conv, None, None, None, False)
         for lam in parts:
@@ -223,8 +222,7 @@ def count_d_table(
     shape = check_partition(shape)
     nu = trim(check_content(bcontent, 0, "b-content"))
     check_int(n, "n")
-    if conv not in CONVENTIONS:
-        raise ValueError(f"unknown convention {conv!r}")
+    check_conv(conv)
     if conv == "w":
         walker, start = _WALK, shape
     else:
@@ -258,8 +256,7 @@ def count_d(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int], conv: str 
     grows toward lam, each call walks afresh, skipping ends that leave nu.
     """
     lam, mu, nu = check_triple(lam, mu, nu)
-    if conv not in CONVENTIONS:
-        raise ValueError(f"unknown convention {conv!r}")
+    check_conv(conv)
     walker = _WALK if conv == "w" else _Walk(conv, lam, len(nu), nu, False)
     return walker.walk(lam if conv == "w" else (0,) * len(lam), mu, ()).get(nu, 0)
 
@@ -359,6 +356,7 @@ def _tally_python_dict(shape: Sequence[int], n: int, m: int, conv: str) -> dict[
 
     The contents are full vectors of m and n entries, all from one plain enumeration.
     """
+    check_conv(conv)
     result: dict[Content, dict[Content, int]] = {}
     for rows in iter_bitableau_rows(shape, n, m):
         if is_yamanouchi(bitableau_reading_cells(rows, conv)[0]):

@@ -21,6 +21,12 @@ CONVENTIONS = ("w", "w_prime")  # the sort-by-top words of the crystal and the k
 READING_METHODS = ("row", *CONVENTIONS, "u", "u_prime")
 
 
+def check_conv(conv: str) -> None:
+    """ValueError unless conv is one of CONVENTIONS: the one convention rule."""
+    if conv not in CONVENTIONS:
+        raise ValueError(f"unknown convention {conv!r}")
+
+
 # method -> (coordinate the boxes are sorted by, descending)
 _READING_SORTS = {"w": (0, False), "w_prime": (0, True), "u": (1, False), "u_prime": (1, True)}
 

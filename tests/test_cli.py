@@ -357,6 +357,22 @@ def test_malformed_tableau_is_a_usage_error(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("route", ["inline", "at-file", "in", "jdt-left"])
+def test_json_nested_too_deeply_is_a_usage_error(tmp_path, capsys, route):
+    deep = "[" * 100_000 + "]" * 100_000  # json.loads raises RecursionError on it
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    argv = {
+        "inline": ["weights", "--tableau", deep],
+        "at-file": ["weights", "--tableau", f"@{path}"],
+        "in": ["weights", "--in", str(path)],
+        "jdt-left": ["jdt", "--left", deep, "--right", "[[1]]"],
+    }[route]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: JSON nested too deeply to decode\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_crystal_on_an_empty_alphabet_is_a_usage_error(capsys, n):
     code, out, err = run(capsys, "crystal", "--shape", "2", "--n", n, "--m", "2")

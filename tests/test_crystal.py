@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -409,6 +410,9 @@ def _hand_built_graphs():
     rows = {"rows": ((1, 1),)}
     yield CrystalGraph((CrystalVertex(0, rows, None, (1,)), CrystalVertex(1, rows, (True,), (1,))), {(0, 1): 1})
     yield CrystalGraph((CrystalVertex(0, rows, (1,), (True,)), CrystalVertex(1, rows, (True,), (1, 0))), {(1, 1): 0})
+    # ids and an operator index beyond 64 bits
+    big = (CrystalVertex(0, rows, (1,), (1,)), CrystalVertex(2**70, rows, (1,), (1,)))
+    yield CrystalGraph(big, {(0, 2**65): 2**70})
 
 
 def test_exports_equal_the_per_vertex_reference():
@@ -610,6 +614,21 @@ def test_crystal_graph_refuses_a_repeated_vertex_id():
     vertices = tuple(CrystalVertex(v, None, None, (0,)) for v in (0, 1, 0))
     with pytest.raises(ValueError, match="vertex ids must be distinct"):
         CrystalGraph(vertices, {})
+
+
+@pytest.mark.parametrize("ids", [("a",), (0, "a"), ("a", 0)])
+def test_crystal_graph_refuses_a_str_vertex_id(ids):
+    # mixed int and str ids would make both exports and components() raise TypeError
+    vertices = tuple(CrystalVertex(v, None, None, (0,)) for v in ids)
+    with pytest.raises(ValueError, match=re.escape("vertex id must be an integer >= 0, got 'a'")):
+        CrystalGraph(vertices, {})
+
+
+def test_crystal_graph_refuses_an_endpoint_that_is_not_an_int():
+    vertices = tuple(CrystalVertex(v, None, None, (0,)) for v in (0, 1))
+    for edges, bad in (({(0, 1): 1.0}, "1.0"), ({(True, 1): 0}, "True")):
+        with pytest.raises(ValueError, match=re.escape(f"vertex id must be an integer >= 0, got {bad}")):
+            CrystalGraph(vertices, edges)
 
 
 def test_highest_weight_ids_are_the_vertices_without_an_e_edge():

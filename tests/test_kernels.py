@@ -284,10 +284,13 @@ def test_count_d_table_is_right_under_threads(monkeypatch, conv):
         lambda: list(partition_runs(3, "u")),
         lambda: count_d_table((2, 1.0), (2, 1), 2),
         lambda: count_d((1,), (1,), (1,), ["w"]),
+        lambda: count_d((1,), (1,), (1,), "u"),
+        lambda: _tally_python_dict((1,), 1, 1, "u"),
     ],
     ids=["float-n", "float-n-w_prime", "bool-n", "negative-n-empty", "float-bcontent",
          "negative-n", "unknown-conv-count_d_table", "unknown-conv-partition_runs",
-         "float-shape-count_d_table", "list-conv-count_d"],
+         "float-shape-count_d_table", "list-conv-count_d", "unknown-conv-count_d",
+         "unknown-conv-_tally_python_dict"],
 )
 def test_kernel_refuses_a_bad_n_or_bcontent(call):
     with pytest.raises(ValueError):

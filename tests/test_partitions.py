@@ -7,6 +7,7 @@ from bitableaux import (
     Biword,
     Bitableau,
     CrystalGraph,
+    CrystalVertex,
     SSYT,
     SkewSSYT,
     SymPoly,
@@ -192,6 +193,11 @@ INTEGER_SITES = {
         "a-content entry", None, lambda v: list(highest_weight_bitableaux((2, 1), 2, 2, None, (1, v)))
     ),
     "count_d_table-bcontent": ("b-content entry", None, lambda v: count_d_table((2, 1), (v, 1), 2)),
+    "CrystalGraph-id": ("vertex id", 0, lambda v: CrystalGraph((CrystalVertex(v, None, None, (1,)),), {})),
+    "CrystalGraph-index": (
+        "operator index", 1,
+        lambda v: CrystalGraph(tuple(CrystalVertex(x, None, None, (1,)) for x in (0, 1)), {(0, v): 1}),
+    ),
 }
 
 
