@@ -109,7 +109,7 @@ def iter_bitableau_rows(shape: Sequence[int], n: int, m: int) -> Iterator[PairRo
     A bitableau is a semistandard filling over the pair alphabet [n]x[m] in
     lexicographic order, so this is the plain filler (tableaux.iter_ssyt_rows)
     over that alphabet.  Listing by b- or a-content is
-    crystal.highest_weight_bitableaux, for the Yamanouchi ones only.
+    kernels.highest_weight_bitableaux, for the Yamanouchi ones only.
     """
     check_int(n, "n", 1)
     check_int(m, "m", 1)

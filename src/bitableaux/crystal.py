@@ -16,11 +16,9 @@ from typing import Iterator, Sequence
 
 from .bitableau import Bitableau, int_to_pair
 from .graphs import CrystalGraph, CrystalVertex
-from .kernels import count_d, count_d_table  # re-exported
-from .kernels import highest_weight_rows, partition_runs
+from .kernels import count_d, count_d_table, highest_weight_bitableaux, partition_runs  # the first three re-exported
 from .partitions import (
     Partition,
-    check_content,
     check_int,
     check_partition,
     conjugate,
@@ -76,32 +74,6 @@ def is_highest_weight(t: Bitableau, conv: str = "w") -> bool:
     return is_yamanouchi(bitableau_reading_cells(t.rows, conv)[0])
 
 
-def highest_weight_bitableaux(
-    lam: Sequence[int],
-    n: int,
-    m: int,
-    bcontent: Sequence[int] | None = None,
-    acontent: Sequence[int] | None = None,
-    conv: str = "w",
-) -> Iterator[Bitableau]:
-    """The highest-weight bitableaux of B_lam(n,m) under conv, in filler order.
-
-    bcontent and acontent, when given, keep only the bitableaux with exactly
-    that b- and a-content (partitions.check_content).  The rows are built
-    layer by layer by the kernel's lattice backtracker
-    (kernels.highest_weight_rows), not filtered from every filling, and each
-    row set is validated as a Bitableau.
-    """
-    lam = check_partition(lam)
-    check_int(n, "n", 1)
-    check_int(m, "m", 1)
-    check_conv(conv)
-    nu = check_content(bcontent, m, "b-content")
-    mu = check_content(acontent, n, "a-content")
-    for rows in highest_weight_rows(lam, n, m, None if nu is None else trim(nu), mu, conv):
-        yield Bitableau(lam, rows, n, m)
-
-
 Row = tuple[Partition, Partition, Partition, int, int]  # lam, mu, nu, crystal count, oracle d
 
 
@@ -117,12 +89,17 @@ def monomial_expansion_rows(k: int, conv: str = "w") -> Iterator[list[Row]]:
     orbit {(lam, nu), (nu, lam), (lam', nu'), (nu', lam')}: chi^{lam'} is
     sgn * chi^lam, so the weights sizes * chi^lam * chi^nu, and the row,
     are the orbit's.  The d point query keeps the other route,
-    monomial_coefficient_d.
+    monomial_coefficient_d.  k and conv are checked at the call, the rows
+    found as they are read.
     """
-    parts = enumerate_partitions(k)
+    return _expansion_rows(enumerate_partitions(k), partition_runs(k, conv))
+
+
+def _expansion_rows(parts: list[Partition], runs: Iterator) -> Iterator[list[Row]]:
+    """monomial_expansion_rows' generator: the rows of parts' triples, from each lam's runs."""
     conj = {p: conjugate(p) for p in parts}
     oracle: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-    for lam, tables in partition_runs(k, conv):
+    for lam, tables in runs:
         rows = []
         for nu in parts:
             pair = min((lam, nu), (nu, lam), (conj[lam], conj[nu]), (conj[nu], conj[lam]))  # names the orbit

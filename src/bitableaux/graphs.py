@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -204,6 +205,10 @@ def _json(g: CrystalGraph) -> str:
     return '{"edges":[' + ",".join(edges) + '],"vertices":[' + ",".join(vertices) + "]}"
 
 
+_DOT_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
 def export_crystal(
     g: CrystalGraph, format: str = "dot", name: str = "crystal", dashed: Iterable[int] = ()
 ) -> str:
@@ -212,9 +217,10 @@ def export_crystal(
     JSON has the bytes of json.dumps(g.to_json(), separators=(",", ":"),
     sort_keys=True), the reference the tests compare it with; _json writes
     every graph without calling to_json or building that dict tree.  DOT:
-    the graph is called name, each vertex is the node v<id> (a valid name,
-    as ids are ints >= 0) and the vertex ids in dashed are dashed.  A label
-    is the compact JSON of the payload's rows (of the payload when it has
+    the graph is called name, which must be an identifier
+    ([A-Za-z_][A-Za-z0-9_]*) and no DOT keyword in any case; each vertex is
+    the node v<id> (a valid name, as ids are ints >= 0) and the vertex ids
+    in dashed are dashed.  A label is the compact JSON of the payload's rows (of the payload when it has
     none).  Both forms encode each row object of tuple rows, and each
     weight object, once per call and reuse its text for every vertex that
     holds it, as full_crystal's vertices share their rows and weights.
@@ -223,6 +229,8 @@ def export_crystal(
         return _json(g)
     if format != "dot":
         raise ValueError(f"unknown format {format!r}")
+    if not isinstance(name, str) or not _DOT_NAME.fullmatch(name) or name.lower() in _DOT_KEYWORDS:
+        raise ValueError(f"graph name {name!r} is not a DOT identifier")
     dashed = set(dashed)
     row_texts = _Texts(lambda row: _escape(_compact_json(row)))
     weight_texts = _Texts(lambda w: ",".join(map(str, w)))

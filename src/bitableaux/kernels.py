@@ -20,13 +20,14 @@ one top value at a time and keeps its walks by (shape left, sizes left,
 content read).  Under w a walk peels from lam, and the rest of a walk from
 a shape holds no lam, so one walker serves every lam: count_d's and
 count_d_table's (_WALK), and the w sweep's in partition_runs.  A w' walk
-grows toward lam, so its walker holds lam.  highest_weight_rows lists with
-a walker the rows of crystal.highest_weight_bitableaux, the only listing by
-content.  _push serves the w' sweep alone: what it has grown from () holds
-no lam, so one push inside a bound holding every lam of k counts all their
-runs at once, by b-content and run; column strictness and the lattice test
-bound the letters and the content read at the end is b(T), so it serves
-every nu.  Layer shapes come from partitions_between.
+grows toward lam, so its walker holds lam.  Every walk starts in
+_Walk.run, at lam under w and at () under w'.  highest_weight_bitableaux
+lists with a walker of its own, the only listing by content, and crystal
+re-exports it.  _push serves the w' sweep alone: what it has grown from ()
+holds no lam, so one push inside a bound holding every lam of k counts all
+their runs at once, by b-content and run; column strictness and the lattice
+test bound the letters and the content read at the end is b(T), so it
+serves every nu.  Layer shapes come from partitions_between.
 
 Empty layers add nothing to the word, so a run is the sizes of the nonempty
 layers, a ascending.  count_d_table walks every composition run, so that its
@@ -44,7 +45,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .bitableau import PairRows, iter_bitableau_rows
+from .bitableau import Bitableau, PairRows, iter_bitableau_rows
 from .partitions import (
     check_content, check_int, check_partition, check_triple, enumerate_partitions, partitions_between, trim
 )
@@ -168,15 +169,21 @@ def partition_runs(k: int, conv: str = "w") -> Iterator[tuple[Shape, Runs]]:
     reuses the rest of each walk, which holds no lam, across lam; no lam's
     runs outlive the step that yields them.  Under w' one push inside the
     bound (k, k // 2, ..., 1), which holds every lam of k, grows them all.
+    k and conv are checked at the call, the runs found as they are read.
     """
     parts = enumerate_partitions(k)
     check_conv(conv)
+    return _partition_runs(k, parts, conv)
+
+
+def _partition_runs(k: int, parts: list[Shape], conv: str) -> Iterator[tuple[Shape, Runs]]:
+    """partition_runs' generator, of checked arguments."""
     if conv == "w":
         walker = _Walk(conv, None, None, None, False)
         for lam in parts:
             runs: Runs = {}
             for mu in parts:
-                for nu, count in walker.walk(lam, mu, ()).items():
+                for nu, count in walker.run(lam, mu).items():
                     runs.setdefault(nu, {})[mu] = count
             yield lam, runs
     else:
@@ -223,12 +230,9 @@ def count_d_table(
     nu = trim(check_content(bcontent, 0, "b-content"))
     check_int(n, "n")
     check_conv(conv)
-    if conv == "w":
-        walker, start = _WALK, shape
-    else:
-        walker, start = _LATEST.get(conv), (0,) * len(shape)  # one read: a thread that swaps it cannot mix shapes
-        if walker is None or walker.lam != shape:
-            walker = _LATEST[conv] = _Walk(conv, shape, None, None, False)
+    walker = _WALK if conv == "w" else _LATEST.get(conv)  # one read: a thread that swaps it cannot mix shapes
+    if conv != "w" and (walker is None or walker.lam != shape):
+        walker = _LATEST[conv] = _Walk(conv, shape, None, None, False)
     total = sum(shape)
     runs = [()] if not total else [  # every composition of total into at most n parts, by its cuts
         tuple(b - a for a, b in zip((0,) + cut, cut + (total,)))
@@ -237,7 +241,7 @@ def count_d_table(
     table: dict[tuple[int, ...], int] = {}
     places: dict[int, list[Callable[[tuple[int, ...]], tuple[int, ...]]]] = {}  # by run length, per call
     for sizes in runs:
-        count = walker.walk(start, sizes, ()).get(nu)
+        count = walker.run(shape, sizes).get(nu)
         if not count:
             continue
         if len(sizes) not in places:
@@ -258,25 +262,35 @@ def count_d(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int], conv: str 
     lam, mu, nu = check_triple(lam, mu, nu)
     check_conv(conv)
     walker = _WALK if conv == "w" else _Walk(conv, lam, len(nu), nu, False)
-    return walker.walk(lam if conv == "w" else (0,) * len(lam), mu, ()).get(nu, 0)
+    return walker.run(lam, mu).get(nu, 0)
 
 
-def highest_weight_rows(
-    lam: Shape, n: int, m: int, nu: Content | None = None, mu: Sequence[int] | None = None, conv: str = "w"
-) -> list[PairRows]:
-    """The rows of every bitableau of shape lam over [n] x [m] with a Yamanouchi conv word, sorted.
+def highest_weight_bitableaux(
+    lam: Sequence[int], n: int, m: int, bcontent: Sequence[int] | None = None,
+    acontent: Sequence[int] | None = None, conv: str = "w",
+) -> Iterator[Bitableau]:
+    """The highest-weight bitableaux of B_lam(n,m) under conv, in filler order.
 
-    One list walk of n layers, of any sizes or of mu's (an a-content of at
-    least n entries), with letters at most m.  nu, a trimmed b-content,
-    keeps the rows whose word ends at content nu.  A chain holds its layers
-    in the walk's order, a = n..1 under w and 1..n under w'.  Sorting gives
-    the filler's row-major lexicographic order.
+    bcontent and acontent, when given, keep only the bitableaux with exactly
+    that b- and a-content (partitions.check_content).  The arguments are
+    checked and the rows found at the call, by one list walk of n layers, of
+    any sizes or of the a-content's, with letters at most m (at most the
+    b-content's length): every end content that leaves the b-content is
+    skipped.  A chain holds its layers in the walk's order, a = n..1 under w
+    and 1..n under w'.  Sorting gives the filler's row-major lexicographic
+    order, and each row set is validated as a Bitableau as it is read.
     """
+    lam = check_partition(lam)
+    check_int(n, "n", 1)
+    check_int(m, "m", 1)
+    check_conv(conv)
+    nu = check_content(bcontent, m, "b-content")
+    mu = check_content(acontent, n, "a-content")
     if mu is not None and (sum(mu) != sum(lam) or any(mu[n:])):
-        return []
+        return iter(())
+    nu = None if nu is None else trim(nu)
     sizes = (None,) * n if mu is None else tuple(mu[:n])
-    walker = _Walk(conv, lam, m if nu is None else min(m, len(nu)), nu, True)
-    ends = walker.walk(lam if conv == "w" else (0,) * len(lam), sizes, ())
+    ends = _Walk(conv, lam, m if nu is None else min(m, len(nu)), nu, True).run(lam, sizes)
     found: list[PairRows] = []
     tops = range(n, 0, -1) if conv == "w" else range(1, n + 1)
     for end, chains in ends.items():
@@ -287,7 +301,7 @@ def highest_weight_rows(
                     grid[r][c] = (a, v + 1)
             found.append(tuple(map(tuple, grid)))
     found.sort()
-    return found
+    return (Bitableau(lam, rows, n, m) for rows in found)
 
 
 class _Walk:
@@ -297,16 +311,21 @@ class _Walk:
     () inside lam; a size None places a layer of any size, the last one all
     that is left.  A layer's bottom entries are its lattice fillings (at most
     letters letters) extending the content read, and an end content that
-    leaves nu is skipped: the content read only grows.  walk maps each end
-    content to its count or, listed, its chains (each layer's cells and
-    letters).  A walker keeps its walks by (shape, sizes left, start) and its
-    layers, with fillings by start, by (shape, size, last), each stored once
-    complete; it is in no reference cycle.
+    leaves nu is skipped: the content read only grows.  run starts a walk
+    where conv starts, and walk maps each end content to its count or,
+    listed, its chains (each layer's cells and letters).  A walker keeps its
+    walks by (shape, sizes left, start) and its layers, with fillings by
+    start, by (shape, size, last), each stored once complete; it is in no
+    reference cycle.
     """
 
     def __init__(self, conv: str, lam: Shape | None, letters: int | None, nu: Content | None, listed: bool):
         self.inward, self.lam, self.letters, self.nu, self.listed = conv == "w", lam, letters, nu, listed
         self.memo, self.layers = {}, {}  # walks; layers with their fillings
+
+    def run(self, lam: Shape, sizes: tuple) -> dict:
+        """A walk of lam's layers of sizes from where conv starts: lam under w, () under w'."""
+        return self.walk(lam if self.inward else (0,) * len(lam), sizes, ())
 
     def walk(self, shape: Shape, sizes: tuple, start: Content) -> dict:
         """The layers of sizes from shape on, after a word of content start."""

@@ -3,7 +3,7 @@
 Membership in B'_lam(2,m) (n = 2 and Yamanouchi w' reading word) is enforced
 at every entry point, since both the defining conditions and phi presuppose
 it.  iter_b_prime_content builds the members of one content layer by layer
-(crystal.highest_weight_bitableaux), and each is still checked on its w'
+(kernels.highest_weight_bitableaux), and each is still checked on its w'
 word before the conditions are read.
 """
 

@@ -179,7 +179,8 @@ class SymPoly:
     """Multivariate polynomial with integer coefficients, exact.
 
     terms maps exponent tuples (length = number of variables) to nonzero
-    coefficients; it is a read-only copy of the mapping passed in.
+    coefficients; it is a read-only copy of the mapping passed in.  No
+    variable name repeats.
     """
 
     variables: tuple[str, ...]
@@ -187,6 +188,8 @@ class SymPoly:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"variable names must not repeat, got {self.variables!r}")
         for exps, coeff in self.terms.items():
             if len(exps) != len(self.variables):
                 raise ValueError("exponent vector length must match variable count")

@@ -16,6 +16,7 @@ from bitableaux.crystal import (
     highest_weight_bitableaux,
     is_highest_weight,
     skew_decomposition,
+    monomial_expansion_rows,
     monomial_expansion_sweep,
 )
 from bitableaux.graphs import CrystalGraph, CrystalVertex, _compact_json, export_crystal
@@ -128,6 +129,24 @@ def test_a_short_content_or_an_unknown_convention_is_refused_before_any_filling(
     ):
         with pytest.raises(ValueError):
             call()
+
+
+def test_the_listers_refuse_bad_arguments_at_the_call():
+    # each raises before anything is read from it
+    for call in (
+        lambda: highest_weight_bitableaux((2, 1), 2, 2, None, None, "u"),
+        lambda: monomial_expansion_rows(-2),
+        lambda: monomial_expansion_rows(3, "u"),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_the_package_has_one_highest_weight_lister():
+    import bitableaux
+    from bitableaux import kernels
+
+    assert bitableaux.highest_weight_bitableaux is highest_weight_bitableaux is kernels.highest_weight_bitableaux
 
 
 def test_highest_weight_bitableaux_match_the_filtered_filler():
@@ -433,6 +452,19 @@ def test_exports_equal_the_per_vertex_reference():
     for g, options in cases:
         assert export_crystal(g, **options) == _reference_dot(g, **options)
         assert export_crystal(g, "json") == json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["my graph", "", "1st", "v-1", "a\"b", "graph", "Digraph", "NODE", "edge", "subgraph", "strict", None])
+def test_dot_export_refuses_a_name_no_dot_reader_accepts(name):
+    with pytest.raises(ValueError):
+        export_crystal(full_crystal((2, 1), 2, 2), name=name)
+
+
+def test_dot_export_takes_an_identifier_name():
+    g = full_crystal((2, 1), 2, 2)
+    for name in ("crystal", "skeleton", "_g2", "Graph_1"):
+        assert export_crystal(g, name=name) == _reference_dot(g, name=name)
+        assert export_crystal(g, name=name).startswith(f"digraph {name} {{\n")
 
 
 def test_json_export_of_a_non_str_payload_key_raises_as_json_dumps():

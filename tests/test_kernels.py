@@ -286,11 +286,15 @@ def test_count_d_table_is_right_under_threads(monkeypatch, conv):
         lambda: count_d((1,), (1,), (1,), ["w"]),
         lambda: count_d((1,), (1,), (1,), "u"),
         lambda: _tally_python_dict((1,), 1, 1, "u"),
+        lambda: partition_runs(3, "u"),
+        lambda: partition_runs(-1),
+        lambda: kernels.highest_weight_bitableaux((2, 1), 0, 2),
     ],
     ids=["float-n", "float-n-w_prime", "bool-n", "negative-n-empty", "float-bcontent",
          "negative-n", "unknown-conv-count_d_table", "unknown-conv-partition_runs",
          "float-shape-count_d_table", "list-conv-count_d", "unknown-conv-count_d",
-         "unknown-conv-_tally_python_dict"],
+         "unknown-conv-_tally_python_dict", "unknown-conv-partition_runs-uniterated",
+         "negative-k-partition_runs-uniterated", "zero-n-highest_weight_bitableaux-uniterated"],
 )
 def test_kernel_refuses_a_bad_n_or_bcontent(call):
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from bitableaux import cli, kernels
 from bitableaux.bitableau import iter_bitableau_rows
 from bitableaux.crystal import monomial_expansion_rows
 from bitableaux.insertion import all_rectifications
-from bitableaux.kernels import highest_weight_rows, partition_runs
+from bitableaux.kernels import partition_runs
 from bitableaux.partitions import partitions_between
 from bitableaux.tableaux import iter_ssyt_rows
 
@@ -88,7 +88,6 @@ CALLS = {
 # module-level helpers the entry points above are built on
 HELPERS = {
     "all_rectifications": lambda: all_rectifications(SKEW),
-    "highest_weight_rows": lambda: [highest_weight_rows((3, 2), 2, 3, conv=conv) for conv in ("w", "w_prime")],
     "iter_bitableau_rows": lambda: list(iter_bitableau_rows((2, 2), 2, 2)),
     "iter_ssyt_rows": lambda: list(iter_ssyt_rows((3, 2, 1), 3)),
     "monomial_expansion_rows": lambda: list(monomial_expansion_rows(4)),

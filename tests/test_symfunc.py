@@ -370,3 +370,14 @@ def test_polynomial_terms_are_natural_exponents_and_integer_coefficients():
             with pytest.raises(ValueError, match="integers"):
                 build(("x1",), terms)
     assert make_sympoly(("x1",), {(1,): 2, (0,): 0}).terms == {(1,): 2}
+
+
+def test_polynomial_variables_are_distinct():
+    # schur_poly((1,), ("x1", "x1")) used to give x1 + x1 as two terms in two variables both named x1
+    for build in (
+        lambda: schur_poly((1,), ("x1", "x1")),
+        lambda: SymPoly(("x1", "x1"), {(1, 0): 1}),
+        lambda: make_sympoly(("y", "x", "y"), {}),
+    ):
+        with pytest.raises(ValueError, match="repeat"):
+            build()
