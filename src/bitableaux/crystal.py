@@ -4,9 +4,10 @@ Operators act directly on the reading word with a back-map from letter
 position to source box; the skew decomposition is kept as a cross-check of
 that streamlined route.  full_crystal works on the filler's [nm] integer
 codes, with no Bitableau per vertex: each vertex is keyed by its flat tuple
-of codes, its payload's rows are built from one pair tuple per code, each
-image of an f_i is one lookup of that tuple with one code raised by 1, and
-every vertex's rows are still checked semistandard.
+of codes, its payload's rows are built from one pair tuple per code, one
+bracket scan of its word places every f_i, each image of an f_i is one
+lookup of that tuple with one code raised by 1, and every vertex's rows are
+still checked semistandard.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .partitions import (
 )
 from .symfunc import monomial_coefficient_row
 from .tableaux import SkewSSYT, check_semistandard, count_ssyt, iter_ssyt_rows
-from .words import bitableau_reading_cells, check_conv, crystal_op_position, is_yamanouchi
+from .words import bitableau_reading_cells, check_conv, crystal_op_position, is_yamanouchi, lowering_positions
 
 
 class CrystalStructureError(RuntimeError):
@@ -152,11 +153,13 @@ def full_crystal(
     "n": n, "m": m}, rows equal to its Bitableau's rows: a tuple of row
     tuples of pair tuples, one pair tuple per code and one row tuple per
     distinct row of codes, each shared by every vertex that holds it, as is
-    one tuple per distinct weight.  f_i
-    raises one bottom entry b < m to b + 1, which is code + 1 at one
-    position, so each image is one lookup.  An image outside B_lam(n,m), or
-    a bottom entry m that would wrap into the next top value, broke
-    semistandardness.
+    one tuple per distinct weight.  The reading order of the conv word is
+    sorted once per distinct top filling, and one left-to-right scan of
+    each vertex's word finds the letter every f_i changes
+    (words.lowering_positions).  f_i raises one bottom entry b < m to b + 1,
+    which is code + 1 at one position, so each image is one lookup.  An
+    image outside B_lam(n,m), or a bottom entry m that would wrap into the
+    next top value, broke semistandardness.
     """
     lam = check_partition(lam)
     check_int(n, "n", 1)
@@ -193,12 +196,14 @@ def full_crystal(
         weight_a, weight_b = weights.setdefault(weight_a, weight_a), weights.setdefault(weight_b, weight_b)
         vertices.append(CrystalVertex(vid, payload, weight_a, weight_b))
     edges: dict[tuple[int, int], int] = {}
+    orders: dict[tuple[int, ...], list[int]] = {}  # reading order, by top filling
     for codes, vid in index.items():
-        tops = [top[x] for x in codes]
-        order = sorted(reading, key=tops.__getitem__, reverse=descending)
+        tops = tuple([top[x] for x in codes])
+        order = orders.get(tops)
+        if order is None:
+            order = orders[tops] = sorted(reading, key=tops.__getitem__, reverse=descending)
         word = [bottom[codes[p]] for p in order]
-        for i in range(1, m):
-            pos = crystal_op_position(word, i, "lower")
+        for i, pos in enumerate(lowering_positions(word, m), 1):
             if pos is None:
                 continue
             p = order[pos]

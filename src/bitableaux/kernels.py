@@ -22,12 +22,14 @@ a shape holds no lam, so one walker serves every lam: count_d's and
 count_d_table's (_WALK), and the w sweep's in partition_runs.  A w' walk
 grows toward lam, so its walker holds lam.  Every walk starts in
 _Walk.run, at lam under w and at () under w'.  highest_weight_bitableaux
-lists with a walker of its own, the only listing by content, and crystal
-re-exports it.  _push serves the w' sweep alone: what it has grown from ()
-holds no lam, so one push inside a bound holding every lam of k counts all
-their runs at once, by b-content and run; column strictness and the lattice
-test bound the letters and the content read at the end is b(T), so it
-serves every nu.  Layer shapes come from partitions_between.
+lists with a walker of its own, the only listing of bitableaux by content,
+and crystal re-exports it; kron_tableaux counts on a listed walker of its
+own, one per (lam, p), and builds no bitableau.  _push serves the w' sweep
+alone: what it has grown from () holds no lam, so one push inside a bound
+holding every lam of k counts all their runs at once, by b-content and run;
+column strictness and the lattice test bound the letters and the content
+read at the end is b(T), so it serves every nu.  Layer shapes come from
+partitions_between.
 
 Empty layers add nothing to the word, so a run is the sizes of the nonempty
 layers, a ascending.  count_d_table walks every composition run, so that its
@@ -84,29 +86,52 @@ def _lattice_fillings(
     if letters is not None and letters < len(cnt):  # else no word reaches that letter
         cnt[letters] = sum(start) + size + 1  # more than any letter's count: the lattice test bars it
     ends: dict = {}
-    _fill(0, len(start), size, vals, cnt, above, right, ends, listed)
+    _fill(len(start), size, vals, cnt, above, right, ends, listed)
     return ends
 
 
-def _fill(
-    i: int, width: int, size: int, vals: list, cnt: list, above: list, right: list, ends: dict, listed: bool
-) -> None:
-    """_lattice_fillings' backtracker: letters for cells i.. after width letters have been read."""
-    if i == size:
+def _fill(width: int, size: int, vals: list, cnt: list, above: list, right: list, ends: dict, listed: bool) -> None:
+    """_lattice_fillings' backtracker: letters for every cell after width letters have been read.
+
+    A loop over the cells, not a recursion, so a layer of any size fills in
+    one frame.  Each cell tries its letters in increasing order, so the
+    fillings come in lexicographic order of vals.  widths[i] is the width
+    before cell i: the first letter not yet read.
+    """
+    if not size:
         key = tuple(cnt[:width])
-        if listed:
-            ends.setdefault(key, []).append(tuple(vals))
-        else:
-            ends[key] = ends.get(key, 0) + 1
+        ends[key] = [()] if listed else 1
         return
-    lo = vals[above[i]] + 1 if above[i] >= 0 else 0
-    hi = vals[right[i]] if right[i] >= 0 else width  # width: the first letter not yet read
-    for x in range(lo, hi + 1):
-        if x == 0 or cnt[x] < cnt[x - 1]:
-            cnt[x] += 1
-            vals[i] = x
-            _fill(i + 1, width + (x == width), size, vals, cnt, above, right, ends, listed)
+    widths = [width] * (size + 1)
+    last = size - 1
+    i, x = 0, vals[above[0]] + 1 if above[0] >= 0 else 0
+    while True:
+        width = widths[i]
+        hi = vals[right[i]] if right[i] >= 0 else width
+        while x <= hi and x and cnt[x] >= cnt[x - 1]:  # the lattice test bars x
+            x += 1
+        if x > hi:  # cell i has no letter left: back to the cell before
+            if not i:
+                return
+            i -= 1
+            x = vals[i]
             cnt[x] -= 1
+            x += 1
+            continue
+        cnt[x] += 1
+        vals[i] = x
+        if i == last:
+            key = tuple(cnt[: width + (x == width)])
+            if listed:
+                ends.setdefault(key, []).append(tuple(vals))
+            else:
+                ends[key] = ends.get(key, 0) + 1
+            cnt[x] -= 1
+            x += 1
+            continue
+        widths[i + 1] = width + (x == width)
+        i += 1
+        x = vals[above[i]] + 1 if above[i] >= 0 else 0
 
 
 def _push(bound: Shape, total: int) -> dict[Shape, Runs]:

@@ -1,10 +1,16 @@
 """Kronecker tableaux on two-letter tops and the weight-lowering map phi.
 
 Membership in B'_lam(2,m) (n = 2 and Yamanouchi w' reading word) is enforced
-at every entry point, since both the defining conditions and phi presuppose
-it.  iter_b_prime_content builds the members of one content layer by layer
-(kernels.highest_weight_bitableaux), and each is still checked on its w'
-word before the conditions are read.
+at every entry point that takes a bitableau, since both the defining
+conditions and phi presuppose it.  iter_b_prime_content builds the members of
+one content layer by layer (kernels.highest_weight_bitableaux), and
+kronecker_tableaux checks each on its w' word before the conditions are read:
+the naive reference.  count_kronecker_tableaux builds no bitableau: one listed
+w' walk of lam's two layers with a(T) = (p, k - p) gives every member of every
+b-content as its two layers' cells and letters, each tallied by the same
+conditions, so one row {nu: count} serves every nu of a (lam, p).  The row of
+the latest (lam, p) asked is kept (_LATEST), replaced whole and read once per
+call, so a thread that asks for another (lam, p) cannot mix two rows.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import Iterator, Sequence
 
 from .bitableau import Bitableau
 from .crystal import highest_weight_bitableaux, is_highest_weight
+from .kernels import _Walk
 from .partitions import Partition, check_int, check_partition, trim
 from .symfunc import kronecker_coefficient
 
@@ -95,19 +102,64 @@ def iter_b_prime_content(
     return highest_weight_bitableaux(lam, 2, len(nu), nu, (p, k - p), "w_prime")
 
 
-def kronecker_tableaux(lam: Sequence[int], p: int, nu: Sequence[int]) -> list[Bitableau]:
-    """All Kronecker tableaux of the shape with a(T)=(p,k-p), b(T)=nu."""
+def _check_case(lam: Sequence[int], p: int, nu: Sequence[int]) -> tuple[Partition, Partition]:
+    """lam and nu as partitions of one size k, with p an int in [0, k]; ValueError otherwise."""
     lam = check_partition(lam)
     nu = check_partition(nu)
     if sum(lam) != sum(nu):
         raise ValueError("shape and b-weight must have the same size")
     if check_int(p, "p") > sum(lam):
         raise ValueError(f"p = {p} outside [0, {sum(lam)}]")
+    return lam, nu
+
+
+def kronecker_tableaux(lam: Sequence[int], p: int, nu: Sequence[int]) -> list[Bitableau]:
+    """All Kronecker tableaux of the shape with a(T)=(p,k-p), b(T)=nu."""
+    lam, nu = _check_case(lam, p, nu)
     return [t for t in iter_b_prime_content(lam, p, nu) if is_kronecker_tableau(t).is_kronecker]
 
 
+def _kronecker_row(lam: Partition, p: int) -> dict[Partition, int]:
+    """{nu: number of Kronecker tableaux} of shape lam with a(T) = (p, k-p), every nu at once.
+
+    One listed w' walk places the a = 1 layer (p cells), then the a = 2
+    layer (the rest); a chain is the two layers' ((row, column), letter)
+    cells, letter b - 1 for a bottom entry b, and its end content is b(T).
+    alpha_r is the number of a = 1 cells in row r, and a chain counts if
+    alpha_0 = alpha_1 (I), or if the a = 2 layer holds alpha_0 - alpha_1
+    letters 0 in row 1 (II)(i) or letters 1 in row 0 (II)(ii).
+    """
+    row = {}
+    for nu, chains in _Walk("w_prime", lam, None, None, True).run(lam, (p, sum(lam) - p)).items():
+        count, last = 0, None
+        for ones, twos in chains:
+            if ones is not last:  # the chains of one a = 1 layer come in a row, sharing it
+                rows = [r for (r, _), _ in ones]
+                gap, last = rows.count(0) - rows.count(1), ones
+            marks = [(r, x) for (r, _), x in twos]
+            count += not gap or gap in (marks.count((1, 0)), marks.count((0, 1)))
+        if count:
+            row[nu] = count
+    return row
+
+
+_LATEST: tuple = ((), -1, {})  # (lam, p, _kronecker_row(lam, p)) of the latest (lam, p) asked
+
+
 def count_kronecker_tableaux(lam: Sequence[int], p: int, nu: Sequence[int]) -> int:
-    return len(kronecker_tableaux(lam, p, nu))
+    """The number of Kronecker tableaux of the shape with a(T)=(p,k-p), b(T)=nu.
+
+    Read from the row of (lam, p), one listed walk for every nu
+    (_kronecker_row), kept for the latest (lam, p) asked, so a caller that
+    asks every nu of one (lam, p) in a row walks it once.  It equals
+    len(kronecker_tableaux(lam, p, nu)), which the tests check.
+    """
+    global _LATEST
+    lam, nu = _check_case(lam, p, nu)
+    latest = _LATEST  # one read: a thread that swaps it cannot mix rows
+    if latest[0] != lam or latest[1] != p:
+        latest = _LATEST = (lam, p, _kronecker_row(lam, p))
+    return latest[2].get(nu, 0)
 
 
 def in_two_row_regime(lam: Sequence[int], p: int) -> bool:

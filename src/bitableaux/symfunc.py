@@ -19,10 +19,12 @@ Kostka numbers) and gives d for every mu at once; the Theorem-2 sweep uses
 it.  Tests compare the two.
 
 The polynomial helpers are checked against g, not used to compute it.
-schur_poly is the Kostka sum s_lam(z) = sum_c K_{lam,c} z^c over the
-contents c, with no filling.  kron_coproduct_poly fills the bitableaux (the
-crystal side's filler) and checks the sum against that same Kostka sum with
-z_(i,j) = x_i y_j; the bitableau side is the only one that fills.
+schur_poly is the Kostka sum s_lam(z) = sum_tau K_{lam,tau} m_tau(z) over
+the monomial symmetric functions, with no filling; each alphabet's m_tau are
+listed once and kept in a small cache.  kron_coproduct_poly fills the
+bitableaux (the crystal side's filler) and checks the sum against that same
+Kostka sum with z_(i,j) = x_i y_j; the bitableau side is the only one that
+fills.
 """
 
 from __future__ import annotations
@@ -220,24 +222,45 @@ def default_variables(n: int, m: int | None = None) -> tuple[str, ...]:
     return xs + tuple(f"y{j}" for j in range(1, m + 1))
 
 
-def _schur_terms(lam: Partition, slots: Sequence[Sequence[int]], width: int) -> dict[Exponents, int]:
-    """s_lam(z_1..z_N) = sum_c K_{lam,c} z^c as exponent vectors of the given width.
+Slots = tuple[tuple[int, ...], ...]
 
-    z_v adds one to each exponent slot in slots[v].  Each content c is taken
-    once, as a multiset of |lam| variables; Kostka numbers are symmetric in
-    the content, so K is read at c sorted.
+
+@lru_cache(maxsize=4)
+def _monomial_terms(slots: Slots, width: int, degree: int) -> dict[Partition, dict[Exponents, int]]:
+    """The monomials m_tau(z_1..z_N) of degree, each as exponent vectors of the given width.
+
+    z_v adds one to each exponent slot in slots[v].  Every multiset of
+    degree variables is taken once, its content sorted is the tau whose
+    m_tau it is a term of; distinct multisets may share an exponent vector,
+    so each maps to its multiplicity.  A few alphabets are kept: a caller
+    that asks several lam of one degree over one alphabet lists it once.
+    The maps are shared: read them, never change them.
+    """
+    monomials: dict[Partition, dict[Exponents, int]] = {}
+    for word in combinations_with_replacement(range(len(slots)), degree):
+        tau = tuple(sorted((len(list(run)) for _, run in groupby(word)), reverse=True))
+        exps = [0] * width
+        for v in word:
+            for slot in slots[v]:
+                exps[slot] += 1
+        key, terms = tuple(exps), monomials.setdefault(tau, {})
+        terms[key] = terms.get(key, 0) + 1
+    return monomials
+
+
+def _schur_terms(lam: Partition, slots: Slots, width: int) -> dict[Exponents, int]:
+    """s_lam(z_1..z_N) = sum_tau K_{lam,tau} m_tau as exponent vectors of the given width.
+
+    z_v adds one to each exponent slot in slots[v].  The m_tau come from
+    _monomial_terms, listed once per alphabet, and each is weighted by the
+    Kostka number K_{lam,tau}; nothing is filled.
     """
     terms: dict[Exponents, int] = {}
-    for word in combinations_with_replacement(range(len(slots)), sum(lam)):
-        content = sorted((len(list(run)) for _, run in groupby(word)), reverse=True)
-        coeff = _kostka(lam, tuple(content))
+    for tau, monomial in _monomial_terms(slots, width, sum(lam)).items():
+        coeff = _kostka(lam, tau)
         if coeff:
-            exps = [0] * width
-            for v in word:
-                for slot in slots[v]:
-                    exps[slot] += 1
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + coeff
+            for key, count in monomial.items():
+                terms[key] = terms.get(key, 0) + coeff * count
     return terms
 
 
@@ -245,15 +268,17 @@ def schur_poly(lam: Sequence[int], variables: Sequence[str]) -> SymPoly:
     """s_lam over the named variables, from the Kostka numbers."""
     lam = check_partition(lam)
     n = len(variables)
-    return make_sympoly(variables, _schur_terms(lam, [(v,) for v in range(n)], n))
+    return make_sympoly(variables, _schur_terms(lam, tuple((v,) for v in range(n)), n))
 
 
 def kron_coproduct_poly(lam: Sequence[int], n: int, m: int) -> SymPoly:
     """s_lam[xy] in x_1..x_n, y_1..y_m from the bitableaux, checked against the Kostka numbers.
 
     It sums x^a(T) y^b(T) over the bitableaux T of shape lam over [n]x[m],
-    then checks the sum term by term against sum_c K_{lam,c} z^c with
-    z_(i,j) = x_i y_j.  A disagreement raises ArithmeticError.
+    then checks the sum term by term against sum_tau K_{lam,tau} m_tau(z)
+    with z_(i,j) = x_i y_j (_schur_terms), whose monomials are listed once
+    per (n, m, |lam|) and fill nothing.  A disagreement raises
+    ArithmeticError.
     """
     lam = check_partition(lam)
     terms: dict[Exponents, int] = {}
@@ -265,7 +290,7 @@ def kron_coproduct_poly(lam: Sequence[int], n: int, m: int) -> SymPoly:
                 exps[n + b - 1] += 1
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + 1
-    slots = [(i, n + j) for i in range(n) for j in range(m)]
+    slots = tuple((i, n + j) for i in range(n) for j in range(m))
     if terms != _schur_terms(lam, slots, n + m):
         raise ArithmeticError(
             f"bitableau filling and Kostka sum disagree for lam={lam}, n={n}, m={m}"

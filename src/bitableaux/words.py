@@ -72,6 +72,25 @@ def unmatched_brackets(word: Sequence[int], i: int) -> tuple[list[int], list[int
     return opens, closes
 
 
+def lowering_positions(word: Sequence[int], m: int) -> list[int | None]:
+    """For i = 1..m-1, the index of the letter f_i changes (None: sent to zero), from one scan.
+
+    The letters are in [1, m].  A letter b is ")" for i = b and "(" for
+    i = b - 1.  Read left to right, a ")" closes an open "(" of its i if one
+    is left, else it stays unmatched for good, so f_i flips the last
+    unmatched one.  unmatched_brackets, one scan per i, is the reference.
+    """
+    opens = [0] * (m + 1)  # unmatched "(" so far, by i
+    last: list[int | None] = [None] * (m + 1)  # the last unmatched ")" so far, by i
+    for pos, b in enumerate(word):
+        if opens[b]:
+            opens[b] -= 1
+        else:
+            last[b] = pos
+        opens[b - 1] += 1
+    return last[1:m]
+
+
 def crystal_op_word(word: Sequence[int], i: int, direction: str) -> Word | None:
     """Apply f_i ("lower") or e_i ("raise"); None encodes "sent to zero"."""
     check_int(i, "operator index", 1)

@@ -124,6 +124,11 @@ def test_d_at_k16_under_each_convention(capsys, conv):
     assert (code, out, err) == (0, "10589\n", "")
 
 
+@pytest.mark.parametrize("conv", ["w", "w_prime"])
+def test_d_on_a_layer_of_1200_cells(capsys, conv):
+    argv = ["d", "--lam", "1200", "--mu", "1200", "--nu", "1200", "--mode", "crystal", "--conv", conv]
+    assert run(capsys, *argv) == (0, "1\n", "")
+
 def test_kron_tableaux_csv(capsys):
     code, out, _ = run(
         capsys, "kron-tableaux", "--lam", "4,3", "--p", "3", "--nu", "3,2,2"

@@ -481,17 +481,17 @@ def test_json_export_of_a_non_str_payload_key_raises_as_json_dumps():
 def test_full_crystal_never_wraps_a_bottom_entry(monkeypatch):
     import bitableaux.crystal as crystal
 
-    real, wrapped = crystal.crystal_op_position, []
+    real, wrapped = crystal.lowering_positions, []
 
-    def raise_the_first_bottom_m(word, i, direction):
+    def raise_the_first_bottom_m(word, m):
         if list(word) == [2] and not wrapped:  # the vertex ((1,2),) of B_(1)(2,2)
             wrapped.append(word)
-            return 0
-        return real(word, i, direction)
+            return [0]
+        return real(word, m)
 
     # its bottom 2 raised as code 2 + 1 would be the vertex ((2,1),); no later
     # vertex breaks, so only the wrap check stops the graph
-    monkeypatch.setattr(crystal, "crystal_op_position", raise_the_first_bottom_m)
+    monkeypatch.setattr(crystal, "lowering_positions", raise_the_first_bottom_m)
     with pytest.raises(CrystalStructureError, match=r"broke semistandardness at \(0, 0\)"):
         full_crystal((1,), 2, 2)
     assert len(wrapped) == 1
@@ -621,6 +621,7 @@ def test_an_invalid_image_is_a_structure_error(monkeypatch, capsys):
     with pytest.raises(CrystalStructureError, match=r"broke semistandardness at \(0, 0\)"):
         crystal_op_bitableau(t, 1, "lower")
     # the graph builder finds the image missing from B_(2)(1,2)
+    monkeypatch.setattr(crystal, "lowering_positions", lambda word, m: [0] * (m - 1))
     with pytest.raises(CrystalStructureError, match=r"broke semistandardness at \(0, 0\)"):
         full_crystal((2,), 1, 2)
     assert cli.main(["crystal", "--shape", "2", "--n", "1", "--m", "2"]) == 4

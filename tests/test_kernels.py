@@ -322,6 +322,11 @@ def test_empty_shape():
     assert count_d((), (), ()) == 1
 
 
+@pytest.mark.parametrize("conv", ["w", "w_prime"])
+def test_a_layer_of_1200_cells_fills_without_recursion(conv):
+    # the backtracker is a loop over the cells: one frame for any layer
+    assert count_d((1200,), (1200,), (1200,), conv) == 1
+
 def test_count_yamanouchi_examples():
     assert count_d((2,), (1, 1), (2,)) == 1
     assert count_d((1,), (1,), (1,)) == 1

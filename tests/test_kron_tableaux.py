@@ -174,11 +174,12 @@ def test_csv_row():
 
 def test_kronecker_grid_work_counters(monkeypatch):
     # exact work of the Kronecker grid of every two-row lam |- 8, p = 0..4 and
-    # every nu: the members of B'_lam(2,m) are built layer by layer, one
-    # listing of lattice fillings per (outer, inner, start) of a call, not
-    # filtered from every filling (which would list none)
+    # every nu, from a cold row: one listed walk per (lam, p) serves every nu,
+    # one listing of lattice fillings per (outer, inner, start) of a walk
     import bitableaux.kernels as kernels
+    import bitableaux.kron_tableaux as kron_tableaux
 
+    monkeypatch.setattr(kron_tableaux, "_LATEST", ((), -1, {}))
     work = {"calls": 0, "fillings": 0}
     fillings = kernels._lattice_fillings
 
@@ -194,4 +195,64 @@ def test_kronecker_grid_work_counters(monkeypatch):
         count_kronecker_tableaux(lam, p, nu) for lam in shapes for p in range(5) for nu in enumerate_partitions(8)
     )
     assert total == 140
-    assert work == {"calls": 1620, "fillings": 5443}
+    assert work == {"calls": 80, "fillings": 353}
+
+
+def test_count_is_the_length_of_the_listing_to_k8():
+    # the row count against the filtered listing, every (lam, p, nu) of k <= 8
+    cases = 0
+    for k in range(9):
+        parts = enumerate_partitions(k)
+        for lam in parts:
+            for p in range(k + 1):
+                for nu in parts:
+                    assert count_kronecker_tableaux(lam, p, nu) == len(kronecker_tableaux(lam, p, nu)), (lam, p, nu)
+                    cases += 1
+    assert cases == 7473
+
+
+def test_count_refuses_what_the_listing_refuses():
+    bad = [((2, 1), 1, (2, 2)), ((2, 1), 4, (2, 1)), ((2, 1), -1, (2, 1)), ((2, 1), True, (2, 1)), ((1, 2), 0, (3,))]
+    for args in bad:
+        with pytest.raises(ValueError):
+            kronecker_tableaux(*args)
+        with pytest.raises(ValueError):
+            count_kronecker_tableaux(*args)
+
+
+def test_count_is_right_under_threads(monkeypatch):
+    # four threads ask for every nu of k = 7, four rounds each, each from
+    # another (lam, p) first and one (lam, p) behind the next, so the latest
+    # row is swapped between threads while another asks for it, with a
+    # thread switch about every microsecond; every count must match the
+    # listing
+    import sys
+    import threading
+
+    import bitableaux.kron_tableaux as kron_tableaux
+
+    monkeypatch.setattr(kron_tableaux, "_LATEST", ((), -1, {}))
+    parts = enumerate_partitions(7)
+    cases = [(lam, p) for lam in parts for p in range(4)]
+    listing = {(lam, p, nu): len(kronecker_tableaux(lam, p, nu)) for lam, p in cases for nu in parts}
+    wrong, done = [], []
+
+    def ask(offset):
+        for lam, p in (cases[offset:] + cases[:offset]) * 4:
+            for nu in parts:
+                if count_kronecker_tableaux(lam, p, nu) != listing[lam, p, nu]:
+                    wrong.append((lam, p, nu))
+        done.append(offset)  # a thread that raised or hung never gets here
+
+    offsets = [0, 1, 2, 3]
+    threads = [threading.Thread(target=ask, args=(offset,), daemon=True) for offset in offsets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == offsets and wrong == []

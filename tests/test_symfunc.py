@@ -174,6 +174,38 @@ def test_schur_poly_matches_enumeration():
                 assert schur_poly(lam, default_variables(n)).terms == tally, (lam, n)
 
 
+def _per_word_kostka_sum(lam, slots, width):
+    # s_lam(z) = sum over each multiset of |lam| variables of K_{lam, its content} z^word
+    terms = {}
+    for word in itertools.combinations_with_replacement(range(len(slots)), sum(lam)):
+        content = sorted((word.count(v) for v in set(word)), reverse=True)
+        coeff = kostka(lam, content)
+        if coeff:
+            exps = [0] * width
+            for v in word:
+                for slot in slots[v]:
+                    exps[slot] += 1
+            terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+    return terms
+
+
+def test_schur_terms_are_the_per_word_kostka_sum():
+    # the monomials listed once per alphabet, weighted by Kostka numbers,
+    # against one Kostka number per word, on schur_poly's layout and on the
+    # coproduct's z_(i,j) = x_i y_j
+    from bitableaux.symfunc import _schur_terms
+
+    cases = 0
+    for k in range(6):
+        for lam in enumerate_partitions(k):
+            for n in range(1, 4):
+                layouts = [(tuple((v,) for v in range(n)), n)]
+                layouts += [(tuple((i, n + j) for i in range(n) for j in range(m)), n + m) for m in range(1, 4)]
+                for slots, width in layouts:
+                    assert _schur_terms(lam, slots, width) == _per_word_kostka_sum(lam, slots, width), (lam, slots)
+                    cases += 1
+    assert cases == 19 * 3 * 4  # 19 partitions of k <= 5, three n, four layouts each
+
 def test_kron_coproduct_examples():
     assert kron_coproduct_poly((1,), 1, 1).terms == {(1, 1): 1}
     assert kron_coproduct_poly((1, 1, 1), 1, 2).is_zero()

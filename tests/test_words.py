@@ -6,8 +6,10 @@ from conftest import EIGHTEEN_BOX, EIGHTEEN_BOX_WORD, FIVE_BOX, nm_pairs, small_
 from bitableaux.bitableau import enumerate_bitableaux
 from bitableaux.words import (
     bitableau_reading_word,
+    crystal_op_position,
     crystal_op_word,
     is_yamanouchi,
+    lowering_positions,
     word_crystal_component,
     word_weight,
 )
@@ -97,3 +99,15 @@ def test_reading_word_letter_multisets():
                     assert sorted(bitableau_reading_word(t, method)) == bottoms
                 for method in ("u", "u_prime"):
                     assert sorted(bitableau_reading_word(t, method)) == tops
+
+
+def test_one_scan_finds_every_lowering_position():
+    # the one-scan positions against one bracket matching per i, on every
+    # word over [m] of length at most 6, m <= 4
+    words = 0
+    for m in range(1, 5):
+        for word in all_words(6, m):
+            expected = [crystal_op_position(word, i, "lower") for i in range(1, m)]
+            assert lowering_positions(word, m) == expected, (word, m)
+            words += 1
+    assert words == sum(m**length for m in range(1, 5) for length in range(7))
