@@ -23,13 +23,13 @@ count_d_table's (_WALK), and the w sweep's in partition_runs.  A w' walk
 grows toward lam, so its walker holds lam.  Every walk starts in
 _Walk.run, at lam under w and at () under w'.  highest_weight_bitableaux
 lists with a walker of its own, the only listing of bitableaux by content,
-and crystal re-exports it; kron_tableaux counts on a listed walker of its
-own, one per (lam, p), and builds no bitableau.  _push serves the w' sweep
-alone: what it has grown from () holds no lam, so one push inside a bound
-holding every lam of k counts all their runs at once, by b-content and run;
-column strictness and the lattice test bound the letters and the content
-read at the end is b(T), so it serves every nu.  Layer shapes come from
-partitions_between.
+and crystal re-exports it.  kron_tableaux builds no bitableau: its a = 1
+layer has one filling under w', so it lists only the a = 2 layer's, with
+_lattice_fillings.  _push serves the w' sweep alone: what it has grown from
+() holds no lam, so one push inside a bound holding every lam of k counts
+all their runs at once, by b-content and run; column strictness and the
+lattice test bound the letters and the content read at the end is b(T), so
+it serves every nu.  Layer shapes come from partitions_between.
 
 Empty layers add nothing to the word, so a run is the sizes of the nonempty
 layers, a ascending.  count_d_table walks every composition run, so that its
@@ -43,6 +43,7 @@ kernel's own backtracker, and tallies every b-content's a-contents from it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
@@ -218,9 +219,6 @@ def _partition_runs(k: int, parts: list[Shape], conv: str) -> Iterator[tuple[Sha
             yield lam, grown[lam]
 
 
-_LATEST: dict[str, _Walk] = {}  # conv -> count_d_table's w' walker of the latest shape asked
-
-
 def _placements(n: int, j: int) -> list[Callable[[tuple[int, ...]], tuple[int, ...]]]:
     """Each way to give a run of j layers to j of the n top values, in increasing order.
 
@@ -247,17 +245,15 @@ def count_d_table(
     count at bcontent, its trailing zeros trimmed; a run of j layers gives
     its sizes, in order, to each j of the n top values, the others unused.
     A b-content that is not a partition has no Yamanouchi word.  Under w the
-    walks go on count_d's process walker (_WALK); under w' on the latest
-    shape's walker (_LATEST), so a caller that asks for one shape's tables
-    in a row walks it once.
+    walks go on count_d's process walker (_WALK); under w' on the walker
+    of the latest shape asked (_shape_walker, an lru_cache of one entry),
+    so a caller that asks for one shape's tables in a row walks it once.
     """
     shape = check_partition(shape)
     nu = trim(check_content(bcontent, 0, "b-content"))
     check_int(n, "n")
     check_conv(conv)
-    walker = _WALK if conv == "w" else _LATEST.get(conv)  # one read: a thread that swaps it cannot mix shapes
-    if conv != "w" and (walker is None or walker.lam != shape):
-        walker = _LATEST[conv] = _Walk(conv, shape, None, None, False)
+    walker = _WALK if conv == "w" else _shape_walker(shape)
     total = sum(shape)
     runs = [()] if not total else [  # every composition of total into at most n parts, by its cuts
         tuple(b - a for a, b in zip((0,) + cut, cut + (total,)))
@@ -393,6 +389,12 @@ class _Walk:
 
 
 _WALK = _Walk("w", None, None, None, False)  # count_d's w walker
+
+
+@lru_cache(maxsize=1)
+def _shape_walker(shape: Shape) -> _Walk:
+    """count_d_table's w' walker of shape, kept for the latest shape asked."""
+    return _Walk("w_prime", shape, None, None, False)
 
 
 def _tally_python_dict(shape: Sequence[int], n: int, m: int, conv: str) -> dict[Content, dict[Content, int]]:

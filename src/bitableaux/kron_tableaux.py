@@ -5,23 +5,24 @@ at every entry point that takes a bitableau, since both the defining
 conditions and phi presuppose it.  iter_b_prime_content builds the members of
 one content layer by layer (kernels.highest_weight_bitableaux), and
 kronecker_tableaux checks each on its w' word before the conditions are read:
-the naive reference.  count_kronecker_tableaux builds no bitableau: one listed
-w' walk of lam's two layers with a(T) = (p, k - p) gives every member of every
-b-content as its two layers' cells and letters, each tallied by the same
-conditions, so one row {nu: count} serves every nu of a (lam, p).  The row of
-the latest (lam, p) asked is kept (_LATEST), replaced whole and read once per
-call, so a thread that asks for another (lam, p) cannot mix two rows.
+the naive reference.  count_kronecker_tableaux builds no bitableau: under
+w' the a = 1 layer of shape alpha |- p has one lattice filling, so one
+listing of the a = 2 layer's fillings per alpha inside lam gives every
+member of every b-content, each tallied by the same conditions, and one row
+{nu: count} serves every nu of a (lam, p).  The row of the latest (lam, p)
+asked is kept in an lru_cache of one entry, which stores each row whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .bitableau import Bitableau
 from .crystal import highest_weight_bitableaux, is_highest_weight
-from .kernels import _Walk
-from .partitions import Partition, check_int, check_partition, trim
+from .kernels import _lattice_fillings
+from .partitions import Partition, check_int, check_partition, partitions_between, trim
 from .symfunc import kronecker_coefficient
 
 
@@ -119,53 +120,48 @@ def kronecker_tableaux(lam: Sequence[int], p: int, nu: Sequence[int]) -> list[Bi
     return [t for t in iter_b_prime_content(lam, p, nu) if is_kronecker_tableau(t).is_kronecker]
 
 
+@lru_cache(maxsize=1)
 def _kronecker_row(lam: Partition, p: int) -> dict[Partition, int]:
     """{nu: number of Kronecker tableaux} of shape lam with a(T) = (p, k-p), every nu at once.
 
-    One listed w' walk places the a = 1 layer (p cells), then the a = 2
-    layer (the rest); a chain is the two layers' ((row, column), letter)
-    cells, letter b - 1 for a bottom entry b, and its end content is b(T).
-    alpha_r is the number of a = 1 cells in row r, and a chain counts if
-    alpha_0 = alpha_1 (I), or if the a = 2 layer holds alpha_0 - alpha_1
+    w' reads the a = 1 layer first, so its shape alpha |- p has one lattice
+    filling: row r all letter r, content alpha.  The a = 2 layer's bottom
+    entries are then the lattice fillings of lam/alpha from that content,
+    letter b - 1 for a bottom entry b, each ending at b(T).  A filling's
+    letters run top row first, right to left, so row 0 is the first
+    lam_0 - alpha_0 of them and row 1 the next lam_1 - alpha_1.  It counts
+    if alpha_0 = alpha_1 (I), or if the a = 2 layer holds alpha_0 - alpha_1
     letters 0 in row 1 (II)(i) or letters 1 in row 0 (II)(ii).
     """
-    row = {}
-    for nu, chains in _Walk("w_prime", lam, None, None, True).run(lam, (p, sum(lam) - p)).items():
-        count, last = 0, None
-        for ones, twos in chains:
-            if ones is not last:  # the chains of one a = 1 layer come in a row, sharing it
-                rows = [r for (r, _), _ in ones]
-                gap, last = rows.count(0) - rows.count(1), ones
-            marks = [(r, x) for (r, _), x in twos]
-            count += not gap or gap in (marks.count((1, 0)), marks.count((0, 1)))
-        if count:
-            row[nu] = count
+    row: dict[Partition, int] = {}
+    l0, l1, *_ = lam + (0, 0)
+    for alpha in partitions_between((0,) * len(lam), lam, p, p):
+        a0, a1, *_ = alpha + (0, 0)
+        gap, cut, end = a0 - a1, l0 - a0, l0 - a0 + l1 - a1
+        for nu, fillings in _lattice_fillings(lam, alpha, trim(alpha), None, True).items():
+            count = sum(not gap or gap in (vals[cut:end].count(0), vals[:cut].count(1)) for vals in fillings)
+            if count:
+                row[nu] = row.get(nu, 0) + count
     return row
-
-
-_LATEST: tuple = ((), -1, {})  # (lam, p, _kronecker_row(lam, p)) of the latest (lam, p) asked
 
 
 def count_kronecker_tableaux(lam: Sequence[int], p: int, nu: Sequence[int]) -> int:
     """The number of Kronecker tableaux of the shape with a(T)=(p,k-p), b(T)=nu.
 
-    Read from the row of (lam, p), one listed walk for every nu
-    (_kronecker_row), kept for the latest (lam, p) asked, so a caller that
-    asks every nu of one (lam, p) in a row walks it once.  It equals
-    len(kronecker_tableaux(lam, p, nu)), which the tests check.
+    Read from the row of (lam, p), one listing of the a = 2 layer's
+    fillings per a = 1 shape for every nu (_kronecker_row), cached for the
+    latest (lam, p) asked, so a caller that asks every nu of one (lam, p) in
+    a row lists it once.  It equals len(kronecker_tableaux(lam, p, nu)),
+    which the tests check.
     """
-    global _LATEST
     lam, nu = _check_case(lam, p, nu)
-    latest = _LATEST  # one read: a thread that swaps it cannot mix rows
-    if latest[0] != lam or latest[1] != p:
-        latest = _LATEST = (lam, p, _kronecker_row(lam, p))
-    return latest[2].get(nu, 0)
+    return _kronecker_row(lam, p).get(nu, 0)
 
 
 def in_two_row_regime(lam: Sequence[int], p: int) -> bool:
     """The regime lam_1 >= 2p-1 where the count equals the coefficient."""
     lam = check_partition(lam)
-    return (lam[0] if lam else 0) >= 2 * p - 1
+    return (lam[0] if lam else 0) >= 2 * check_int(p, "p") - 1
 
 
 def kronecker_count_row(lam: Sequence[int], p: int, nu: Sequence[int]) -> tuple:
@@ -173,7 +169,7 @@ def kronecker_count_row(lam: Sequence[int], p: int, nu: Sequence[int]) -> tuple:
     lam = check_partition(lam)
     nu = check_partition(nu)
     k = sum(lam)
-    if 2 * p > k:
+    if 2 * check_int(p, "p") > k:
         raise ValueError(f"(k-p, p) is not a partition for p = {p}, k = {k}")
     count = count_kronecker_tableaux(lam, p, nu)
     g = kronecker_coefficient(lam, trim((k - p, p)), nu)

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 
@@ -15,11 +16,12 @@ from bitableaux.words import CONVENTIONS
 
 
 def cold_tables(shape, nus, n, conv):
-    # count_d_table's tables of shape at each nu, from cold walkers that no
-    # other call shares; the process walkers are put back afterwards
+    # count_d_table's tables of shape at each nu, from cold walkers: a w
+    # walker no other call shares, the process one put back afterwards, and
+    # an emptied w' shape cache
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_WALK", _Walk("w", None, None, None, False))
-        patch.setattr(kernels, "_LATEST", {})
+        kernels._shape_walker.cache_clear()
         return [count_d_table(shape, nu, n, conv) for nu in nus]
 
 
@@ -59,7 +61,11 @@ def test_one_memo_serves_every_shape(monkeypatch):
     # the shapes of each size descending and then ascending: a stale or
     # shape-dependent memo entry changes a later shape's table.  Size 0 has
     # one shape, so it shares nothing.
-    memos = {(conv, order): (_Walk("w", None, None, None, False), {}) for conv in CONVENTIONS for order in (-1, 1)}
+    memos = {
+        (conv, order): (_Walk("w", None, None, None, False), lru_cache(maxsize=1)(kernels._shape_walker.__wrapped__))
+        for conv in CONVENTIONS
+        for order in (-1, 1)
+    }
     cases = 0
     for k in range(1, 6):
         shapes = enumerate_partitions(k)
@@ -72,7 +78,7 @@ def test_one_memo_serves_every_shape(monkeypatch):
                     for order in (-1, 1):
                         walker, latest = memos[conv, order]
                         monkeypatch.setattr(kernels, "_WALK", walker)
-                        monkeypatch.setattr(kernels, "_LATEST", latest)
+                        monkeypatch.setattr(kernels, "_shape_walker", latest)
                         for shape in shapes[::order]:
                             table = count_d_table(shape, bcontent, n, conv)
                             assert table == tallies[shape].get(bcontent, {}), (shape, n, bcontent, conv)
@@ -185,7 +191,7 @@ def test_a_count_d_table_call_made_while_one_pushes_keeps_each_shape_its_own_run
         return [count_d_table(shape, nu, 7, conv) for nu in nus]
 
     monkeypatch.setattr(kernels, "_WALK", _Walk("w", None, None, None, False))  # cold: the walk reaches
-    monkeypatch.setattr(kernels, "_LATEST", {})  # partitions_between
+    kernels._shape_walker.cache_clear()  # partitions_between
     between = kernels.partitions_between
     pending, nested = [second], []
 
@@ -244,7 +250,7 @@ def test_count_d_table_is_right_under_threads(monkeypatch, conv):
     import threading
 
     monkeypatch.setattr(kernels, "_WALK", _Walk("w", None, None, None, False))
-    monkeypatch.setattr(kernels, "_LATEST", {})
+    kernels._shape_walker.cache_clear()
     parts = enumerate_partitions(6)
     tally = {lam: _tally_python_dict(lam, 3, 3, conv) for lam in parts}
     bcontents = [b for b in itertools.product(range(7), repeat=3) if sum(b) == 6]

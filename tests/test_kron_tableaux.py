@@ -1,7 +1,7 @@
 import pytest
 
 from bitableaux.bitableau import Bitableau, weights
-from bitableaux.kernels import count_d_table
+from bitableaux.kernels import _lattice_fillings, _layer_cells, count_d_table
 from bitableaux.kron_tableaux import (
     count_kronecker_tableaux,
     in_two_row_regime,
@@ -12,7 +12,7 @@ from bitableaux.kron_tableaux import (
     phi,
     top_one_shape,
 )
-from bitableaux.partitions import enumerate_partitions, trim
+from bitableaux.partitions import enumerate_partitions, partitions_between, trim
 from bitableaux.symfunc import kronecker_coefficient
 from bitableaux.words import bitableau_reading_word, is_yamanouchi
 
@@ -174,12 +174,12 @@ def test_csv_row():
 
 def test_kronecker_grid_work_counters(monkeypatch):
     # exact work of the Kronecker grid of every two-row lam |- 8, p = 0..4 and
-    # every nu, from a cold row: one listed walk per (lam, p) serves every nu,
-    # one listing of lattice fillings per (outer, inner, start) of a walk
+    # every nu, from a cold row: one row per (lam, p) serves every nu, one
+    # listing of the a = 2 layer's lattice fillings per a = 1 shape alpha |- p
     import bitableaux.kernels as kernels
     import bitableaux.kron_tableaux as kron_tableaux
 
-    monkeypatch.setattr(kron_tableaux, "_LATEST", ((), -1, {}))
+    kron_tableaux._kronecker_row.cache_clear()
     work = {"calls": 0, "fillings": 0}
     fillings = kernels._lattice_fillings
 
@@ -189,13 +189,28 @@ def test_kronecker_grid_work_counters(monkeypatch):
         work["fillings"] += sum(map(len, ends.values()))
         return ends
 
-    monkeypatch.setattr(kernels, "_lattice_fillings", counted_fillings)
+    monkeypatch.setattr(kron_tableaux, "_lattice_fillings", counted_fillings)
     shapes = [lam for lam in enumerate_partitions(8) if len(lam) <= 2]
     total = sum(
         count_kronecker_tableaux(lam, p, nu) for lam in shapes for p in range(5) for nu in enumerate_partitions(8)
     )
     assert total == 140
-    assert work == {"calls": 80, "fillings": 353}
+    assert work == {"calls": 40, "fillings": 313}
+
+
+def test_the_a1_layer_has_one_lattice_filling():
+    # the fact the row counter rests on: read first under w', a layer of
+    # partition shape alpha from () has one lattice filling, row r all
+    # letter r, ending at content alpha; every alpha inside every lam of k <= 10
+    cases = 0
+    for k in range(11):
+        for lam in enumerate_partitions(k):
+            for alpha in partitions_between((0,) * len(lam), lam, 0, k):
+                empty = (0,) * len(alpha)
+                rows = tuple(r for r, _ in _layer_cells(alpha, empty))
+                assert _lattice_fillings(alpha, empty, (), None, True) == {trim(alpha): [rows]}, alpha
+                cases += 1
+    assert cases == 2888
 
 
 def test_count_is_the_length_of_the_listing_to_k8():
@@ -218,6 +233,12 @@ def test_count_refuses_what_the_listing_refuses():
             kronecker_tableaux(*args)
         with pytest.raises(ValueError):
             count_kronecker_tableaux(*args)
+    for p in (True, 1.5, -3, "2"):
+        with pytest.raises(ValueError):
+            in_two_row_regime((3,), p)
+    for p in ("a", 1.5, True):
+        with pytest.raises(ValueError):
+            kronecker_count_row((2, 1), p, (2, 1))
 
 
 def test_count_is_right_under_threads(monkeypatch):
@@ -231,7 +252,7 @@ def test_count_is_right_under_threads(monkeypatch):
 
     import bitableaux.kron_tableaux as kron_tableaux
 
-    monkeypatch.setattr(kron_tableaux, "_LATEST", ((), -1, {}))
+    kron_tableaux._kronecker_row.cache_clear()
     parts = enumerate_partitions(7)
     cases = [(lam, p) for lam in parts for p in range(4)]
     listing = {(lam, p, nu): len(kronecker_tableaux(lam, p, nu)) for lam, p in cases for nu in parts}
