@@ -4,10 +4,17 @@ The bottom gl_2 structure on B_lam(2,2) is known; a commuting top structure
 is only partially determined.  A top string pairs bottom chains of one
 b-type (chain of b-weights) only, so the search runs per b-type group: a
 group's options arrange its chains into gl_2 strings of the correct
-lengths, and each is re-validated with the string criterion and an
-explicit commutation check, so the search logic never has the final word.
-A completion is one option per group; the skeleton and the completion
-count are read from the groups without forming that product.
+lengths.  Each option is checked piece by piece, each distinct piece once
+per group: a (parent, child) chain pair for the weight shift and for
+commutation with bottom f_1/e_1 on the parent chain, and a chain sequence
+(the chains one top string passes through) for the string criterion.  The
+check is exact: a group is a union of whole bottom f_1-chains, so off a
+pair's parent chain both sides of every commutation condition are None.
+is_valid_gl2_structure and commutes_with_bottom stay the naive
+references: they re-check any option the pieces refuse, and name its
+first failure.  A completion is one option per group; the skeleton and
+the completion count are read from the groups without forming that
+product, and the count also comes from the kernel before any search.
 
 Also here: the top operators on one-row and one-column bitableaux obtained
 from the u / u' reading words, which transport through RSK and Burge
@@ -20,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bitableau import Bitableau, weights
 from .crystal import (
@@ -30,7 +37,8 @@ from .crystal import (
     highest_weight_bitableaux,
 )
 from .graphs import CrystalGraph, CrystalVertex
-from .partitions import Partition, check_int, trim
+from .kernels import count_d_table
+from .partitions import Partition, check_int, enumerate_partitions, trim
 from .tableaux import ssyt_from_reading_word
 from .words import (
     bitableau_reading_cells,
@@ -45,7 +53,8 @@ Weight = tuple[int, ...]
 class PartialOperator:
     """A partial injection of vertex ids acting on the first-coordinate weights.
 
-    images is a read-only copy of the mapping passed in.
+    images is a read-only dict copied once from the mapping, or the
+    (source, target) pairs, passed in.
     """
 
     images: Mapping[int, int]
@@ -176,17 +185,129 @@ def _arrangements(
             yield pairs + rest
 
 
+def _pair_edges(
+    g: CrystalGraph, chains: Sequence[tuple[int, ...]], parent: int, child: int
+) -> tuple[tuple[int, int], ...] | None:
+    """The top edges of a (parent, child) chain pair, or None if the references would refuse them.
+
+    Every edge must lower a_1 by one, and top f must commute with bottom
+    f_1 and e_1 on the parent chain, where only this pair's edges act.
+    """
+    images = dict(zip(chains[parent], chains[child]))
+    for v in chains[parent]:
+        mid = images.get(v)
+        if mid is not None:
+            a, b = g.vertices[v].weight_a, g.vertices[mid].weight_a
+            if (a[0] - 1, a[1] + 1) != tuple(b):
+                return None
+        for step in (g.f, g.e):  # no vertex is None, so a lookup of None gives None
+            if images.get(step(v, 1)) != step(mid, 1):
+                return None
+    return tuple(images.items())
+
+
+def _sequence_cover(levels: Sequence[int], group: frozenset[int], seq: tuple[int, ...]) -> int | None:
+    """The string criterion on the chains one top string passes through, top down.
+
+    A string of length r + 1 has level (a_1 - a_2) r - 2d at depth d.  On a
+    pass, the number of the group's chains off level 0 that it covers; else None.
+    """
+    if any(levels[c] != len(seq) - 1 - 2 * d for d, c in enumerate(seq)):
+        return None
+    return sum(1 for c in seq if levels[c] and c in group)
+
+
+def _top_strings(nxt: Mapping[int, int], children: set[int]) -> list[tuple[int, ...]]:
+    """The chain sequences of a stacking: one per parent that is no child, its chains top down."""
+    out = []
+    for head in nxt.keys() - children:
+        seq = [head]
+        while (child := nxt.get(seq[-1])) is not None:
+            seq.append(child)
+        out.append(tuple(seq))
+    return out
+
+
+class _Stacking:
+    """The per-piece check of one b-type group's stackings, each distinct piece checked once.
+
+    check(pairs) accepts a stacking exactly when is_valid_gl2_structure on
+    the group and commutes_with_bottom on the graph both would.  Parents
+    and children must be distinct, so the edges are injective and every
+    chain is on one string.  Each pair then passes _pair_edges: a group is
+    a union of whole bottom f_1-chains, so off a pair's parent chain both
+    sides of every commutation condition are None, and a pair that
+    commutes maps chains of equal length.  Each chain sequence passes
+    _sequence_cover, and together they cover every chain off level 0; a
+    chain left uncovered is a one-vertex string, which fits at level 0 only.
+    """
+
+    def __init__(self, g: CrystalGraph, chains: Sequence[tuple[int, ...]], group: Iterable[int]):
+        self.g, self.chains, self.group = g, chains, frozenset(group)
+        self.levels = [a1 - a2 for a1, a2 in (g.vertices[chain[0]].weight_a for chain in chains)]
+        self.cover = sum(1 for c in self.group if self.levels[c])
+        self.pairs: dict[tuple[int, int], tuple[tuple[int, int], ...] | None] = {}
+        self.sequences: dict[tuple[int, ...], int | None] = {}
+
+    def check(
+        self, pairs: Sequence[tuple[int, int]]
+    ) -> tuple[dict[int, int], list[tuple[int, ...]], set[int]] | None:
+        """(images, chain sequences, chains in a pair) of an accepted stacking, else None."""
+        nxt = dict(pairs)
+        children = set(nxt.values())
+        if len(nxt) != len(pairs) or len(children) != len(pairs):
+            return None
+        images: dict[int, int] = {}
+        for pair in pairs:
+            if pair not in self.pairs:
+                self.pairs[pair] = _pair_edges(self.g, self.chains, *pair)
+            edges = self.pairs[pair]
+            if edges is None:
+                return None
+            images.update(edges)
+        strings = _top_strings(nxt, children)
+        covered = 0
+        for seq in strings:
+            if seq not in self.sequences:
+                self.sequences[seq] = _sequence_cover(self.levels, self.group, seq)
+            count = self.sequences[seq]
+            if count is None:
+                return None
+            covered += count
+        if covered != self.cover:
+            return None
+        return images, strings, nxt.keys() | children
+
+
+class _Group(NamedTuple):
+    """One b-type group: its vertices, its options, and the skeleton read from them."""
+
+    vertices: list[int]
+    options: list[dict[int, int]]
+    forced: list[tuple[int, int]]  # top edges of every option
+    free: list[int]  # vertices whose (string length, depth) varies across options
+
+
 def _group_options(
     lam: Sequence[int], conv: str, cap: int
-) -> tuple[CrystalGraph, list[tuple[int, ...]], list[tuple[list[int], list[dict[int, int]]]]]:
-    """The graph, its bottom chains and, per b-type group, its vertices and options.
+) -> tuple[CrystalGraph, list[tuple[int, ...]], list[_Group]]:
+    """The graph, its bottom chains and its b-type groups, sorted by b-type.
 
     Chains of equal type (same chain of b-weights) are stacked into gl_2
     strings in every level-respecting way; the operator between consecutive
     chains is the unique b-weight-preserving isomorphism.  Each option is
-    validated on its own: its strings stay inside the group, and a bottom
+    checked on its own: its strings stay inside the group, and a bottom
     f_1 stays inside its chain, so a choice of one option per group is a
-    valid completion exactly when every option is valid.
+    valid completion exactly when every option is valid.  A group's
+    _Stacking checks each option piece by piece, each distinct (parent,
+    child) pair and chain sequence once.  That is exact: the group is a
+    union of whole bottom f_1-chains, so off a pair's parent chain both
+    sides of every commutation condition are None.  An option it refuses
+    goes to is_valid_gl2_structure and commutes_with_bottom, which decide:
+    they name its first failure, or keep it.  Forced edges are read per
+    pair: an edge fixes its pair, so it is in every option when its pair
+    is.  A vertex's slot is its chain's (sequence length, depth), or
+    (1, 0) when the chain is in no pair.
     """
     g = full_crystal(lam, 2, 2, conv=conv, cap=cap)
     weight_a = {v.id: v.weight_a for v in g.vertices}
@@ -202,27 +323,68 @@ def _group_options(
 
     groups = []
     for btype, by_level in sorted(by_type.items()):
-        vertices = [v for ids in by_level.values() for ci in ids for v in chains[ci]]
-        group_a = {v: weight_a[v] for v in vertices}
+        group = [ci for ids in by_level.values() for ci in ids]
+        vertices = [v for ci in group for v in chains[ci]]
+        stacking = _Stacking(g, chains, group)
         levels = sorted(by_level, reverse=True)
-        options = []
+        options, sequences = [], set()
+        forced = covered = None
         for pairs in _arrangements(by_level, list(range(levels[0], levels[-1] - 1, -2))):
-            images = {
-                src: dst for parent, child in pairs for src, dst in zip(chains[parent], chains[child])
-            }
-            report = is_valid_gl2_structure(images, group_a)
-            ok, witness = commutes_with_bottom(images, g)
-            if not report.valid or not ok:
-                raise CrystalStructureError(
-                    f"search produced an invalid candidate: {report.violations or witness}"
-                )
+            kept = stacking.check(pairs)
+            if kept is None:
+                images = {
+                    src: dst for parent, child in pairs for src, dst in zip(chains[parent], chains[child])
+                }
+                report = is_valid_gl2_structure(images, {v: weight_a[v] for v in vertices})
+                ok, witness = commutes_with_bottom(images, g)
+                if not report.valid or not ok:
+                    raise CrystalStructureError(
+                        f"search produced an invalid candidate: {report.violations or witness}"
+                    )
+                nxt = dict(pairs)
+                children = set(nxt.values())
+                kept = images, _top_strings(nxt, children), nxt.keys() | children
+            images, strings, paired = kept
             options.append(images)
+            sequences.update(strings)
+            forced = set(pairs) if forced is None else forced.intersection(pairs)
+            covered = paired if covered is None else covered & paired
         if not options:
             raise CrystalStructureError(
                 f"no valid stacking of bottom components of type {btype}"
             )
-        groups.append((vertices, options))
+        slots = {ci: set() if ci in covered else {(1, 0)} for ci in group}
+        for seq in sequences:
+            for depth, ci in enumerate(seq):
+                slots[ci].add((len(seq), depth))
+        groups.append(_Group(
+            vertices,
+            options,
+            [edge for parent, child in forced for edge in zip(chains[parent], chains[child])],
+            [v for ci in group if len(slots[ci]) > 1 for v in chains[ci]],
+        ))
     return g, chains, groups
+
+
+def _completion_count(lam: Sequence[int], conv: str) -> int:
+    """The number of completions, from the kernel alone.
+
+    Per two-row nu, c_j counts the bottom-highest-weight bitableaux of
+    b-weight nu and top weight (k - j, j).  Below the middle level top f
+    injects level j into level j + 1; above it, the strings that go on map
+    onto level j + 1.
+    """
+    k = sum(lam)
+    total = 1
+    for nu in enumerate_partitions(k, 2):
+        table = count_d_table(lam, nu, 2, conv)
+        if table:
+            c = [table.get((k - j, j), 0) for j in range(k + 1)]
+            total *= math.prod(
+                math.perm(c[j + 1], c[j]) if 2 * (j + 1) <= k else math.factorial(c[j + 1])
+                for j in range(k)
+            )
+    return total
 
 
 def enumerate_completions(
@@ -232,16 +394,16 @@ def enumerate_completions(
 
     A completion is one validated option per b-type group; completions are
     sorted by their edge lists.  cap bounds both the vertices and the
-    number of completions, which is known before any completion is built.
+    number of completions, which the kernel gives before the crystal is
+    built; the product of the groups' option counts is checked again.
     """
+    check_cap(_completion_count(lam, conv), cap, "completions")
     g, _, groups = _group_options(lam, conv, cap)
-    check_cap(math.prod(len(options) for _, options in groups), cap, "completions")
-    completions = []
-    for combo in itertools.product(*(options for _, options in groups)):
-        images = {src: dst for option in combo for src, dst in option.items()}
-        completions.append(PartialOperator(dict(sorted(images.items()))))
-    completions.sort(key=lambda op: sorted(op.images.items()))
-    return g, completions
+    check_cap(math.prod(len(group.options) for group in groups), cap, "completions")
+    runs = [[sorted(op.items()) for op in group.options] for group in groups]
+    edge_lists = [sorted(itertools.chain(*combo)) for combo in itertools.product(*runs)]
+    edge_lists.sort()
+    return g, [PartialOperator(edges) for edges in edge_lists]
 
 
 @dataclass(frozen=True)
@@ -274,16 +436,7 @@ def skeleton(lam: Sequence[int], conv: str = "w", cap: int = 100_000) -> Skeleto
     only.
     """
     g, chains, groups = _group_options(lam, conv, cap)
-    forced_edges: set[tuple[int, int]] = set()
-    free: set[int] = set()
-    for vertices, options in groups:
-        forced_edges |= set(options[0].items()).intersection(*(op.items() for op in options[1:]))
-        positions: dict[int, set[tuple[int, int]]] = {v: set() for v in vertices}
-        for images in options:
-            for path in _strings(images, vertices):
-                for depth, v in enumerate(path):
-                    positions[v].add((len(path), depth))
-        free.update(v for v, pos in positions.items() if len(pos) > 1)
+    free = {v for group in groups for v in group.free}
     slots: dict[tuple[Weight, Weight], list[int]] = {}
     for v in sorted(free):
         vert = g.vertices[v]
@@ -294,23 +447,27 @@ def skeleton(lam: Sequence[int], conv: str = "w", cap: int = 100_000) -> Skeleto
             segments.setdefault(g.vertices[chain[0]].weight_a, []).append(chain)
     return SkeletonResult(
         graph=g,
-        forced=PartialOperator(dict(sorted(forced_edges))),
+        forced=PartialOperator(sorted(edge for group in groups for edge in group.forced)),
         free_vertices=tuple(sorted(free)),
         free_slots={key: tuple(ids) for key, ids in sorted(slots.items())},
         free_segments={key: tuple(val) for key, val in sorted(segments.items())},
-        completion_count=math.prod(len(options) for _, options in groups),
+        completion_count=math.prod(len(group.options) for group in groups),
     )
 
 
 def highest_weight_census(
     f_top: Mapping[int, int] | PartialOperator, g: CrystalGraph
 ) -> dict[tuple[Partition, Partition], int]:
-    """Doubly-highest-weight vertices per (a,b) weight pair."""
+    """Doubly-highest-weight vertices per (a,b) weight pair.
+
+    Only the graph's highest-weight vertices, read once per graph, are
+    tested against the top operator's targets.
+    """
     images = f_top.images if isinstance(f_top, PartialOperator) else f_top
-    doubly = set(g.highest_weight_ids()).difference(images.values())
+    targets = set(images.values())
     census: dict[tuple[Partition, Partition], int] = {}
-    for v in g.vertices:
-        if v.id in doubly:
+    for v in g.highest_weight_vertices:
+        if v.id not in targets:
             key = (trim(v.weight_a), trim(v.weight_b))
             census[key] = census.get(key, 0) + 1
     return census

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
@@ -86,10 +87,18 @@ class CrystalGraph:
     def operator_indices(self) -> tuple[int, ...]:
         return tuple(sorted({i for _, i in self.edges}))
 
-    def highest_weight_ids(self) -> list[int]:
-        """Ids of the vertices no f-edge enters, that is, with no e-edge out."""
+    @cached_property
+    def highest_weight_vertices(self) -> tuple[CrystalVertex, ...]:
+        """The vertices no f-edge enters, that is, with no e-edge out, in vertex order.
+
+        Read once per graph: the graph is immutable.
+        """
         targets = set(self.edges.values())
-        return [v.id for v in self.vertices if v.id not in targets]
+        return tuple(v for v in self.vertices if v.id not in targets)
+
+    def highest_weight_ids(self) -> list[int]:
+        """Ids of the highest-weight vertices, a fresh list from highest_weight_vertices."""
+        return [v.id for v in self.highest_weight_vertices]
 
     def components(self) -> list[list[int]]:
         """Vertex ids per connected component, each sorted, in sorted order."""

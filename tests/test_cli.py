@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -160,6 +161,17 @@ def test_skeleton_and_census(capsys):
     rows = out.strip().splitlines()
     assert rows[0] == "mu,nu,count"
     assert len(rows) == 5
+
+
+def test_skeleton_json_of_a_large_shape_is_pinned(capsys):
+    # digests of the output of the search that checked every option on the whole graph
+    digests = {
+        "w": "a31eccf354a4702a7a9c36df7e97f2a53a14f51676b7385e91ecc1dc52ba0a00",
+        "w_prime": "d25ee100e27697d24e637210a5f0be02803154d98ab649d2bb8b7c60818cdff8",
+    }
+    for conv, digest in digests.items():
+        code, out, _ = run(capsys, "skeleton", "--shape", "4,2", "--format", "json", "--conv", conv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, conv
 
 
 def test_completions_json(capsys):

@@ -8,7 +8,9 @@ import pytest
 from bitableaux.bitableau import Bitableau, enumerate_bitableaux
 from bitableaux.completion import (
     PartialOperator,
+    _Stacking,
     _arrangements,
+    _completion_count,
     _group_options,
     column_top_operator,
     commutes_with_bottom,
@@ -287,6 +289,20 @@ def test_completion_cap_counts_completions_before_building_them():
     assert skeleton((3, 2), cap=575).completion_count == 576
 
 
+def test_completion_cap_is_checked_from_the_kernel_before_the_search(monkeypatch):
+    import bitableaux.completion as completion
+
+    def never(*args, **kwargs):
+        raise AssertionError("the search ran before the cap was checked")
+
+    monkeypatch.setattr(completion, "_arrangements", never)
+    with pytest.raises(CapExceededError, match="1327104 completions exceed the cap 10"):
+        enumerate_completions((4, 2), cap=10)
+    # its nu = (7, 3) group alone has about 9.8e21 options
+    with pytest.raises(CapExceededError, match="completions exceed the cap 100000"):
+        enumerate_completions((7, 3))
+
+
 def test_census_is_one_per_group_and_sums_to_the_coefficients():
     """Every option's census is g: a Theorem-2 check for two top letters.
 
@@ -304,10 +320,10 @@ def test_census_is_one_per_group_and_sums_to_the_coefficients():
             for conv in ("w", "w_prime"):
                 g, _, groups = _group_options(lam, conv, 100_000)
                 first = {}
-                for _, options in groups:
-                    census = highest_weight_census(options[0], g)
-                    assert all(highest_weight_census(op, g) == census for op in options[1:])
-                    first.update(options[0])
+                for group in groups:
+                    census = highest_weight_census(group.options[0], g)
+                    assert all(highest_weight_census(op, g) == census for op in group.options[1:])
+                    first.update(group.options[0])
                 census = highest_weight_census(first, g)
                 for mu in two_row:
                     for nu in two_row:
@@ -513,11 +529,144 @@ def test_option_counts_follow_from_the_kernel():
                         c = [table.get((k - j, j), 0) for j in range(k + 1)]
                         expected.append(_option_count(c, k))
                 _, _, groups = _group_options(lam, conv, 100_000)
-                counts = sorted(len(options) for _, options in groups)
+                counts = sorted(len(group.options) for group in groups)
                 assert counts == sorted(expected), (lam, conv)
+                assert _completion_count(lam, conv) == math.prod(counts), (lam, conv)
 
 
 def test_a_string_starting_below_the_axis_is_a_structure_error():
     # chain counts 1 at level 1 and 2 at level -1 are not symmetric
     with pytest.raises(CrystalStructureError, match="start at level -1"):
         list(_arrangements({1: [0], -1: [1, 2]}, [1, -1]))
+
+
+def _chain_pairs(images, chain_of):
+    """An option's (parent chain, child chain) pairs, in the order of its edges."""
+    return list(dict.fromkeys((chain_of[src], chain_of[dst]) for src, dst in images.items()))
+
+
+def _reference_verdict(g, chains, group, pairs):
+    """is_valid_gl2_structure on the group and every chain in a pair, and commutes_with_bottom."""
+    images = {src: dst for parent, child in pairs for src, dst in zip(chains[parent], chains[child])}
+    ids = {v for ci in set(group).union(*pairs) for v in chains[ci]}
+    report = is_valid_gl2_structure(images, {v: g.vertices[v].weight_a for v in ids})
+    return report.valid and commutes_with_bottom(images, g)[0]
+
+
+def _corruptions(pairs, chains, group):
+    """Corrupted (chains, pairs) variants of a stacking.
+
+    A child chain reversed, one child given to two pairs, the children of
+    two pairs swapped, and a child of another b-type.
+    """
+    for _, child in pairs:
+        reversed_chains = list(chains)
+        reversed_chains[child] = chains[child][::-1]
+        yield reversed_chains, pairs
+    for i, j in itertools.permutations(range(len(pairs)), 2):
+        (parent_i, child_i), (parent_j, child_j) = pairs[i], pairs[j]
+        shared = list(pairs)
+        shared[j] = (parent_j, child_i)
+        yield chains, shared
+        if i < j:
+            swapped = list(shared)
+            swapped[i] = (parent_i, child_j)
+            yield chains, swapped
+    for i, (parent, _) in enumerate(pairs):
+        for other in range(len(chains)):
+            if other not in group:
+                yield chains, pairs[:i] + [(parent, other)] + pairs[i + 1 :]
+
+
+def test_per_piece_check_agrees_with_the_references():
+    """Kept options pass both references; corrupted stackings get the references' verdict.
+
+    (3, 2, 1) is the smallest shape with a group in which two top strings
+    have one length, so that they can end on one shared child.
+    """
+    verdicts = set()
+    shapes = [lam for k in range(1, 6) for lam in enumerate_partitions(k, 4)] + [(3, 2, 1)]
+    for lam in shapes:
+        for conv in ("w", "w_prime"):
+            g, chains, groups = _group_options(lam, conv, 100_000)
+            chain_of = {v: ci for ci, chain in enumerate(chains) for v in chain}
+            for group in groups:
+                group_a = {v: g.vertices[v].weight_a for v in group.vertices}
+                members = {chain_of[v] for v in group.vertices}
+                for images in group.options:
+                    assert is_valid_gl2_structure(images, group_a).valid, (lam, conv)
+                    assert commutes_with_bottom(images, g) == (True, None), (lam, conv)
+                for images in group.options[:3]:
+                    pairs = _chain_pairs(images, chain_of)
+                    for bad_chains, bad_pairs in _corruptions(pairs, chains, members):
+                        stacking = _Stacking(g, bad_chains, members)
+                        verdict = stacking.check(bad_pairs) is not None
+                        expected = _reference_verdict(g, bad_chains, members, bad_pairs)
+                        assert verdict == expected, (lam, conv, bad_pairs)
+                        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _counting(monkeypatch, name, key=lambda *args: args):
+    """Wrap a completion function so that each call's key is recorded."""
+    import bitableaux.completion as completion
+
+    calls = []
+    original = getattr(completion, name)
+
+    def counted(*args):
+        calls.append(key(*args))
+        return original(*args)
+
+    monkeypatch.setattr(completion, name, counted)
+    return calls
+
+
+# distinct (parent, child) pairs and chain sequences over each shape's groups,
+# against 149 options that each ran both references over the whole graph
+PIECE_COUNTS = {
+    ((3, 2), "w"): (34, 90),
+    ((3, 2), "w_prime"): (34, 90),
+    ((4, 1), "w"): (36, 90),
+    ((4, 1), "w_prime"): (36, 90),
+}
+
+
+def test_each_piece_is_checked_once_and_the_references_never_run(monkeypatch):
+    pair_calls = _counting(monkeypatch, "_pair_edges", lambda g, chains, parent, child: (parent, child))
+    sequence_calls = _counting(monkeypatch, "_sequence_cover", lambda levels, group, seq: seq)
+    string_calls = _counting(monkeypatch, "is_valid_gl2_structure")
+    commutation_calls = _counting(monkeypatch, "commutes_with_bottom")
+    counts = {}
+    for lam in ((3, 2), (4, 1)):
+        for conv in ("w", "w_prime"):
+            pair_calls.clear()
+            sequence_calls.clear()
+            _group_options(lam, conv, 100_000)
+            counts[lam, conv] = (len(pair_calls), len(sequence_calls))
+            # a piece is checked once per group, and no two groups share a chain
+            assert len(set(pair_calls)) == len(pair_calls)
+            assert len(set(sequence_calls)) == len(sequence_calls)
+    assert not string_calls and not commutation_calls
+    assert counts == PIECE_COUNTS
+
+
+def test_the_references_decide_what_the_pieces_refuse(monkeypatch):
+    import bitableaux.completion as completion
+
+    expected = skeleton((3, 2), conv="w_prime")
+    monkeypatch.setattr(completion, "_pair_edges", lambda *args: None)
+    result = skeleton((3, 2), conv="w_prime")
+    assert result.forced == expected.forced
+    assert result.free_vertices == expected.free_vertices
+    assert result.completion_count == expected.completion_count
+
+    def shared_child(by_level, levels, idx=0, open_strings=()):
+        for pairs in _arrangements(by_level, levels, idx, open_strings):
+            if idx == 0 and len(pairs) > 1:
+                pairs[1] = (pairs[1][0], pairs[0][1])
+            yield pairs
+
+    monkeypatch.setattr(completion, "_arrangements", shared_child)
+    with pytest.raises(CrystalStructureError, match="invalid candidate.*two f-edges share a target"):
+        skeleton((3, 2))
