@@ -240,7 +240,7 @@ def _cmd_word(args) -> int:
     else:
         t = _bitableau_arg(args)
         word = bitableau_reading_word(t, args.method)
-    if args.shape and t.shape != args.shape:
+    if args.shape is not None and t.shape != args.shape:
         raise ValueError("--shape does not match the rows")
     _print_word(word)
     return 0

@@ -3,18 +3,14 @@
 The bottom gl_2 structure on B_lam(2,2) is known; a commuting top structure
 is only partially determined.  A top string pairs bottom chains of one
 b-type (chain of b-weights) only, so the search runs per b-type group: a
-group's options arrange its chains into gl_2 strings of the correct
-lengths.  Each option is checked piece by piece, each distinct piece once
-per group: a (parent, child) chain pair for the weight shift and for
-commutation with bottom f_1/e_1 on the parent chain, and a chain sequence
-(the chains one top string passes through) for the string criterion.  The
-check is exact: a group is a union of whole bottom f_1-chains, so off a
-pair's parent chain both sides of every commutation condition are None.
-is_valid_gl2_structure and commutes_with_bottom stay the naive
-references: they re-check any option the pieces refuse, and name its
-first failure.  A completion is one option per group; the skeleton and
-the completion count are read from the groups without forming that
-product, and the count also comes from the kernel before any search.
+group's options stack its chains into gl_2 strings of the correct
+lengths, each consecutive chain pair zipped position by position.  Every
+such stacking is valid by construction (the proof is in _group_options),
+so no option is checked at run time; is_valid_gl2_structure and
+commutes_with_bottom are the naive references the tests hold every option
+to.  A completion is one option per group; the skeleton and the
+completion count are read from the groups without forming that product,
+and the count also comes from the kernel before any search.
 
 Also here: the top operators on one-row and one-column bitableaux obtained
 from the u / u' reading words, which transport through RSK and Burge
@@ -152,137 +148,50 @@ def commutes_with_bottom(
 # --- completions of the gl_2 x gl_2 examples --------------------------------
 
 
-def _arrangements(
-    chains_by_level: dict[int, list[int]],
-    levels: list[int],
-    idx: int = 0,
-    open_strings: Sequence[tuple[int, int]] = (),
-) -> Iterable[list[tuple[int, int]]]:
-    """All ways to stack chains into top strings, as (parent chain, child chain).
+def _stackings(
+    by_level: Mapping[int, Sequence[int]], levels: Sequence[int]
+) -> Iterable[list[tuple[int, ...]]]:
+    """All ways to stack chains into top strings, each string its chain indices top down.
 
-    Levels are a_1 - a_2 values, processed downward; every open string must
-    pick up exactly one chain per level until it closes at the mirror level.
-    Chain counts c are symmetric in a_1 - a_2, so c(-l) = c(l) strings are open
-    at a level l < 0 and take every chain there; a chain left over raises.
-    The ways start at levels[idx], with open_strings (chain index, levels
-    left to fill) still open above it.
+    Levels are a_1 - a_2 values, processed downward.  A string started at
+    level s > 0 takes exactly one chain per level until it closes at -s; a
+    chain at level 0 that no string takes is a string of its own.  Which
+    strings are open at a level follows from the chain counts alone, so
+    each level's choice (a permutation of its chains onto the open
+    strings, in the order they opened) is independent of the others.
+    Chain counts c are symmetric in a_1 - a_2, so c(-l) = c(l) strings are
+    open at a level l < 0 and take every chain there; a chain left over
+    raises.
     """
-    if idx == len(levels):
-        if not open_strings:
-            yield []
-        return
-    level = levels[idx]
-    comps = chains_by_level.get(level, [])
-    for assignment in itertools.permutations(comps, len(open_strings)):
-        chosen = set(assignment)
-        new_starts = [c for c in comps if c not in chosen]
-        if new_starts and level < 0:
+    starts: list[int] = []  # the level each string starts at, in the order they open
+    orders, slots = [], []
+    for level in levels:
+        comps = by_level.get(level, [])
+        open_ids = [sid for sid, s in enumerate(starts) if s > level >= -s]
+        new = len(comps) - len(open_ids)
+        if new < 0:
+            return
+        if new and level < 0:
             raise CrystalStructureError(f"a top string would start at level {level}")
-        pairs = [(parent, child) for (parent, _), child in zip(open_strings, assignment)]
-        nxt = [(child, left - 1) for (_, left), child in zip(open_strings, assignment) if left - 1 > 0]
-        nxt.extend((c, level) for c in new_starts if level > 0)
-        for rest in _arrangements(chains_by_level, levels, idx + 1, nxt):
-            yield pairs + rest
-
-
-def _pair_edges(
-    g: CrystalGraph, chains: Sequence[tuple[int, ...]], parent: int, child: int
-) -> tuple[tuple[int, int], ...] | None:
-    """The top edges of a (parent, child) chain pair, or None if the references would refuse them.
-
-    Every edge must lower a_1 by one, and top f must commute with bottom
-    f_1 and e_1 on the parent chain, where only this pair's edges act.
-    """
-    images = dict(zip(chains[parent], chains[child]))
-    for v in chains[parent]:
-        mid = images.get(v)
-        if mid is not None:
-            a, b = g.vertices[v].weight_a, g.vertices[mid].weight_a
-            if (a[0] - 1, a[1] + 1) != tuple(b):
-                return None
-        for step in (g.f, g.e):  # no vertex is None, so a lookup of None gives None
-            if images.get(step(v, 1)) != step(mid, 1):
-                return None
-    return tuple(images.items())
-
-
-def _sequence_cover(levels: Sequence[int], group: frozenset[int], seq: tuple[int, ...]) -> int | None:
-    """The string criterion on the chains one top string passes through, top down.
-
-    A string of length r + 1 has level (a_1 - a_2) r - 2d at depth d.  On a
-    pass, the number of the group's chains off level 0 that it covers; else None.
-    """
-    if any(levels[c] != len(seq) - 1 - 2 * d for d, c in enumerate(seq)):
-        return None
-    return sum(1 for c in seq if levels[c] and c in group)
-
-
-def _top_strings(nxt: Mapping[int, int], children: set[int]) -> list[tuple[int, ...]]:
-    """The chain sequences of a stacking: one per parent that is no child, its chains top down."""
-    out = []
-    for head in nxt.keys() - children:
-        seq = [head]
-        while (child := nxt.get(seq[-1])) is not None:
-            seq.append(child)
-        out.append(tuple(seq))
-    return out
-
-
-class _Stacking:
-    """The per-piece check of one b-type group's stackings, each distinct piece checked once.
-
-    check(pairs) accepts a stacking exactly when is_valid_gl2_structure on
-    the group and commutes_with_bottom on the graph both would.  Parents
-    and children must be distinct, so the edges are injective and every
-    chain is on one string.  Each pair then passes _pair_edges: a group is
-    a union of whole bottom f_1-chains, so off a pair's parent chain both
-    sides of every commutation condition are None, and a pair that
-    commutes maps chains of equal length.  Each chain sequence passes
-    _sequence_cover, and together they cover every chain off level 0; a
-    chain left uncovered is a one-vertex string, which fits at level 0 only.
-    """
-
-    def __init__(self, g: CrystalGraph, chains: Sequence[tuple[int, ...]], group: Iterable[int]):
-        self.g, self.chains, self.group = g, chains, frozenset(group)
-        self.levels = [a1 - a2 for a1, a2 in (g.vertices[chain[0]].weight_a for chain in chains)]
-        self.cover = sum(1 for c in self.group if self.levels[c])
-        self.pairs: dict[tuple[int, int], tuple[tuple[int, int], ...] | None] = {}
-        self.sequences: dict[tuple[int, ...], int | None] = {}
-
-    def check(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> tuple[dict[int, int], list[tuple[int, ...]], set[int]] | None:
-        """(images, chain sequences, chains in a pair) of an accepted stacking, else None."""
-        nxt = dict(pairs)
-        children = set(nxt.values())
-        if len(nxt) != len(pairs) or len(children) != len(pairs):
-            return None
-        images: dict[int, int] = {}
-        for pair in pairs:
-            if pair not in self.pairs:
-                self.pairs[pair] = _pair_edges(self.g, self.chains, *pair)
-            edges = self.pairs[pair]
-            if edges is None:
-                return None
-            images.update(edges)
-        strings = _top_strings(nxt, children)
-        covered = 0
-        for seq in strings:
-            if seq not in self.sequences:
-                self.sequences[seq] = _sequence_cover(self.levels, self.group, seq)
-            count = self.sequences[seq]
-            if count is None:
-                return None
-            covered += count
-        if covered != self.cover:
-            return None
-        return images, strings, nxt.keys() | children
+        slots.append(open_ids + list(range(len(starts), len(starts) + new)))
+        starts.extend([level] * new)
+        orders.append([
+            taken + tuple(c for c in comps if c not in taken)
+            for taken in itertools.permutations(comps, len(open_ids))
+        ])
+    if any(-s < levels[-1] for s in starts):
+        return
+    for choice in itertools.product(*orders):
+        strings: list[list[int]] = [[] for _ in starts]
+        for ids, order in zip(slots, choice):
+            for sid, c in zip(ids, order):
+                strings[sid].append(c)
+        yield [tuple(s) for s in strings]
 
 
 class _Group(NamedTuple):
-    """One b-type group: its vertices, its options, and the skeleton read from them."""
+    """One b-type group: its options, and the skeleton read from them."""
 
-    vertices: list[int]
     options: list[dict[int, int]]
     forced: list[tuple[int, int]]  # top edges of every option
     free: list[int]  # vertices whose (string length, depth) varies across options
@@ -294,20 +203,21 @@ def _group_options(
     """The graph, its bottom chains and its b-type groups, sorted by b-type.
 
     Chains of equal type (same chain of b-weights) are stacked into gl_2
-    strings in every level-respecting way; the operator between consecutive
-    chains is the unique b-weight-preserving isomorphism.  Each option is
-    checked on its own: its strings stay inside the group, and a bottom
-    f_1 stays inside its chain, so a choice of one option per group is a
-    valid completion exactly when every option is valid.  A group's
-    _Stacking checks each option piece by piece, each distinct (parent,
-    child) pair and chain sequence once.  That is exact: the group is a
-    union of whole bottom f_1-chains, so off a pair's parent chain both
-    sides of every commutation condition are None.  An option it refuses
-    goes to is_valid_gl2_structure and commutes_with_bottom, which decide:
-    they name its first failure, or keep it.  Forced edges are read per
-    pair: an edge fixes its pair, so it is in every option when its pair
-    is.  A vertex's slot is its chain's (sequence length, depth), or
-    (1, 0) when the chain is in no pair.
+    strings in every level-respecting way (_stackings); the operator
+    between consecutive chains of a string zips them position by position.
+    Every stacking is an option, by construction.  For n = 2,
+    a_1 + a_2 = |lam| on every vertex, so:
+    - a chain's level fixes its a-weight, so every edge lowers a_1 by one;
+    - chains of one b-type have one length, so a zip commutes with bottom
+      f_1 and e_1;
+    - a string of length r + 1 runs from level r down to -r, which is the
+      string criterion;
+    - permutations keep the edges injective.
+    A string stays inside its group, and a bottom f_1 inside its chain, so
+    a choice of one option per group is a completion.  Forced edges are
+    those of the chain pairs in every option.  A vertex is free when its
+    chain's (string length, depth) takes more than one value over the
+    distinct strings.
     """
     g = full_crystal(lam, 2, 2, conv=conv, cap=cap)
     weight_a = {v.id: v.weight_a for v in g.vertices}
@@ -323,45 +233,28 @@ def _group_options(
 
     groups = []
     for btype, by_level in sorted(by_type.items()):
-        group = [ci for ids in by_level.values() for ci in ids]
-        vertices = [v for ci in group for v in chains[ci]]
-        stacking = _Stacking(g, chains, group)
         levels = sorted(by_level, reverse=True)
-        options, sequences = [], set()
-        forced = covered = None
-        for pairs in _arrangements(by_level, list(range(levels[0], levels[-1] - 1, -2))):
-            kept = stacking.check(pairs)
-            if kept is None:
-                images = {
-                    src: dst for parent, child in pairs for src, dst in zip(chains[parent], chains[child])
-                }
-                report = is_valid_gl2_structure(images, {v: weight_a[v] for v in vertices})
-                ok, witness = commutes_with_bottom(images, g)
-                if not report.valid or not ok:
-                    raise CrystalStructureError(
-                        f"search produced an invalid candidate: {report.violations or witness}"
-                    )
-                nxt = dict(pairs)
-                children = set(nxt.values())
-                kept = images, _top_strings(nxt, children), nxt.keys() | children
-            images, strings, paired = kept
-            options.append(images)
-            sequences.update(strings)
-            forced = set(pairs) if forced is None else forced.intersection(pairs)
-            covered = paired if covered is None else covered & paired
+        options, distinct = [], set()
+        forced = None
+        for strings in _stackings(by_level, list(range(levels[0], levels[-1] - 1, -2))):
+            pairs = {pair for s in strings for pair in zip(s, s[1:])}
+            options.append({
+                src: dst for parent, child in pairs for src, dst in zip(chains[parent], chains[child])
+            })
+            distinct.update(strings)
+            forced = pairs if forced is None else forced & pairs
         if not options:
             raise CrystalStructureError(
                 f"no valid stacking of bottom components of type {btype}"
             )
-        slots = {ci: set() if ci in covered else {(1, 0)} for ci in group}
-        for seq in sequences:
-            for depth, ci in enumerate(seq):
-                slots[ci].add((len(seq), depth))
+        slots: dict[int, set[tuple[int, int]]] = {}
+        for s in distinct:
+            for depth, ci in enumerate(s):
+                slots.setdefault(ci, set()).add((len(s), depth))
         groups.append(_Group(
-            vertices,
             options,
             [edge for parent, child in forced for edge in zip(chains[parent], chains[child])],
-            [v for ci in group if len(slots[ci]) > 1 for v in chains[ci]],
+            [v for ids in by_level.values() for ci in ids if len(slots[ci]) > 1 for v in chains[ci]],
         ))
     return g, chains, groups
 
@@ -392,7 +285,7 @@ def enumerate_completions(
 ) -> tuple[CrystalGraph, list[PartialOperator]]:
     """All total top structures commuting with the bottom crystal.
 
-    A completion is one validated option per b-type group; completions are
+    A completion is one option per b-type group; completions are
     sorted by their edge lists.  cap bounds both the vertices and the
     number of completions, which the kernel gives before the crystal is
     built; the product of the groups' option counts is checked again.

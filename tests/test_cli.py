@@ -218,6 +218,16 @@ def test_word_row_method(capsys):
     assert code == 1 and "error" in err
 
 
+def test_word_refuses_an_empty_shape_for_nonempty_rows(capsys):
+    code, out, err = run(capsys, "word", "--method", "row", "--tableau", "[[1,2]]", "--shape", "-")
+    assert code == 1 and out == "" and err == "error: --shape does not match the rows\n"
+
+
+def test_word_takes_an_empty_shape_for_no_rows(capsys):
+    code, _, err = run(capsys, "word", "--method", "row", "--tableau", "[]", "--shape", "-")
+    assert code == 0 and err == ""
+
+
 def test_usage_errors_exit_one(capsys):
     code, out, errtext = run(capsys, "g", "--lam", "oops", "--mu", "1", "--nu", "1")
     assert code == 1 and out == ""

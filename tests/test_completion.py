@@ -8,10 +8,9 @@ import pytest
 from bitableaux.bitableau import Bitableau, enumerate_bitableaux
 from bitableaux.completion import (
     PartialOperator,
-    _Stacking,
-    _arrangements,
     _completion_count,
     _group_options,
+    _stackings,
     column_top_operator,
     commutes_with_bottom,
     enumerate_completions,
@@ -295,7 +294,7 @@ def test_completion_cap_is_checked_from_the_kernel_before_the_search(monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("the search ran before the cap was checked")
 
-    monkeypatch.setattr(completion, "_arrangements", never)
+    monkeypatch.setattr(completion, "_stackings", never)
     with pytest.raises(CapExceededError, match="1327104 completions exceed the cap 10"):
         enumerate_completions((4, 2), cap=10)
     # its nu = (7, 3) group alone has about 9.8e21 options
@@ -537,136 +536,56 @@ def test_option_counts_follow_from_the_kernel():
 def test_a_string_starting_below_the_axis_is_a_structure_error():
     # chain counts 1 at level 1 and 2 at level -1 are not symmetric
     with pytest.raises(CrystalStructureError, match="start at level -1"):
-        list(_arrangements({1: [0], -1: [1, 2]}, [1, -1]))
+        list(_stackings({1: [0], -1: [1, 2]}, [1, -1]))
 
 
-def _chain_pairs(images, chain_of):
-    """An option's (parent chain, child chain) pairs, in the order of its edges."""
-    return list(dict.fromkeys((chain_of[src], chain_of[dst]) for src, dst in images.items()))
+def test_stackings_of_a_small_group_by_hand():
+    # the string from level 2 takes either level-0 chain; the other stands alone
+    assert list(_stackings({2: [0], 0: [1, 2], -2: [3]}, [2, 0, -2])) == [
+        [(0, 1, 3), (2,)],
+        [(0, 2, 3), (1,)],
+    ]
 
 
-def _reference_verdict(g, chains, group, pairs):
-    """is_valid_gl2_structure on the group and every chain in a pair, and commutes_with_bottom."""
-    images = {src: dst for parent, child in pairs for src, dst in zip(chains[parent], chains[child])}
-    ids = {v for ci in set(group).union(*pairs) for v in chains[ci]}
-    report = is_valid_gl2_structure(images, {v: g.vertices[v].weight_a for v in ids})
-    return report.valid and commutes_with_bottom(images, g)[0]
+def test_stackings_yield_nothing_when_strings_cannot_close():
+    # two strings open at level 1, but one chain at level -1 to close them
+    assert list(_stackings({1: [0, 1], -1: [2]}, [1, -1])) == []
 
 
-def _corruptions(pairs, chains, group):
-    """Corrupted (chains, pairs) variants of a stacking.
+def test_stackings_are_strings_that_pass_the_references():
+    """Every option is the zip of its strings, and passes both references.
 
-    A child chain reversed, one child given to two pairs, the children of
-    two pairs swapped, and a child of another b-type.
+    What the construction rests on is checked on every stacking: its
+    strings partition the group's chains, and a string of length r + 1
+    visits levels r, r - 2, ..., -r.  (3, 2, 1) is the smallest shape with
+    a group in which two top strings have one length.
     """
-    for _, child in pairs:
-        reversed_chains = list(chains)
-        reversed_chains[child] = chains[child][::-1]
-        yield reversed_chains, pairs
-    for i, j in itertools.permutations(range(len(pairs)), 2):
-        (parent_i, child_i), (parent_j, child_j) = pairs[i], pairs[j]
-        shared = list(pairs)
-        shared[j] = (parent_j, child_i)
-        yield chains, shared
-        if i < j:
-            swapped = list(shared)
-            swapped[i] = (parent_i, child_j)
-            yield chains, swapped
-    for i, (parent, _) in enumerate(pairs):
-        for other in range(len(chains)):
-            if other not in group:
-                yield chains, pairs[:i] + [(parent, other)] + pairs[i + 1 :]
-
-
-def test_per_piece_check_agrees_with_the_references():
-    """Kept options pass both references; corrupted stackings get the references' verdict.
-
-    (3, 2, 1) is the smallest shape with a group in which two top strings
-    have one length, so that they can end on one shared child.
-    """
-    verdicts = set()
     shapes = [lam for k in range(1, 6) for lam in enumerate_partitions(k, 4)] + [(3, 2, 1)]
     for lam in shapes:
         for conv in ("w", "w_prime"):
             g, chains, groups = _group_options(lam, conv, 100_000)
-            chain_of = {v: ci for ci, chain in enumerate(chains) for v in chain}
-            for group in groups:
-                group_a = {v: g.vertices[v].weight_a for v in group.vertices}
-                members = {chain_of[v] for v in group.vertices}
-                for images in group.options:
+            by_type = {}
+            for ci, chain in enumerate(chains):
+                a1, a2 = g.vertices[chain[0]].weight_a
+                btype = tuple(g.vertices[v].weight_b for v in chain)
+                by_type.setdefault(btype, {}).setdefault(a1 - a2, []).append(ci)
+            assert len(by_type) == len(groups)
+            for (_, by_level), group in zip(sorted(by_type.items()), groups):
+                level_of = {ci: level for level, ids in by_level.items() for ci in ids}
+                group_a = {v: g.vertices[v].weight_a for ci in level_of for v in chains[ci]}
+                levels = sorted(by_level, reverse=True)
+                stackings = list(_stackings(by_level, list(range(levels[0], levels[-1] - 1, -2))))
+                assert len(stackings) == len(group.options), (lam, conv)
+                for strings, images in zip(stackings, group.options):
+                    assert sorted(ci for s in strings for ci in s) == sorted(level_of), (lam, conv)
+                    for s in strings:
+                        r = len(s) - 1
+                        assert [level_of[ci] for ci in s] == list(range(r, -r - 1, -2)), (lam, conv, s)
+                    assert images == {
+                        src: dst
+                        for s in strings
+                        for parent, child in zip(s, s[1:])
+                        for src, dst in zip(chains[parent], chains[child])
+                    }
                     assert is_valid_gl2_structure(images, group_a).valid, (lam, conv)
                     assert commutes_with_bottom(images, g) == (True, None), (lam, conv)
-                for images in group.options[:3]:
-                    pairs = _chain_pairs(images, chain_of)
-                    for bad_chains, bad_pairs in _corruptions(pairs, chains, members):
-                        stacking = _Stacking(g, bad_chains, members)
-                        verdict = stacking.check(bad_pairs) is not None
-                        expected = _reference_verdict(g, bad_chains, members, bad_pairs)
-                        assert verdict == expected, (lam, conv, bad_pairs)
-                        verdicts.add(verdict)
-    assert verdicts == {True, False}
-
-
-def _counting(monkeypatch, name, key=lambda *args: args):
-    """Wrap a completion function so that each call's key is recorded."""
-    import bitableaux.completion as completion
-
-    calls = []
-    original = getattr(completion, name)
-
-    def counted(*args):
-        calls.append(key(*args))
-        return original(*args)
-
-    monkeypatch.setattr(completion, name, counted)
-    return calls
-
-
-# distinct (parent, child) pairs and chain sequences over each shape's groups,
-# against 149 options that each ran both references over the whole graph
-PIECE_COUNTS = {
-    ((3, 2), "w"): (34, 90),
-    ((3, 2), "w_prime"): (34, 90),
-    ((4, 1), "w"): (36, 90),
-    ((4, 1), "w_prime"): (36, 90),
-}
-
-
-def test_each_piece_is_checked_once_and_the_references_never_run(monkeypatch):
-    pair_calls = _counting(monkeypatch, "_pair_edges", lambda g, chains, parent, child: (parent, child))
-    sequence_calls = _counting(monkeypatch, "_sequence_cover", lambda levels, group, seq: seq)
-    string_calls = _counting(monkeypatch, "is_valid_gl2_structure")
-    commutation_calls = _counting(monkeypatch, "commutes_with_bottom")
-    counts = {}
-    for lam in ((3, 2), (4, 1)):
-        for conv in ("w", "w_prime"):
-            pair_calls.clear()
-            sequence_calls.clear()
-            _group_options(lam, conv, 100_000)
-            counts[lam, conv] = (len(pair_calls), len(sequence_calls))
-            # a piece is checked once per group, and no two groups share a chain
-            assert len(set(pair_calls)) == len(pair_calls)
-            assert len(set(sequence_calls)) == len(sequence_calls)
-    assert not string_calls and not commutation_calls
-    assert counts == PIECE_COUNTS
-
-
-def test_the_references_decide_what_the_pieces_refuse(monkeypatch):
-    import bitableaux.completion as completion
-
-    expected = skeleton((3, 2), conv="w_prime")
-    monkeypatch.setattr(completion, "_pair_edges", lambda *args: None)
-    result = skeleton((3, 2), conv="w_prime")
-    assert result.forced == expected.forced
-    assert result.free_vertices == expected.free_vertices
-    assert result.completion_count == expected.completion_count
-
-    def shared_child(by_level, levels, idx=0, open_strings=()):
-        for pairs in _arrangements(by_level, levels, idx, open_strings):
-            if idx == 0 and len(pairs) > 1:
-                pairs[1] = (pairs[1][0], pairs[0][1])
-            yield pairs
-
-    monkeypatch.setattr(completion, "_arrangements", shared_child)
-    with pytest.raises(CrystalStructureError, match="invalid candidate.*two f-edges share a target"):
-        skeleton((3, 2))
