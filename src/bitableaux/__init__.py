@@ -64,8 +64,10 @@ from .symfunc import (
     kostka,
     kron_coproduct_poly,
     kronecker_coefficient,
+    kronecker_coefficient_point,
     mn_character,
     monomial_coefficient_d,
+    monomial_coefficient_point,
     monomial_coefficient_row,
     permutation_characters,
     schur_poly,

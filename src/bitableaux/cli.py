@@ -33,7 +33,7 @@ from .graphs import CrystalGraph, export_crystal
 from .insertion import Biword, brsk, jdt_product, rsk
 from .kron_tableaux import kronecker_count_row
 from .partitions import check_int, check_partition, count_partitions, enumerate_partitions
-from .symfunc import kronecker_coefficient, monomial_coefficient_d
+from .symfunc import kronecker_coefficient, kronecker_coefficient_point, monomial_coefficient_point
 from .tableaux import SSYT, count_ssyt, enumerate_ssyt, reading_word
 from .words import CONVENTIONS, READING_METHODS, bitableau_reading_word
 
@@ -260,7 +260,7 @@ def _report_mismatch(lam, mu, nu, conv: str, crystal: int, oracle: int) -> None:
 def _cmd_d(args) -> int:
     oracle = crystal = None
     if args.mode in ("both", "oracle"):
-        oracle = monomial_coefficient_d(args.lam, args.mu, args.nu)
+        oracle = monomial_coefficient_point(args.lam, args.mu, args.nu)
     if args.mode in ("both", "crystal"):
         crystal = count_d(args.lam, args.mu, args.nu, args.conv)
     if args.mode == "oracle":
@@ -378,7 +378,7 @@ def _cmd_g(args) -> int:
         return 0
     if args.lam is None or args.mu is None or args.nu is None:
         raise ValueError("need --lam, --mu and --nu (or --sweep-k)")
-    print(kronecker_coefficient(args.lam, args.mu, args.nu))
+    print(kronecker_coefficient_point(args.lam, args.mu, args.nu))
     return 0
 
 

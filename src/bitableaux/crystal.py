@@ -89,9 +89,9 @@ def monomial_expansion_rows(k: int, conv: str = "w") -> Iterator[list[Row]]:
     is monomial_coefficient_row, the permutation-character route, once per
     orbit {(lam, nu), (nu, lam), (lam', nu'), (nu', lam')}: chi^{lam'} is
     sgn * chi^lam, so the weights sizes * chi^lam * chi^nu, and the row,
-    are the orbit's.  The d point query keeps the other route,
-    monomial_coefficient_d.  k and conv are checked at the call, the rows
-    found as they are read.
+    are the orbit's.  The d point query reads the same sum at its one mu,
+    class by class (monomial_coefficient_point).  k and conv are checked at
+    the call, the rows found as they are read.
     """
     return _expansion_rows(enumerate_partitions(k), partition_runs(k, conv))
 

@@ -23,7 +23,7 @@ from .bitableau import Bitableau
 from .crystal import highest_weight_bitableaux, is_highest_weight
 from .kernels import _lattice_fillings
 from .partitions import Partition, check_int, check_partition, partitions_between, trim
-from .symfunc import kronecker_coefficient
+from .symfunc import kronecker_coefficient_point
 
 
 @dataclass(frozen=True)
@@ -172,5 +172,5 @@ def kronecker_count_row(lam: Sequence[int], p: int, nu: Sequence[int]) -> tuple:
     if 2 * check_int(p, "p") > k:
         raise ValueError(f"(k-p, p) is not a partition for p = {p}, k = {k}")
     count = count_kronecker_tableaux(lam, p, nu)
-    g = kronecker_coefficient(lam, trim((k - p, p)), nu)
+    g = kronecker_coefficient_point(lam, trim((k - p, p)), nu)
     return (lam, p, nu, count, g, in_two_row_regime(lam, p))

@@ -11,12 +11,18 @@ crystal counts are checked against.
 
 character_table(k) stores each character chi^lam as a row of values over
 the classes of S_k, next to the class sizes; g and d read these rows only.
-d has two independent routes.  monomial_coefficient_d is the tau-sum
-sum_tau g(lam,tau,nu) K_{tau,mu}, one triple at a time; the d point query
-uses it.  monomial_coefficient_row dots sizes * chi^lam * chi^nu with the
-permutation characters xi^mu(rho) = <h_mu, p_rho> (a DP over the cycles, no
-Kostka numbers) and gives d for every mu at once; the Theorem-2 sweep uses
-it.  Tests compare the two.
+d has two independent routes.  The naive reference, monomial_coefficient_d,
+is the tau-sum sum_tau g(lam,tau,nu) K_{tau,mu}, one triple at a time; no
+command calls it, and the tests check the other route against it.  That
+route dots sizes * chi^lam * chi^nu with the permutation characters
+xi^mu(rho) = <h_mu, p_rho> (a DP over the cycles, no Kostka numbers).
+monomial_coefficient_row gives d for every mu at once from the tables, for
+the Theorem-2 sweep; monomial_coefficient_point gives one triple's d from
+its three rows alone, read class by class from the caches of chi and xi
+with neither table built, for the d point query.
+kronecker_coefficient_point is g read the same way, for the g and
+kron-tableaux point queries; it is checked against kronecker_coefficient,
+which keeps the table for callers that read many triples of one k.
 
 The polynomial helpers are checked against g, not used to compute it.
 schur_poly is the Kostka sum s_lam(z) = sum_tau K_{lam,tau} m_tau(z) over
@@ -33,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
+from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -126,6 +133,37 @@ class CharacterTable:
         )
 
 
+@lru_cache(maxsize=4)
+def _classes(k: int) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The cycle types rho |- k and their class sizes |C_rho| = k!/z_rho, with no character table."""
+    classes = tuple(enumerate_partitions(k))
+    kfact = math.factorial(k)
+    return classes, tuple(kfact // centralizer_order(rho) for rho in classes)
+
+
+def _natural(total: int, kfact: int, name: str, lam: Partition, mu: Partition, nu: Partition) -> int:
+    """total / k! for the triple, checked to be a natural number (ArithmeticError otherwise)."""
+    value, rest = divmod(total, kfact)
+    if rest:
+        raise ArithmeticError(f"non-integer {name} for {lam},{mu},{nu}")
+    if value < 0:
+        raise ArithmeticError(f"negative {name} for {lam},{mu},{nu}")
+    return value
+
+
+def _class_sum(value, name: str, lam: Partition, mu: Partition, nu: Partition) -> int:
+    """(1/k!) sum_rho |C_rho| value(rho) over the classes rho |- k = |lam|, checked to be natural.
+
+    It reads no character table: value(rho) multiplies the triple's row
+    values at rho, one class at a time, from the process caches _mn and _xi.
+    The callers read one factor first and stop where it is 0, so a class it
+    vanishes on fills no entry of the other two rows.
+    """
+    k = sum(lam)
+    classes, sizes = _classes(k)
+    return _natural(sum(map(mul, sizes, map(value, classes))), math.factorial(k), name, lam, mu, nu)
+
+
 @lru_cache(maxsize=None)
 def character_table(k: int) -> CharacterTable:
     classes = tuple(enumerate_partitions(k))
@@ -149,6 +187,19 @@ def kronecker_coefficient(lam: Sequence[int], mu: Sequence[int], nu: Sequence[in
     """g(lam,mu,nu) = sum_rho chi chi chi / z_rho; a nonnegative integer."""
     lam, mu, nu = check_triple(lam, mu, nu)
     return _g(character_table(sum(lam)), lam, mu, nu)
+
+
+def kronecker_coefficient_point(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
+    """g(lam,mu,nu) from the three character rows alone, with no character table.
+
+    The same sum as kronecker_coefficient, (1/k!) sum_rho |C_rho| chi^lam
+    chi^mu chi^nu, but each chi(rho) comes from _mn one class at a time,
+    so one triple at large k costs its three rows, not all p(k) of them.
+    """
+    lam, mu, nu = check_triple(lam, mu, nu)
+    return _class_sum(
+        lambda rho: (a := _mn(mu, rho)) and a * _mn(lam, rho) * _mn(nu, rho), "Kronecker coefficient", lam, mu, nu
+    )
 
 
 # --- Kostka numbers ---------------------------------------------------------
@@ -355,7 +406,12 @@ def expand_in_schur_schur(p: SymPoly, k: int) -> dict[tuple[Partition, Partition
 
 
 def monomial_coefficient_d(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
-    """d(lam,mu,nu) = sum_tau g(lam,tau,nu) K_{tau,mu}, from characters only."""
+    """d(lam,mu,nu) = sum_tau g(lam,tau,nu) K_{tau,mu}, from characters only.
+
+    The naive reference: it builds the whole character table and sums p(k)
+    Kronecker coefficients, each weighted by a Kostka number.  The tests
+    check monomial_coefficient_point and monomial_coefficient_row against it.
+    """
     lam, mu, nu = check_triple(lam, mu, nu)
     table = character_table(sum(lam))
     return sum(_g(table, lam, tau, nu) * _kostka(tau, mu) for tau in table.classes)
@@ -416,12 +472,22 @@ def monomial_coefficient_row(lam: Sequence[int], nu: Sequence[int]) -> dict[Part
     table = character_table(k)
     weights = [s * a * b for s, a, b in zip(table.sizes, table.chi[lam], table.chi[nu])]
     kfact = math.factorial(k)
-    row = {}
-    for mu, xi in permutation_characters(k).items():
-        d, rest = divmod(sum(w * x for w, x in zip(weights, xi)), kfact)
-        if rest:
-            raise ArithmeticError(f"non-integer monomial coefficient for {lam},{mu},{nu}")
-        if d < 0:
-            raise ArithmeticError(f"negative monomial coefficient for {lam},{mu},{nu}")
-        row[mu] = d
-    return row
+    return {
+        mu: _natural(sum(map(mul, weights, xi)), kfact, "monomial coefficient", lam, mu, nu)
+        for mu, xi in permutation_characters(k).items()
+    }
+
+
+def monomial_coefficient_point(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
+    """d(lam,mu,nu) = (1/k!) sum_rho |C_rho| chi^lam(rho) chi^nu(rho) xi^mu(rho), for one triple.
+
+    monomial_coefficient_row's sum at one mu, but read one class at a time:
+    chi from _mn and xi from _xi, with neither character_table(k) nor
+    permutation_characters(k) built, so a point query at large k costs
+    three rows, not p(k) of each.  Checked to be a natural number
+    (ArithmeticError otherwise).
+    """
+    lam, mu, nu = check_triple(lam, mu, nu)
+    return _class_sum(
+        lambda rho: (x := _xi(rho, mu)) and x * _mn(lam, rho) * _mn(nu, rho), "monomial coefficient", lam, mu, nu
+    )

@@ -458,7 +458,7 @@ def test_structure_and_arithmetic_errors_exit_codes(capsys, monkeypatch):
     def non_integer(*args):
         raise ArithmeticError("non-integer Kronecker coefficient")
 
-    monkeypatch.setattr(cli, "monomial_coefficient_d", non_integer)
+    monkeypatch.setattr(cli, "monomial_coefficient_point", non_integer)
     code, out, err = run(capsys, "d", "--lam", "1", "--mu", "1", "--nu", "1", "--mode", "oracle")
     assert code == 5 and out == ""
     assert err.startswith("error: oracle arithmetic failed") and "Traceback" not in err
@@ -469,14 +469,44 @@ def test_structure_and_arithmetic_errors_exit_codes(capsys, monkeypatch):
     [((1, 2), "non-integer"), ((-3, 1), "negative")],  # g((2),(2),(2)) = 9/2, then -13
 )
 def test_g_refuses_a_non_integral_or_negative_value(capsys, monkeypatch, row, reason):
+    # the point g reads chi^(2) at the classes (2) and (1, 1) from _mn, so perturb that row there
     import bitableaux.symfunc as symfunc
 
-    table = symfunc.character_table(2)
-    perturbed = symfunc.CharacterTable(2, table.classes, table.sizes, {**table.chi, (2,): row})
-    monkeypatch.setattr(symfunc, "character_table", lambda k: perturbed)
+    real, perturbed = symfunc._mn, dict(zip([(2,), (1, 1)], row))
+    monkeypatch.setattr(symfunc, "_mn", lambda lam, rho: perturbed[rho] if lam == (2,) else real(lam, rho))
     code, out, err = run(capsys, "g", "--lam", "2", "--mu", "2", "--nu", "2")
     assert code == 5 and out == ""
     assert err == f"error: oracle arithmetic failed: {reason} Kronecker coefficient for (2,),(2,),(2,)\n"
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [((1, 2), "non-integer"), ((-1, -1), "negative")],  # d((2),(2),(2)) = 3/2, then -1
+)
+def test_d_refuses_a_non_integral_or_negative_value(capsys, monkeypatch, row, reason):
+    # the point d reads xi^(2) at the classes (2) and (1, 1) from _xi, so perturb that row there
+    import bitableaux.symfunc as symfunc
+
+    real, perturbed = symfunc._xi, dict(zip([(2,), (1, 1)], row))
+    monkeypatch.setattr(symfunc, "_xi", lambda rho, mu: perturbed[rho] if mu == (2,) else real(rho, mu))
+    for mode in ("oracle", "both"):
+        code, out, err = run(capsys, "d", "--lam", "2", "--mu", "2", "--nu", "2", "--mode", mode)
+        assert code == 5 and out == ""
+        assert err == f"error: oracle arithmetic failed: {reason} monomial coefficient for (2,),(2,),(2,)\n"
+
+
+def test_point_queries_build_no_whole_table(capsys):
+    # a k = 20 d and g and a k = 30 kron-tableaux read only their triple's rows;
+    # character_table(20) alone takes about 4 s and 90 MB, character_table(30) minutes
+    from bitableaux.symfunc import character_table, permutation_characters
+
+    before = character_table.cache_info(), permutation_characters.cache_info()
+    triple = ["--lam", "12,4,2,1,1", "--mu", "9,5,3,2,1", "--nu", "10,4,3,2,1"]
+    assert run(capsys, "d", *triple, "--mode", "oracle") == (0, "5661345\n", "")
+    assert run(capsys, "g", *triple) == (0, "54159\n", "")
+    code, out, err = run(capsys, "kron-tableaux", "--lam", "30", "--p", "15", "--nu", "30")
+    assert code == 0 and err == "" and out.splitlines()[-1] == "30,15,30,0,0,1"
+    assert (character_table.cache_info(), permutation_characters.cache_info()) == before
 
 
 def test_python_dash_m_runs_the_command_from_a_checkout():

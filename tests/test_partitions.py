@@ -128,14 +128,25 @@ def test_check_partition_takes_only_int_parts(parts):
 
 def test_check_triple_is_the_one_size_check():
     from bitableaux.crystal import count_d
-    from bitableaux.symfunc import kronecker_coefficient, monomial_coefficient_d
+    from bitableaux.symfunc import (
+        kronecker_coefficient,
+        kronecker_coefficient_point,
+        monomial_coefficient_d,
+        monomial_coefficient_point,
+    )
 
     assert check_triple([2, 1], (1, 1, 1), (3,)) == ((2, 1), (1, 1, 1), (3,))
     assert check_triple((), (), ()) == ((), (), ())
     for bad in [((2, 1), (2,), (3,)), ((2, 1), (3,), (1, 1)), ((1, 2), (3,), (3,))]:
         with pytest.raises(ValueError):
             check_triple(*bad)
-        for f in (kronecker_coefficient, monomial_coefficient_d, count_d):
+        for f in (
+            kronecker_coefficient,
+            kronecker_coefficient_point,
+            monomial_coefficient_d,
+            monomial_coefficient_point,
+            count_d,
+        ):
             with pytest.raises(ValueError):
                 f(*bad)
 

@@ -62,9 +62,11 @@ CALLS = {
     "kostka": lambda: bt.kostka((4, 2), (2, 2, 1, 1)),
     "kron_coproduct_poly": lambda: bt.kron_coproduct_poly((2, 1), 2, 2),
     "kronecker_coefficient": lambda: bt.kronecker_coefficient((3, 2), (3, 2), (2, 2, 1)),
+    "kronecker_coefficient_point": lambda: bt.kronecker_coefficient_point((3, 2), (3, 2), (2, 2, 1)),
     "kronecker_tableaux": lambda: bt.kronecker_tableaux((3, 1), 1, (2, 2)),
     "mn_character": lambda: bt.mn_character((3, 2), (2, 2, 1)),
     "monomial_coefficient_d": lambda: bt.monomial_coefficient_d((3, 2), (2, 2, 1), (3, 1, 1)),
+    "monomial_coefficient_point": lambda: bt.monomial_coefficient_point((3, 2), (2, 2, 1), (3, 1, 1)),
     "monomial_coefficient_row": lambda: bt.monomial_coefficient_row((3, 2), (3, 1, 1)),
     "monomial_expansion_sweep": lambda: [bt.monomial_expansion_sweep(5, conv) for conv in ("w", "w_prime")],
     "pair_to_int": lambda: bt.pair_to_int((2, 1), 2),

@@ -13,9 +13,11 @@ from bitableaux.symfunc import (
     kostka,
     kron_coproduct_poly,
     kronecker_coefficient,
+    kronecker_coefficient_point,
     make_sympoly,
     mn_character,
     monomial_coefficient_d,
+    monomial_coefficient_point,
     monomial_coefficient_row,
     permutation_characters,
     schur_poly,
@@ -76,6 +78,12 @@ def test_kronecker_symmetric_up_to_six():
         for (lam, mu, nu), g in table.items():
             for perm in itertools.permutations((lam, mu, nu)):
                 assert table[perm] == g
+
+
+def test_point_kronecker_equals_the_table_up_to_seven():
+    for k in range(8):
+        for lam, mu, nu in itertools.product(enumerate_partitions(k), repeat=3):
+            assert kronecker_coefficient_point(lam, mu, nu) == kronecker_coefficient(lam, mu, nu), (lam, mu, nu)
 
 
 def test_kronecker_with_trivial_factor():
@@ -319,13 +327,17 @@ def test_permutation_characters_count_every_assignment_up_to_six():
 
 
 def test_monomial_coefficient_row_matches_tau_sum_up_to_eight():
+    # the tau-sum is the naive reference for both row routes; the point route to k = 7
     for k in range(9):
         parts = enumerate_partitions(k)
         for lam, nu in itertools.product(parts, repeat=2):
             row = monomial_coefficient_row(lam, nu)
             assert list(row) == parts
             for mu in parts:
-                assert row[mu] == monomial_coefficient_d(lam, mu, nu), (lam, mu, nu)
+                d = monomial_coefficient_d(lam, mu, nu)
+                assert row[mu] == d, (lam, mu, nu)
+                if k <= 7:
+                    assert monomial_coefficient_point(lam, mu, nu) == d, (lam, mu, nu)
     with pytest.raises(ValueError):
         monomial_coefficient_row((2,), (1,))
     with pytest.raises(ValueError):
