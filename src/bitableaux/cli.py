@@ -349,6 +349,8 @@ def _cmd_jdt(args) -> int:
 
 def _cmd_crystal(args) -> int:
     if args.candidate_21:
+        if args.shape is not None or args.n is not None or args.m is not None:
+            raise ValueError("--candidate-21 takes no --shape, --n or --m")
         g = shape21_candidate_crystal(args.candidate_21)
     else:
         if args.shape is None or args.n is None or args.m is None:

@@ -3,11 +3,12 @@
 Operators act directly on the reading word with a back-map from letter
 position to source box; the skew decomposition is kept as a cross-check of
 that streamlined route.  full_crystal works on the filler's [nm] integer
-codes, with no Bitableau per vertex: each vertex is keyed by its flat tuple
-of codes, its payload's rows are built from one pair tuple per code, one
-bracket scan of its word places every f_i, each image of an f_i is one
-lookup of that tuple with one code raised by 1, and every vertex's rows are
-still checked semistandard.
+codes, with no Bitableau per vertex: B_lam(n,m) splits by top filling into
+word crystals, so each vertex is keyed by its top filling and its bottom
+word, its payload's rows are built from one pair tuple per code, one
+bracket scan per distinct word places every f_i, each image of an f_i is
+one lookup of the image word in its top filling's table, and every vertex's
+rows are still checked semistandard.
 """
 
 from __future__ import annotations
@@ -148,18 +149,23 @@ def full_crystal(
     The vertices are the plain filler's fillings over [nm], which the [nm]
     encoding (bitableau.int_to_pair) reads as bitableaux; vertex ids follow
     the filler's row-major lexicographic order, so exports are byte-stable.
-    Each vertex is keyed by its flat row-major tuple of codes and its rows
-    are checked semistandard.  Its payload is {"shape": lam, "rows": rows,
-    "n": n, "m": m}, rows equal to its Bitableau's rows: a tuple of row
-    tuples of pair tuples, one pair tuple per code and one row tuple per
-    distinct row of codes, each shared by every vertex that holds it, as is
-    one tuple per distinct weight.  The reading order of the conv word is
-    sorted once per distinct top filling, and one left-to-right scan of
-    each vertex's word finds the letter every f_i changes
-    (words.lowering_positions).  f_i raises one bottom entry b < m to b + 1,
-    which is code + 1 at one position, so each image is one lookup.  An
-    image outside B_lam(n,m), or a bottom entry m that would wrap into the
-    next top value, broke semistandardness.
+    Every vertex's rows are checked semistandard.  Its payload is
+    {"shape": lam, "rows": rows, "n": n, "m": m}, rows equal to its
+    Bitableau's rows: a tuple of row tuples of pair tuples, one pair tuple
+    per code and one row tuple per distinct row of codes, each shared by
+    every vertex that holds it, as is one tuple per distinct weight.
+
+    The bottom operators never change a top entry and read the bottom
+    entries only through the conv word, so B_lam(n,m) splits by top filling
+    and each piece is a word crystal.  A vertex is keyed by its top filling
+    and its bottom word.  Each distinct top filling sorts the reading order
+    once and holds its weight_a and a table {word: vertex id}; each distinct
+    word gets one left-to-right bracket scan (words.lowering_positions),
+    which gives its weight_b and every f_i image word, its letter b < m at
+    one position raised to b + 1.  Each edge is then one lookup of that word
+    in the vertex's own top filling's table.  An image outside B_lam(n,m),
+    or a bottom entry m that would wrap into the next top value, broke
+    semistandardness.
     """
     lam = check_partition(lam)
     check_int(n, "n", 1)
@@ -176,42 +182,55 @@ def full_crystal(
     # sorted stably by top entry as in bitableau_reading_cells
     reading = sorted(range(len(cells)), key=lambda p: -cells[p][0])
     descending = conv == "w_prime"
-    index: dict[tuple[int, ...], int] = {}
     pair_rows: dict[tuple[int, ...], tuple] = {}  # each distinct row of codes, as pairs
     weights: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct weight
-    vertices = []
+
+    def weight(letters: tuple[int, ...], size: int) -> tuple[int, ...]:
+        counts = [0] * (size + 1)
+        for x in letters:
+            counts[x] += 1
+        counts = tuple(counts[1:])
+        return weights.setdefault(counts, counts)
+
+    # top filling -> (reading order, weight_a, {word: vertex id})
+    fillings: dict[tuple[int, ...], tuple[list[int], tuple[int, ...], dict]] = {}
+    # word -> (word, weight_b, [(i, position, image word, or None for a wrap)])
+    scans: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], list]] = {}
+    vertices, vertex_fillings, vertex_scans = [], [], []
     for vid, rows in enumerate(iter_ssyt_rows(lam, n * m)):
         check_semistandard(rows)
         codes = sum(rows, ())
-        index[codes] = vid
-        weight_a, weight_b = [0] * (n + 1), [0] * (m + 1)
-        for x in codes:
-            weight_a[top[x]] += 1
-            weight_b[bottom[x]] += 1
+        tops = tuple([top[x] for x in codes])
+        filling = fillings.get(tops)
+        if filling is None:
+            order = sorted(reading, key=tops.__getitem__, reverse=descending)
+            filling = fillings[tops] = (order, weight(tops, n), {})
+        order, weight_a, table = filling
+        word = tuple([bottom[codes[p]] for p in order])
+        scan = scans.get(word)
+        if scan is None:
+            images = [
+                (i, pos, None if word[pos] == m else word[:pos] + (word[pos] + 1,) + word[pos + 1 :])
+                for i, pos in enumerate(lowering_positions(word, m), 1)
+                if pos is not None
+            ]
+            scan = scans[word] = (word, weight(word, m), images)
+        table[scan[0]] = vid  # keyed by the word's one tuple
+        vertex_fillings.append(filling)
+        vertex_scans.append(scan)
         for row in rows:
             if row not in pair_rows:
                 pair_rows[row] = tuple(map(pairs.__getitem__, row))
         payload = {"shape": lam, "rows": tuple(map(pair_rows.__getitem__, rows)), "n": n, "m": m}
-        weight_a, weight_b = tuple(weight_a[1:]), tuple(weight_b[1:])
-        weight_a, weight_b = weights.setdefault(weight_a, weight_a), weights.setdefault(weight_b, weight_b)
-        vertices.append(CrystalVertex(vid, payload, weight_a, weight_b))
+        vertices.append(CrystalVertex(vid, payload, weight_a, scan[1]))
     edges: dict[tuple[int, int], int] = {}
-    orders: dict[tuple[int, ...], list[int]] = {}  # reading order, by top filling
-    for codes, vid in index.items():
-        tops = tuple([top[x] for x in codes])
-        order = orders.get(tops)
-        if order is None:
-            order = orders[tops] = sorted(reading, key=tops.__getitem__, reverse=descending)
-        word = [bottom[codes[p]] for p in order]
-        for i, pos in enumerate(lowering_positions(word, m), 1):
-            if pos is None:
-                continue
-            p = order[pos]
-            code = codes[p]
-            image = None if bottom[code] == m else index.get(codes[:p] + (code + 1,) + codes[p + 1 :])
+    # the ids are the vertices' own int objects, as the images are, not a second copy
+    for vertex, (order, _, table), (_, _, images) in zip(vertices, vertex_fillings, vertex_scans):
+        for i, pos, image_word in images:
+            image = table.get(image_word)
             if image is None:
                 raise CrystalStructureError(
-                    f"{conv} operator lower f_{i} broke semistandardness at {cells[p]}"
+                    f"{conv} operator lower f_{i} broke semistandardness at {cells[order[pos]]}"
                 )
-            edges[(vid, i)] = image
+            edges[(vertex.id, i)] = image
     return CrystalGraph(tuple(vertices), edges)

@@ -195,6 +195,12 @@ def test_candidate_crystal_flag(capsys):
     assert out.count(" -> ") == 20
 
 
+@pytest.mark.parametrize("option", [("--shape", "3,2"), ("--n", "2"), ("--m", "2")])
+def test_candidate_crystal_refuses_a_shape_or_alphabet(capsys, option):
+    code, out, err = run(capsys, "crystal", "--candidate-21", "south", *option)
+    assert (code, out, err) == (1, "", "error: --candidate-21 takes no --shape, --n or --m\n")
+
+
 def test_crystal_json_round_trips(capsys):
     code, out, _ = run(
         capsys, "crystal", "--shape", "2", "--n", "2", "--m", "2", "--format", "json"

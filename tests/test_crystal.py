@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -338,6 +339,55 @@ def test_full_crystal_is_the_per_vertex_operator():
                 json.dumps(Bitableau(lam, v.payload["rows"], n, m).to_json(), sort_keys=True)
                 for v in g.vertices
             ]
+
+
+def test_exports_of_larger_crystals_are_pinned():
+    # digests of the exports of the builder that keyed each vertex by its
+    # flat tuple of codes; the per-vertex test above stops at |lam| = 5
+    digests = {
+        ((3, 2), "w"): (
+            "a9a8fe96f7b2844474fdacdb335e819d23de3417c6377d14a407c32a894f451d",
+            "f100dc8cc1f98ca084ab83005a7d019c278f9961d0bbe074134a40a9b3fb864b",
+        ),
+        ((3, 2), "w_prime"): (
+            "c783920b64528ee549a3ce55e86e25d97f1c1d73e1a26931c815f43ba947ce1b",
+            "0cc879675f9ca1fc9dd1456a13779e158adcf2441dbf48ce67245a5af63df244",
+        ),
+        ((4, 2), "w"): (
+            "ff4451f7fd9020a6d2a1a1dd912ac0a854f3e6ea8d97f6d2b274a0644bd722a3",
+            "2fb89f8e8da2031efee42d2613e9a16720bb1b0250b0d2e7e2485aa37311b150",
+        ),
+        ((4, 2), "w_prime"): (
+            "cd639f80f55fc4cfcec9c3337a99fc045f7553084d49c942290e20bf5c054ee7",
+            "e1bed3cb38ac69d675a12865c0a9977f784c0009e8b47749c6c43537a4eee5ab",
+        ),
+        ((3, 2, 1), "w"): (
+            "ad1df2f6a8123ec970dd02115e651bdf6789cddb7da4547e4c5a1bc640ae537b",
+            "293ebd37bdfac9fa7b03138a0a6bf6716e437f1a1e948f825bf6dd7d8b654290",
+        ),
+        ((3, 2, 1), "w_prime"): (
+            "6056010a9c0b86e5802e08d6be781720e757d751152a17a8319543f76c67baa3",
+            "3ff2ea7537ead2113db675bf64a3aa8c52bca2c2c2139cbbb6fde534098b42a5",
+        ),
+    }
+    for (lam, conv), (dot, js) in digests.items():
+        g = full_crystal(lam, 3, 3, conv)
+        for fmt, digest in (("dot", dot), ("json", js)):
+            assert hashlib.sha256(export_crystal(g, fmt).encode()).hexdigest() == digest, (lam, conv, fmt)
+
+
+def test_full_crystal_scans_each_distinct_bottom_word_once(monkeypatch):
+    import bitableaux.crystal as crystal
+
+    calls = []
+    real = crystal.lowering_positions
+    monkeypatch.setattr(crystal, "lowering_positions", lambda word, m: calls.append(tuple(word)) or real(word, m))
+    for conv in ("w", "w_prime"):
+        calls.clear()
+        g = full_crystal((4, 2), 3, 3, conv)
+        # every word in [3]^6 is the bottom word of some of the 10,692 vertices
+        assert len(g.vertices) == 10692
+        assert len(calls) == len(set(calls)) == 3**6, conv
 
 
 def test_full_crystal_shares_one_pair_per_code_and_one_tuple_per_row():
