@@ -162,7 +162,11 @@ def build_parser() -> _Parser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
-    p = command("crystal", _cmd_crystal, "crystal graph exports", sizes, conv, cap)
+    # --conv and --cap of their own, default None, so an explicit value under
+    # --candidate-21 shows; the shared parents' actions keep their defaults
+    p = command("crystal", _cmd_crystal, "crystal graph exports", sizes)
+    p.add_argument("--conv", choices=CONVENTIONS)
+    p.add_argument("--cap", type=int)
     p.add_argument("--shape", type=_partition)
     p.add_argument("--format", default="dot", choices=["dot", "json"])
     p.add_argument(
@@ -348,14 +352,17 @@ def _cmd_jdt(args) -> int:
 
 
 def _cmd_crystal(args) -> int:
+    given = {name: value for name, value in (("conv", args.conv), ("cap", args.cap)) if value is not None}
     if args.candidate_21:
         if args.shape is not None or args.n is not None or args.m is not None:
             raise ValueError("--candidate-21 takes no --shape, --n or --m")
+        if given:
+            raise ValueError("--candidate-21 takes no --conv or --cap")
         g = shape21_candidate_crystal(args.candidate_21)
     else:
         if args.shape is None or args.n is None or args.m is None:
             raise ValueError("crystal needs --shape, --n and --m")
-        g = full_crystal(args.shape, args.n, args.m, args.conv, args.cap)
+        g = full_crystal(args.shape, args.n, args.m, **given)  # full_crystal's defaults: w, 10**6
     sys.stdout.write(export_crystal(g, args.format))
     if args.format == "json":
         sys.stdout.write("\n")

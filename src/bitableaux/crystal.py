@@ -7,13 +7,15 @@ codes, with no Bitableau per vertex: B_lam(n,m) splits by top filling into
 word crystals, so each vertex is keyed by its top filling and its bottom
 word, its payload's rows are built from one pair tuple per code, one
 bracket scan per distinct word places every f_i, each image of an f_i is
-one lookup of the image word in its top filling's table, and every vertex's
-rows are still checked semistandard.
+one lookup of the image word in its top filling's table, and every vertex
+is still checked semistandard: each distinct row once, each vertex's
+columns at C level.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from operator import gt, lt
 from typing import Iterator, Sequence
 
 from .bitableau import Bitableau, int_to_pair
@@ -149,7 +151,11 @@ def full_crystal(
     The vertices are the plain filler's fillings over [nm], which the [nm]
     encoding (bitableau.int_to_pair) reads as bitableaux; vertex ids follow
     the filler's row-major lexicographic order, so exports are byte-stable.
-    Every vertex's rows are checked semistandard.  Its payload is
+    Every vertex is checked semistandard, as tableaux.check_semistandard
+    would: each distinct row of codes for a descent once, when it first
+    enters the table of pair rows, and each vertex's columns with one C-level
+    comparison per pair of rows; a fault raises check_semistandard's own
+    ValueError.  Its payload is
     {"shape": lam, "rows": rows, "n": n, "m": m}, rows equal to its
     Bitableau's rows: a tuple of row tuples of pair tuples, one pair tuple
     per code and one row tuple per distinct row of codes, each shared by
@@ -182,6 +188,7 @@ def full_crystal(
     # sorted stably by top entry as in bitableau_reading_cells
     reading = sorted(range(len(cells)), key=lambda p: -cells[p][0])
     descending = conv == "w_prime"
+    below = range(1, len(lam))  # the rows with a row above
     pair_rows: dict[tuple[int, ...], tuple] = {}  # each distinct row of codes, as pairs
     weights: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct weight
 
@@ -198,7 +205,17 @@ def full_crystal(
     scans: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...], list]] = {}
     vertices, vertex_fillings, vertex_scans = [], [], []
     for vid, rows in enumerate(iter_ssyt_rows(lam, n * m)):
-        check_semistandard(rows)
+        # semistandard: each distinct row is checked for a descent once, as
+        # it enters pair_rows, and each vertex's columns at C level;
+        # check_semistandard, called only on a fault, raises its message
+        for row in rows:
+            if row not in pair_rows:
+                if any(map(gt, row, row[1:])):
+                    check_semistandard(rows)
+                pair_rows[row] = tuple(map(pairs.__getitem__, row))
+        for r in below:
+            if not all(map(lt, rows[r - 1], rows[r])):
+                check_semistandard(rows)
         codes = sum(rows, ())
         tops = tuple([top[x] for x in codes])
         filling = fillings.get(tops)
@@ -218,9 +235,6 @@ def full_crystal(
         table[scan[0]] = vid  # keyed by the word's one tuple
         vertex_fillings.append(filling)
         vertex_scans.append(scan)
-        for row in rows:
-            if row not in pair_rows:
-                pair_rows[row] = tuple(map(pairs.__getitem__, row))
         payload = {"shape": lam, "rows": tuple(map(pair_rows.__getitem__, rows)), "n": n, "m": m}
         vertices.append(CrystalVertex(vid, payload, weight_a, scan[1]))
     edges: dict[tuple[int, int], int] = {}

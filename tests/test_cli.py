@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import nm_pairs, small_shapes
-from bitableaux.cli import main
+from bitableaux.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -199,6 +199,25 @@ def test_candidate_crystal_flag(capsys):
 def test_candidate_crystal_refuses_a_shape_or_alphabet(capsys, option):
     code, out, err = run(capsys, "crystal", "--candidate-21", "south", *option)
     assert (code, out, err) == (1, "", "error: --candidate-21 takes no --shape, --n or --m\n")
+
+
+@pytest.mark.parametrize("option", [("--conv", "w_prime"), ("--conv", "w"), ("--cap", "0"), ("--cap", "1000000")])
+def test_candidate_crystal_refuses_a_convention_or_cap(capsys, option):
+    # the candidate has one fixed reading order and 20 vertices; both options used to be ignored
+    code, out, err = run(capsys, "crystal", "--candidate-21", "south", *option)
+    assert (code, out, err) == (1, "", "error: --candidate-21 takes no --conv or --cap\n")
+
+
+def test_crystal_conv_and_cap_keep_their_defaults(capsys):
+    plain = run(capsys, "crystal", "--shape", "2,1", "--n", "2", "--m", "2")
+    assert plain == run(capsys, "crystal", "--shape", "2,1", "--n", "2", "--m", "2", "--conv", "w", "--cap", "1000000")
+    assert plain != run(capsys, "crystal", "--shape", "2,1", "--n", "2", "--m", "2", "--conv", "w_prime")
+    code, out, err = run(capsys, "crystal", "--shape", "2,1", "--n", "2", "--m", "2", "--cap", "19")
+    assert (code, out, err) == (3, "", "error: 20 vertices exceed the cap 19\n")
+    # the shared --conv and --cap of the other subcommands keep theirs
+    args = build_parser().parse_args(["d", "--lam", "1", "--mu", "1", "--nu", "1"])
+    assert args.conv == "w"
+    assert build_parser().parse_args(["enumerate", "--k", "3"]).cap == 10**6
 
 
 def test_crystal_json_round_trips(capsys):

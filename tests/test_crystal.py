@@ -406,17 +406,33 @@ def test_full_crystal_shares_one_tuple_per_weight():
             assert len({id(w) for w in weights}) == len(set(weights))
 
 
-def test_full_crystal_checks_each_vertex_once(monkeypatch):
+# fillings of (3, 2) over [4] that the filler might yield before a bad one
+_VALID_32 = [((1, 1, 1), (2, 2)), ((1, 2, 2), (3, 3)), ((2, 2, 2), (3, 3)), ((2, 2, 2), (3, 4))]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # a descent in a row behind a first row already seen
+        (((1, 1, 1), (3, 2)), "rows must weakly increase"),
+        # a descent in a new first row, above a row already seen
+        (((2, 1, 1), (3, 3)), "rows must weakly increase"),
+        # two rows each already seen, with equal entries in column 0
+        (((2, 2, 2), (2, 2)), "columns must strictly increase"),
+    ],
+)
+def test_full_crystal_refuses_a_filling_that_is_not_semistandard(monkeypatch, bad, message):
+    # full_crystal checks each distinct row once and each vertex's columns;
+    # a fault raises check_semistandard's own ValueError
     import bitableaux.crystal as crystal
 
-    calls = []
-    real = crystal.check_semistandard
-    monkeypatch.setattr(crystal, "check_semistandard", lambda rows: calls.append(rows) or real(rows))
-    for lam, n, m in (((3, 2), 2, 2), ((2, 1), 3, 2), ((), 2, 2)):
-        calls.clear()
-        g = full_crystal(lam, n, m, "w_prime")
-        assert len(calls) == len(g.vertices)
-        assert calls == list(iter_ssyt_rows(lam, n * m))
+    with pytest.raises(ValueError) as expected:
+        crystal.check_semistandard(bad)
+    assert str(expected.value) == message
+    monkeypatch.setattr(crystal, "iter_ssyt_rows", lambda shape, letters: iter(_VALID_32 + [bad] + _VALID_32))
+    with pytest.raises(ValueError) as raised:
+        full_crystal((3, 2), 2, 2)
+    assert raised.type is ValueError and str(raised.value) == message
 
 
 def test_the_empty_shape_builds_no_alphabet():
@@ -691,6 +707,22 @@ def test_crystal_graph_refuses_an_edge_off_its_vertices():
     for edges in ({(0, 1): 7}, {(5, 1): 7}, {(0, 1): 5}):
         with pytest.raises(ValueError, match="f_1 edge .* is not between vertices"):
             CrystalGraph(vertex, edges)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ({(0, 1): 1, (1, 1): 7, (2, 1): 1, (3, 1): 9}, "f_1 edge 1 -> 7 is not between vertices"),
+        ({(0, 1): 1, (8, 2): 2, (3, 1): 9}, "f_2 edge 8 -> 2 is not between vertices"),
+        ({(0, 1): 1, (2, 1): 1, (3, 1): 9}, "f_1 is not injective at vertex 1"),
+        ({(0, 2): 3, (1, 1): 2, (2, 2): 3, (3, 1): 2}, "f_2 is not injective at vertex 3"),
+    ],
+)
+def test_crystal_graph_names_the_first_bad_edge(edges, message):
+    vertices = tuple(CrystalVertex(v, None, None, (0,)) for v in range(4))
+    with pytest.raises(ValueError) as raised:
+        CrystalGraph(vertices, edges)
+    assert str(raised.value) == message
 
 
 def test_crystal_graph_refuses_a_repeated_vertex_id():

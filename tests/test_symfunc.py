@@ -416,6 +416,35 @@ def test_polynomial_terms_are_natural_exponents_and_integer_coefficients():
     assert make_sympoly(("x1",), {(1,): 2, (0,): 0}).terms == {(1,): 2}
 
 
+@pytest.mark.parametrize(
+    "variables, terms, message",
+    [
+        (("x1", "x1"), {(1, 0): 1}, "variable names must not repeat, got ('x1', 'x1')"),
+        (("x1", "x2"), {(1, 0): 1, (1,): 1, (1, 2, 3): 1}, "exponent vector length must match variable count"),
+        (("x1", "x2"), {(1, 0): 1, (0, True): 1, (-1, 0): 1}, "exponents must be nonnegative integers, got (0, True)"),
+        (("x1", "x2"), {(1, 0): 1, (0, -1): 1, (2.0, 0): 1}, "exponents must be nonnegative integers, got (0, -1)"),
+        (("x1", "x2"), {(1, 0): 1, (2.0, 0): 1, (0, -1): 1}, "exponents must be nonnegative integers, got (2.0, 0)"),
+        (("x1", "x2"), {(1, 0): 1, (0, 1): True, (1, 1): 1.5}, "coefficients must be integers, got True"),
+        (("x1", "x2"), {(1, 0): 1, (0, 1): 1.5, (1, 1): True}, "coefficients must be integers, got 1.5"),
+        (("x1", "x2"), {(1, 0): 1, (0, 1): 0, (1, 1): 1.5}, "zero terms must not be stored"),
+    ],
+)
+def test_polynomial_refusals_name_the_first_bad_term(variables, terms, message):
+    with pytest.raises(ValueError) as raised:
+        SymPoly(variables, terms)
+    assert str(raised.value) == message
+
+
+def test_polynomial_takes_int_subclass_exponents_and_coefficients():
+    class Int(int):
+        pass
+
+    p = SymPoly(("x1", "x2"), {(Int(2), 0): 1, (1, Int(1)): Int(3)})
+    assert p.terms == {(2, 0): 1, (1, 1): 3}
+    with pytest.raises(ValueError, match="zero terms must not be stored"):
+        SymPoly(("x1",), {(1,): Int(0)})
+
+
 def test_polynomial_variables_are_distinct():
     # schur_poly((1,), ("x1", "x1")) used to give x1 + x1 as two terms in two variables both named x1
     for build in (
