@@ -41,8 +41,7 @@ class CrystalGraph:
     checked by partitions.check_int; every edge joins two vertices and each
     f_i is injective; e-edges are the inverses of the f-edges.  Immutable: the
     edges are a read-only copy of the mapping passed in, so e() never goes
-    stale.  Every rule is scanned in bulk at C level first; a per-value loop
-    runs only when that scan finds a possible fault, to name the first one.
+    stale.
     """
 
     vertices: tuple[CrystalVertex, ...]
@@ -60,25 +59,14 @@ class CrystalGraph:
         if len(ids) != len(vertices):
             raise ValueError("vertex ids must be distinct")
         edges = dict(self.edges)
-        # every key is a pair, and f_i is injective when no two edges share a
-        # (target, i) key.  Only a fault, or an unhashable target, runs the
-        # per-edge loop, which names the first bad edge
-        valid = False
-        try:
-            if set(map(len, edges)) <= {2}:
-                rev = dict(zip(zip(edges.values(), map(itemgetter(1), edges)), map(itemgetter(0), edges)))
-                # with no key lost, rev's values are the sources
-                valid = len(rev) == len(edges) and ids.issuperset(rev.values()) and ids.issuperset(edges.values())
-        except TypeError:
-            pass
-        if not valid:
-            seen = set()
-            for (src, i), dst in edges.items():
-                if src not in ids or dst not in ids:
-                    raise ValueError(f"f_{i} edge {src} -> {dst} is not between vertices")
-                if (dst, i) in seen:
-                    raise ValueError(f"f_{i} is not injective at vertex {dst}")
-                seen.add((dst, i))
+        rev: dict[tuple[int, int], int] = {}
+        for (src, i), dst in edges.items():
+            if src not in ids or dst not in ids:
+                raise ValueError(f"f_{i} edge {src} -> {dst} is not between vertices")
+            key = (dst, i)
+            if key in rev:
+                raise ValueError(f"f_{i} is not injective at vertex {dst}")
+            rev[key] = src
         # an endpoint equal to a vertex id but of another type (1.0, True) passes the test above
         numbers = chain(chain.from_iterable(edges), edges.values())
         if set(map(type, numbers)) - {int} or min(map(itemgetter(1), edges), default=1) < 1:
@@ -182,7 +170,7 @@ def _frame(rest: dict) -> tuple[dict, str, str] | None:
     """A payload's items other than rows, as the text before and after its rows.
 
     None unless every key is a str, so that json.dumps writes the payload.
-    The frame holds rest, so that the ids of its values stay theirs.
+    The frame holds rest, so that the ids of its keys and values stay theirs.
     """
     if not all(type(k) is str for k in rest):
         return None
@@ -196,21 +184,21 @@ def _json(g: CrystalGraph) -> str:
     """json.dumps(g.to_json(), separators=(",", ":"), sort_keys=True), without the dict tree.
 
     A dict payload with str keys and tuple rows is its frame (made once per
-    set of keys and value objects) around its rows, each row object encoded
+    set of key and value objects) around its rows, each row object encoded
     once; any other payload is one json.dumps.  Each weight object is
     encoded once.  Vertex ids and operator indices are written with %d, as
     the graph holds them to ints.
     """
     row_texts, weight_texts = _Texts(_sorted_json), _Texts(lambda w: _sorted_json(list(w)))
     row_text, weight_text = row_texts.get, weight_texts.get
-    frames: dict[tuple, tuple[dict, str, str] | None] = {}  # by rest's keys and the ids of its values
+    frames: dict[tuple[int, ...], tuple[dict, str, str] | None] = {}  # by the ids of rest's keys and values
     vertices = []
     for v in g.vertices:
         payload, frame = v.payload, None
         if type(payload) is dict and type(payload.get("rows")) is tuple:
             rest = payload.copy()
             rows = rest.pop("rows")
-            key = (tuple(rest), *map(id, rest.values()))
+            key = tuple(map(id, chain(rest, rest.values())))
             frame = frames.get(key)
             if frame is None:
                 frame = frames[key] = _frame(rest)

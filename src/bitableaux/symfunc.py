@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby
 from operator import mul
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
@@ -234,41 +234,24 @@ class SymPoly:
     terms maps exponent tuples (length = number of variables) of ints >= 0
     to nonzero int coefficients (int subclasses but bool count as ints); it
     is a read-only copy of the mapping passed in.  No variable name repeats.
-    The terms are scanned in bulk at C level; the per-term loop that names
-    the first bad term runs only when that scan finds a possible fault.
     """
 
     variables: tuple[str, ...]
     terms: Mapping[Exponents, int]
 
     def __post_init__(self) -> None:
-        terms = dict(self.terms)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"variable names must not repeat, got {self.variables!r}")
-        # lengths, types, signs and zeros are scanned at C level first; only
-        # a possible fault runs the per-term loop, which names the first bad
-        # term (an int subclass other than bool is flagged, then passes)
-        try:
-            valid = (
-                set(map(len, terms)) <= {len(self.variables)}
-                and set(map(type, chain.from_iterable(terms))) <= {int}
-                and min(chain.from_iterable(terms), default=0) >= 0
-                and set(map(type, terms.values())) <= {int}
-                and 0 not in terms.values()
-            )
-        except TypeError:
-            valid = False
-        if not valid:
-            for exps, coeff in terms.items():
-                if len(exps) != len(self.variables):
-                    raise ValueError("exponent vector length must match variable count")
-                if not all(is_int(e) and e >= 0 for e in exps):
-                    raise ValueError(f"exponents must be nonnegative integers, got {exps!r}")
-                if not is_int(coeff):
-                    raise ValueError(f"coefficients must be integers, got {coeff!r}")
-                if coeff == 0:
-                    raise ValueError("zero terms must not be stored")
+        for exps, coeff in self.terms.items():
+            if len(exps) != len(self.variables):
+                raise ValueError("exponent vector length must match variable count")
+            if not all(is_int(e) and e >= 0 for e in exps):
+                raise ValueError(f"exponents must be nonnegative integers, got {exps!r}")
+            if not is_int(coeff):
+                raise ValueError(f"coefficients must be integers, got {coeff!r}")
+            if coeff == 0:
+                raise ValueError("zero terms must not be stored")
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -406,22 +406,27 @@ def test_full_crystal_shares_one_tuple_per_weight():
             assert len({id(w) for w in weights}) == len(set(weights))
 
 
-# fillings of (3, 2) over [4] that the filler might yield before a bad one
-_VALID_32 = [((1, 1, 1), (2, 2)), ((1, 2, 2), (3, 3)), ((2, 2, 2), (3, 3)), ((2, 2, 2), (3, 4))]
+# fillings over [4] that the filler might yield before a bad one
+_VALID = {
+    (3, 2): [((1, 1, 1), (2, 2)), ((1, 2, 2), (3, 3)), ((2, 2, 2), (3, 3)), ((2, 2, 2), (3, 4))],
+    (2, 1, 1): [((1, 1), (2,), (3,)), ((1, 2), (2,), (3,)), ((1, 1), (2,), (4,)), ((1, 1), (3,), (4,))],
+}
 
 
 @pytest.mark.parametrize(
-    "bad, message",
+    "shape, bad, message",
     [
         # a descent in a row behind a first row already seen
-        (((1, 1, 1), (3, 2)), "rows must weakly increase"),
+        ((3, 2), ((1, 1, 1), (3, 2)), "rows must weakly increase"),
         # a descent in a new first row, above a row already seen
-        (((2, 1, 1), (3, 3)), "rows must weakly increase"),
+        ((3, 2), ((2, 1, 1), (3, 3)), "rows must weakly increase"),
         # two rows each already seen, with equal entries in column 0
-        (((2, 2, 2), (2, 2)), "columns must strictly increase"),
+        ((3, 2), ((2, 2, 2), (2, 2)), "columns must strictly increase"),
+        # rows 1 and 2 each already seen, with equal entries in column 0
+        ((2, 1, 1), ((1, 1), (3,), (3,)), "columns must strictly increase"),
     ],
 )
-def test_full_crystal_refuses_a_filling_that_is_not_semistandard(monkeypatch, bad, message):
+def test_full_crystal_refuses_a_filling_that_is_not_semistandard(monkeypatch, shape, bad, message):
     # full_crystal checks each distinct row once and each vertex's columns;
     # a fault raises check_semistandard's own ValueError
     import bitableaux.crystal as crystal
@@ -429,9 +434,10 @@ def test_full_crystal_refuses_a_filling_that_is_not_semistandard(monkeypatch, ba
     with pytest.raises(ValueError) as expected:
         crystal.check_semistandard(bad)
     assert str(expected.value) == message
-    monkeypatch.setattr(crystal, "iter_ssyt_rows", lambda shape, letters: iter(_VALID_32 + [bad] + _VALID_32))
+    valid = _VALID[shape]
+    monkeypatch.setattr(crystal, "iter_ssyt_rows", lambda shape, letters: iter(valid + [bad] + valid))
     with pytest.raises(ValueError) as raised:
-        full_crystal((3, 2), 2, 2)
+        full_crystal(shape, 2, 2)
     assert raised.type is ValueError and str(raised.value) == message
 
 
